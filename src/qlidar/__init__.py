@@ -50,7 +50,6 @@ from .metrics import (
 from .states import (
     GaussianState,
     ProbeBudget,
-    SqueezeParams,
     ValidationResult,
     probe_from_budget,
     rotate,
@@ -76,7 +75,6 @@ __all__ = [
     "ProbeBudget",
     "SelectionReport",
     "SingularityError",
-    "SqueezeParams",
     "UndefinedThresholdError",
     "ValidationResult",
     "allocation_grid",

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CutoffTooSmallError, InvalidParameterError, NumericalError
 from .states import GaussianState, validate
@@ -66,13 +65,23 @@ def _decompose(sigma: np.ndarray) -> tuple[float, float, float]:
     return nbar, r, phi
 
 
+def _expm_antihermitian(g: np.ndarray) -> np.ndarray:
+    """exp(G) for anti-Hermitian G from the eigendecomposition of iG.
+
+    iG = U diag(w) U^dag is Hermitian, so exp(G) = U diag(e^(-i w)) U^dag.
+    """
+    w, u = np.linalg.eigh(1j * g)
+    return (u * np.exp(-1j * w)) @ u.conj().T
+
+
 def build_state(
     state: GaussianState, cutoff: int, trace_budget: float = TRACE_BUDGET_DEFAULT
 ) -> FockDensity:
     """Construct rho = D S rho_thermal S^dag D^dag in a truncated basis.
 
     The squeezing and displacement operators are exponentials of truncated
-    generators; the phase-space rotation is diagonal in the number basis.
+    anti-Hermitian generators G, taken from the eigendecomposition of the
+    Hermitian iG; the phase-space rotation is diagonal in the number basis.
     Raises :class:`CutoffTooSmallError` when truncation loses more trace than
     ``trace_budget``.
     """
@@ -92,7 +101,7 @@ def build_state(
 
     a = lowering_operator(cutoff)
     if r != 0.0:
-        squeeze = expm(0.5 * r * (a @ a - a.T @ a.T))
+        squeeze = _expm_antihermitian(0.5 * r * (a @ a - a.T @ a.T)).real
         rho = (squeeze * probs) @ squeeze.T
     else:
         rho = np.diag(probs)
@@ -104,7 +113,7 @@ def build_state(
 
     beta = (state.mu[0] + 1j * state.mu[1]) / math.sqrt(2.0)
     if beta != 0.0:
-        displace = expm(beta * a.T.astype(complex) - np.conj(beta) * a.astype(complex))
+        displace = _expm_antihermitian(beta * a.T - np.conj(beta) * a)
         rho = displace @ rho @ displace.conj().T
 
     rho = 0.5 * (rho + rho.conj().T)

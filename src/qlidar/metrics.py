@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import InvalidParameterError
 from .states import GaussianState, validate
@@ -77,17 +76,6 @@ def bures_sq(sigma0: np.ndarray, sigma1: np.ndarray) -> float:
     s1 = _check_spd(sigma1, "sigma1")
     cross = float(np.trace(s0 @ s1)) + 2.0 * math.sqrt(_det2(s0) * _det2(s1))
     b2 = float(np.trace(s0) + np.trace(s1)) - 2.0 * math.sqrt(cross)
-    return max(b2, 0.0)
-
-
-def _bures_sq_eig(sigma0: np.ndarray, sigma1: np.ndarray) -> float:
-    """Eigendecomposition route for the Bures distance (debug reference)."""
-    s0 = _check_spd(sigma0, "sigma0")
-    s1 = _check_spd(sigma1, "sigma1")
-    w, v = np.linalg.eigh(s0)
-    root0 = (v * np.sqrt(w)) @ v.T
-    inner = np.linalg.eigvalsh(root0 @ s1 @ root0)
-    b2 = float(np.trace(s0) + np.trace(s1)) - 2.0 * float(np.sum(np.sqrt(np.clip(inner, 0.0, None))))
     return max(b2, 0.0)
 
 
@@ -279,9 +267,9 @@ def optimal_quadrature(
 ) -> OptimalQuadrature:
     """Quadrature angle maximising the homodyne SNR, with its value.
 
-    The maximiser of (u.d)^2 / (u.Sigma.u) over directions is u ~ Sigma^-1 d
-    with value d.Sigma^-1.d; a bounded scalar polish around the closed-form
-    angle guards the result.  With no displacement the problem degenerates
+    By Cauchy-Schwarz the maximum of (u.d)^2 / (u.Sigma.u) over directions is
+    exactly d.Sigma^-1.d, reached at u ~ Sigma^-1 d; both come in closed form
+    with no numerical search.  With no displacement the problem degenerates
     and the variance-minimising (minor) axis of Sigma_H1 is reported.
     """
     _check_state(state_h1, "state_h1")
@@ -294,17 +282,7 @@ def optimal_quadrature(
         return OptimalQuadrature(theta, 0.0, True)
     g = _inv2(sigma) @ d
     theta = math.atan2(g[1], g[0]) % math.pi
-    snr = float(d @ g)
-    res = minimize_scalar(
-        lambda t: -homodyne_snr(state_h1, state_h0, t),
-        bounds=(theta - 0.05, theta + 0.05),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    if -res.fun > snr:
-        snr = -res.fun
-        theta = float(res.x) % math.pi
-    return OptimalQuadrature(theta, snr, False)
+    return OptimalQuadrature(theta, float(d @ g), False)
 
 
 @dataclass(frozen=True)

@@ -132,19 +132,6 @@ class ProbeBudget:
         return (1.0 - self.lam) * self.n_tot
 
 
-@dataclass(frozen=True)
-class SqueezeParams:
-    """Squeezing parameter r and coherent photon number |alpha|^2."""
-
-    r: float
-    alpha_mag_sq: float
-
-    @classmethod
-    def from_budget(cls, budget: ProbeBudget) -> "SqueezeParams":
-        # invert N_sq = sinh^2(r)
-        return cls(r=math.asinh(math.sqrt(budget.n_squeeze)), alpha_mag_sq=budget.n_disp)
-
-
 def squeezed_vacuum(r: float) -> GaussianState:
     """Squeezed vacuum with sigma = diag(exp(-2r), exp(2r)) and zero mean."""
     if not (isinstance(r, (int, float)) and math.isfinite(r)):
@@ -169,10 +156,10 @@ def probe_from_budget(budget: ProbeBudget) -> GaussianState:
     The returned state satisfies sinh^2(r) + |mu|^2 / 2 = n_tot: the budget is
     exhausted exactly between squeezing and displacement.
     """
-    sq = SqueezeParams.from_budget(budget)
-    amp = math.sqrt(2.0 * sq.alpha_mag_sq)
+    r = math.asinh(math.sqrt(budget.n_squeeze))  # invert N_sq = sinh^2(r)
+    amp = math.sqrt(2.0 * budget.n_disp)
     mu = amp * np.array([math.cos(budget.displacement_phase), math.sin(budget.displacement_phase)])
-    sigma = np.diag([math.exp(-2.0 * sq.r), math.exp(2.0 * sq.r)])
+    sigma = np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)])
     return GaussianState(mu, sigma)
 
 

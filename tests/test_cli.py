@@ -268,3 +268,13 @@ class TestErrorHandling:
         config.write_text("just some words\n")
         result = run_cli("benchmark", "--config", str(config), "--out", str(tmp_path))
         assert result.returncode == 2
+
+
+def test_imports_pull_in_no_scipy():
+    code = (
+        "import sys, qlidar, qlidar.cli, qlidar.fock; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

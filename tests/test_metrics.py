@@ -51,6 +51,15 @@ class TestSqrtSpd:
             metrics.sqrt_spd_2x2(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+def _bures_sq_eig(sigma0: np.ndarray, sigma1: np.ndarray) -> float:
+    """Eigendecomposition route for the Bures distance (independent reference)."""
+    w, v = np.linalg.eigh(sigma0)
+    root0 = (v * np.sqrt(w)) @ v.T
+    inner = np.linalg.eigvalsh(root0 @ sigma1 @ root0)
+    b2 = float(np.trace(sigma0) + np.trace(sigma1)) - 2.0 * float(np.sum(np.sqrt(np.clip(inner, 0.0, None))))
+    return max(b2, 0.0)
+
+
 class TestBures:
     def test_identical(self):
         m = np.array([[1.4, 0.3], [0.3, 1.1]])
@@ -71,7 +80,7 @@ class TestBures:
             b = random_physical_state(rng).sigma
             ab = metrics.bures_sq(a, b)
             assert abs(ab - metrics.bures_sq(b, a)) < 1e-10
-            assert abs(ab - metrics._bures_sq_eig(a, b)) < 1e-10
+            assert abs(ab - _bures_sq_eig(a, b)) < 1e-10
 
 
 class TestW2:
@@ -280,6 +289,8 @@ class TestOptimalQuadrature:
             h1 = random_physical_state(rng)
             h0 = random_physical_state(rng)
             quad = metrics.optimal_quadrature(h1, h0)
+            at_opt = metrics.homodyne_snr(h1, h0, quad.theta_opt)
+            assert abs(at_opt - quad.snr_sq_opt) <= 1e-12 * quad.snr_sq_opt
             for theta in np.linspace(0, math.pi, 360, endpoint=False):
                 assert quad.snr_sq_opt >= metrics.homodyne_snr(h1, h0, float(theta)) - 1e-9
 

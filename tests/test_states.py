@@ -8,7 +8,6 @@ from qlidar.errors import InvalidParameterError
 from qlidar.states import (
     GaussianState,
     ProbeBudget,
-    SqueezeParams,
     probe_from_budget,
     rotate,
     squeezed_vacuum,
@@ -66,7 +65,7 @@ class TestProbeFromBudget:
         # lam = 1 needs the default cap lifted
         state = probe_from_budget(ProbeBudget(10.0, 1.0, lam_max=1.0))
         assert_allclose(state.mu, 0.0)
-        r = SqueezeParams.from_budget(ProbeBudget(10.0, 1.0, lam_max=1.0)).r
+        r = math.asinh(math.sqrt(10.0))
         assert abs(r - math.asinh(math.sqrt(10.0))) < 1e-15
         assert abs(math.sinh(r) ** 2 - 10.0) < 1e-12
 
@@ -84,8 +83,8 @@ class TestProbeFromBudget:
             n_tot = rng.uniform(0.0, 30.0)
             lam = rng.uniform(0.0, 0.95)
             state = probe_from_budget(ProbeBudget(n_tot, lam))
-            sq = SqueezeParams.from_budget(ProbeBudget(n_tot, lam))
-            total = math.sinh(sq.r) ** 2 + 0.5 * float(state.mu @ state.mu)
+            r = math.asinh(math.sqrt(lam * n_tot))
+            total = math.sinh(r) ** 2 + 0.5 * float(state.mu @ state.mu)
             assert abs(total - n_tot) < 1e-12 * max(1.0, n_tot)
             assert abs(state.photon_number - n_tot) < 1e-12 * max(1.0, n_tot)
 
