@@ -9,15 +9,14 @@ at vanishing squeezing fraction.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
-from .channel import ChannelParams, apply_loss
+from . import kernel, metrics
+from .channel import ChannelParams, apply_loss, effective_noise
 from .errors import InvalidParameterError, UndefinedThresholdError
-from .states import LAMBDA_MAX_DEFAULT, GaussianState, ProbeBudget, probe_from_budget, thermal_state
+from .states import LAMBDA_MAX_DEFAULT, ProbeBudget, probe_from_budget, thermal_state
 
 
 def default_eta_grid(step: float = 0.01) -> np.ndarray:
@@ -30,11 +29,6 @@ def default_lambda_grid(step: float = 0.01, lam_max: float = LAMBDA_MAX_DEFAULT)
     return np.linspace(0.0, lam_max, n + 1)
 
 
-def _probe(lam: float, n_tot: float) -> GaussianState:
-    # scoring may probe any fraction up to 1, independent of the search cap
-    return probe_from_budget(ProbeBudget(n_tot, lam, lam_max=1.0))
-
-
 def w2_score(lam: float, n_tot: float, params: ChannelParams) -> metrics.MetricReport:
     """Full metric report for the allocation (lam, n_tot) through the channel.
 
@@ -42,14 +36,25 @@ def w2_score(lam: float, n_tot: float, params: ChannelParams) -> metrics.MetricR
     is both the no-target hypothesis and the channel output at zero
     transmissivity.
     """
-    out = apply_loss(_probe(lam, n_tot), params)
+    # scoring may probe any fraction up to 1, independent of the search cap
+    out = apply_loss(probe_from_budget(ProbeBudget(n_tot, lam, lam_max=1.0)), params)
     return metrics.metric_report(out, thermal_state(params.n_th))
 
 
-def _w2_cell(lam: float, n_tot: float, params: ChannelParams) -> float:
-    """Wasserstein score only; the inner loop of the grid search."""
-    out = apply_loss(_probe(lam, n_tot), params)
-    return metrics.w2_sq(thermal_state(params.n_th), out)[0]
+def _w2_terms(eta_eff, lambdas, n_tot: float, n_th: float):
+    """(displacement, Bures) terms of W2^2 between the channel output of the
+    probes ``lambdas`` and the thermal background; arguments broadcast."""
+    out = kernel.channel(kernel.probe(lambdas, n_tot), eta_eff, n_th)
+    return kernel.w2_terms(kernel.thermal(n_th), out)
+
+
+def _fractions(n_tot: float, lambdas) -> np.ndarray:
+    """Squeezing fractions, checked once per grid: the budget rules hold for
+    every fraction when they hold for the extremes (a NaN is both)."""
+    lams = np.asarray(lambdas, dtype=float)
+    for lam in (lams.min(), lams.max()):
+        ProbeBudget(n_tot, float(lam), lam_max=1.0)
+    return lams
 
 
 def optimize_lambda(
@@ -65,7 +70,8 @@ def optimize_lambda(
         raise InvalidParameterError("lambda grid must be nonempty")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise InvalidParameterError("lambda grid must be strictly ascending")
-    scores = np.array([_w2_cell(l, n_tot, params) for l in grid])
+    disp, bures = _w2_terms(params.eta_eff, _fractions(n_tot, grid), n_tot, params.n_th)
+    scores = disp + bures
     idx = int(np.argmax(scores))
     return float(grid[idx]), float(scores[idx])
 
@@ -82,12 +88,6 @@ class AllocationGrid:
     lambda_opt: np.ndarray
 
 
-def _score_row(args) -> np.ndarray:
-    eta, lambdas, n_tot, n_th, eta_det = args
-    params = ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det)
-    return np.array([_w2_cell(l, n_tot, params) for l in lambdas])
-
-
 def allocation_grid(
     n_tot: float,
     n_th: float,
@@ -98,19 +98,19 @@ def allocation_grid(
 ) -> AllocationGrid:
     """Evaluate the Wasserstein score on the full (eta, lambda) grid.
 
-    Rows are independent; with ``workers`` > 1 they are farmed out to
-    processes and reassembled in index order, so parallel and serial runs
-    produce bit-identical arrays.
+    The parameters are validated once; each block of eta rows is then
+    scored in one array call of the closed-form kernel.  With ``workers`` > 1
+    contiguous row blocks go to a process pool and are joined in index order;
+    every cell is computed elementwise, so parallel and serial runs produce
+    bit-identical arrays.
     """
     etas = default_eta_grid() if eta_grid is None else np.asarray(eta_grid, dtype=float)
-    lambdas = default_lambda_grid() if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
-    jobs = [(float(e), lambdas, n_tot, n_th, eta_det) for e in etas]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_score_row, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
-    else:
-        rows = [_score_row(j) for j in jobs]
-    scores = np.vstack(rows)
+    lambdas = _fractions(n_tot, default_lambda_grid() if lambda_grid is None else lambda_grid)
+    for eta in (etas.min(), etas.max()):
+        ChannelParams(eta=float(eta), n_th=n_th, eta_det=eta_det)
+    eta_eff = etas[:, None] * eta_det
+    disp, bures = kernel.map_blocks(_w2_terms, eta_eff, workers, lambdas, n_tot, n_th)
+    scores = disp + bures
     lambda_opt = lambdas[np.argmax(scores, axis=1)]
     return AllocationGrid(n_tot, n_th, etas, lambdas, scores, lambda_opt)
 
@@ -150,8 +150,6 @@ def eta_critical_effective(n_tot: float, params: ChannelParams) -> float:
     The result is meant to be compared against the effective transmissivity
     ``params.eta_eff`` rather than the bare line transmissivity.
     """
-    from .channel import effective_noise
-
     return eta_critical(n_tot, effective_noise(params))
 
 
@@ -204,14 +202,10 @@ def gradient_diagnostics(
     d_disp = -2.0 * eta * n_tot
     d_cov_paper = (2.0 * eta**2 * n_tot / t) * (1.0 + n_tot / t)
 
-    background = thermal_state(params.n_th)
     # one channel + metric evaluation per point feeds both slopes
-    (_, disp0, cov0), (_, disp1, cov1), (_, disp2, cov2) = (
-        metrics.w2_sq(background, apply_loss(_probe(lam, n_tot), params))
-        for lam in (0.0, h, 2.0 * h)
-    )
-    d_disp_fd = _richardson_forward(disp0, disp1, disp2, h)
-    d_cov_fd = _richardson_forward(cov0, cov1, cov2, h)
+    disp, cov = _w2_terms(eta, _fractions(n_tot, [0.0, h, 2.0 * h]), n_tot, params.n_th)
+    d_disp_fd = _richardson_forward(*disp.tolist(), h)
+    d_cov_fd = _richardson_forward(*cov.tolist(), h)
 
     eta_c = eta_critical(n_tot, params.n_th)
     empirical = math.nan

@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import kernel
 from .errors import InvalidParameterError, SingularityError
 from .states import GaussianState, validate
 
@@ -57,10 +56,7 @@ def apply_loss(state: GaussianState, params: ChannelParams) -> GaussianState:
     verdict = validate(state)
     if not verdict:
         raise InvalidParameterError(f"input state is unphysical: {verdict.reason}")
-    e = params.eta_eff
-    mu_out = math.sqrt(e) * state.mu
-    sigma_out = e * state.sigma + (1.0 - e) * (2.0 * params.n_th + 1.0) * np.eye(2)
-    return GaussianState(mu_out, sigma_out)
+    return GaussianState.from_moments(kernel.channel(state.moments, params.eta_eff, params.n_th))
 
 
 def effective_noise(params: ChannelParams) -> float:
@@ -70,11 +66,6 @@ def effective_noise(params: ChannelParams) -> float:
     v_el = 0.  A lossless channel with v_el > 0 has no finite equivalent and
     raises :class:`SingularityError`; that case has to be treated on its own.
     """
-    if params.v_el == 0.0:
-        return params.n_th
-    e = params.eta_eff
-    if e >= 1.0:
-        raise SingularityError(
-            "effective noise diverges at unit transmissivity with v_el > 0"
-        )
-    return params.n_th + params.v_el / (2.0 * (1.0 - e))
+    if params.v_el > 0.0 and params.eta_eff >= 1.0:
+        raise SingularityError("effective noise diverges at unit transmissivity with v_el > 0")
+    return kernel.effective_noise(params.n_th, params.v_el, params.eta_eff)

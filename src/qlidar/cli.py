@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, allocation, fading, metrics
+from . import __version__, allocation, fading, kernel, metrics
 from .channel import ChannelParams, apply_loss, effective_noise
 from .errors import InvalidParameterError, NumericalError
 from .states import GaussianState, ProbeBudget, probe_from_budget, thermal_state
@@ -106,22 +106,7 @@ def _parse_state(text: str, name: str) -> GaussianState:
             values.append(float(part))
         except ValueError:
             raise InvalidParameterError(f"{name}: invalid value for {field}: {part!r}") from None
-    mu_q, mu_p, s_qq, s_qp, s_pp = values
-    return GaussianState([mu_q, mu_p], [[s_qq, s_qp], [s_qp, s_pp]])
-
-
-def _noise_for(eta: float, n_th: float, eta_det: float, v_el: float) -> float:
-    """Background occupation, with electronic noise folded in when present."""
-    if v_el == 0.0:
-        return n_th
-    return effective_noise(ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det, v_el=v_el))
-
-
-def _pair_for(eta, n_th, eta_det, v_el, n_tot, lam):
-    n_eff = _noise_for(eta, n_th, eta_det, v_el)
-    params = ChannelParams(eta=eta, n_th=n_eff, eta_det=eta_det)
-    probe = probe_from_budget(ProbeBudget(n_tot, lam, lam_max=1.0))
-    return apply_loss(probe, params), thermal_state(n_eff)
+    return GaussianState.from_moments(values)
 
 
 def cmd_benchmark(args, out_dir: Path, manifest: dict) -> list[Path]:
@@ -133,15 +118,20 @@ def cmd_benchmark(args, out_dir: Path, manifest: dict) -> list[Path]:
     eta_det = res.get("eta_det")
     v_el = res.get("v_el")
     eta_single = res.get("eta", cast=float)
-    etas = [eta_single] if eta_single is not None else np.linspace(0.001, 1.0, 200)
+    etas = np.linspace(0.001, 1.0, 200) if eta_single is None else np.array([eta_single])
     manifest.update({k: v for k, v in res.resolved.items() if v is not None})
     manifest["eta_sweep"] = "single" if eta_single is not None else "0.001:1:200"
 
-    rows = []
-    for eta in etas:
-        out, env = _pair_for(float(eta), n_th, eta_det, v_el, n_tot, lam)
-        rep = metrics.metric_report(out, env)
-        rows.append((eta, rep.w2_sq, rep.xi_qbb, rep.xi_qbb_proxy, rep.xi_qcb, rep.snr_sq_opt))
+    # validate once at the largest eta, which also raises the SingularityError
+    # of v_el > 0 at unit eta_eff, then score every eta in one kernel call
+    effective_noise(ChannelParams(eta=float(etas.max()), n_th=n_th, eta_det=eta_det, v_el=v_el))
+    ProbeBudget(n_tot, lam, lam_max=1.0)
+    eta_eff = etas * eta_det
+    n_eff = kernel.effective_noise(n_th, v_el, eta_eff)
+    h1 = kernel.channel(kernel.probe(lam, n_tot), eta_eff, n_eff)
+    scores = kernel.report(h1, kernel.thermal(n_eff))
+    columns = ("w2_sq", "xi_qbb", "xi_qbb_proxy", "xi_qcb", "snr_sq_opt")
+    rows = zip(etas, *(scores[c] for c in columns))
     path = out_dir / "benchmark.csv"
     _write_csv(path, ["eta", "w2_sq", "xi_qbb_overlap", "xi_qbb_proxy", "xi_qcb", "snr_sq_opt"], rows)
     return [path]
@@ -287,7 +277,7 @@ def cmd_metrics(args, out_dir: Path, manifest: dict) -> list[Path]:
         n_th = res.get("n_th")
         eta_det = res.get("eta_det")
         v_el = res.get("v_el")
-        n_eff = _noise_for(eta, n_th, eta_det, v_el)
+        n_eff = effective_noise(ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det, v_el=v_el))
         probe = probe_from_budget(ProbeBudget(n_tot, lam, displacement_phase=phase, lam_max=1.0))
         state_h1 = apply_loss(probe, ChannelParams(eta=eta, n_th=n_eff, eta_det=eta_det))
         state_h0 = thermal_state(n_eff)

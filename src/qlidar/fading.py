@@ -11,15 +11,13 @@ never materialised, only its per-realization statistics.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics
-from .channel import ChannelParams, apply_loss
+from . import kernel
 from .errors import InvalidParameterError
-from .states import ProbeBudget, probe_from_budget, thermal_state
+from .states import ProbeBudget
 
 DEFAULT_SEED = 20250614
 
@@ -124,20 +122,14 @@ class FadingEnsemble:
     histograms: dict[str, Histogram]
 
 
-def _eval_block(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    config, indices = args
-    probe = probe_from_budget(config.probe)
-    background = thermal_state(config.n_th)
-    etas = np.empty(len(indices))
-    w2 = np.empty(len(indices))
-    xi = np.empty(len(indices))
-    for k, i in enumerate(indices):
-        eta = sample_eta(config, i)
-        out = apply_loss(probe, ChannelParams(eta=eta, n_th=config.n_th))
-        etas[k] = eta
-        w2[k] = metrics.w2_sq(background, out)[0]
-        xi[k] = metrics.xi_qbb(background, out)
-    return etas, w2, xi
+def _eval_block(indices, config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    etas = np.array([sample_eta(config, i) for i in indices])
+    p = config.probe
+    out = kernel.channel(kernel.probe(p.lam, p.n_tot, p.displacement_phase), etas, config.n_th)
+    background = kernel.thermal(config.n_th)
+    disp, bures = kernel.w2_terms(background, out)
+    xi = kernel.exponent(kernel.log_s_overlap(background, out, 0.5))
+    return etas, disp + bures, xi
 
 
 def _iqr_over_median(values: np.ndarray) -> float:
@@ -148,23 +140,17 @@ def _iqr_over_median(values: np.ndarray) -> float:
 def run_ensemble(config: FadingConfig, workers: int = 1) -> FadingEnsemble:
     """Draw the full ensemble and evaluate both metrics per realization.
 
-    Deterministic for a fixed config: the per-index streams make the result
-    independent of ``workers`` and of chunking.
+    Each block of realization indices draws its transmissivities from the
+    per-index Philox streams, then scores all of them in one array call of
+    the closed-form kernel.  With ``workers`` > 1 contiguous index blocks go
+    to a process pool and are joined in index order.  Deterministic for a
+    fixed config: the per-index streams and elementwise scoring make the
+    result independent of ``workers`` and of the blocks.
     """
     n = config.n_realizations
-    indices = np.arange(n)
-    if workers > 1:
-        chunks = np.array_split(indices, workers * 4)
-        jobs = [(config, chunk) for chunk in chunks if chunk.size]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_eval_block, jobs))
-        etas = np.concatenate([p[0] for p in parts])
-        w2 = np.concatenate([p[1] for p in parts])
-        xi = np.concatenate([p[2] for p in parts])
-    else:
-        etas, w2, xi = _eval_block((config, indices))
+    etas, w2, xi = kernel.map_blocks(_eval_block, np.arange(n), workers, config)
 
-    saturated = int(np.sum(xi >= metrics.XI_SATURATION_CAP))
+    saturated = int(np.sum(xi >= kernel.XI_SATURATION_CAP))
     if n > 1 and np.std(w2) > 0 and np.std(etas) > 0:
         pearson = float(np.corrcoef(w2, etas)[0, 1])
     else:

@@ -162,11 +162,12 @@ def _check_dims(rho0: FockDensity, rho1: FockDensity) -> None:
         )
 
 
-def _clean_root(rho: FockDensity, name: str) -> np.ndarray:
+def _clean_power(rho: FockDensity, name: str, exponent: float) -> np.ndarray:
+    """rho^exponent from a clamped Hermitian eigendecomposition."""
     w, u = np.linalg.eigh(rho.matrix)
     if float(w[0]) < -1e-10:
         raise NumericalError(f"{name} eigenvalue {w[0]:.3e} < -1e-10")
-    return (u * np.sqrt(_clean_spectrum(w))) @ u.conj().T
+    return (u * np.power(_clean_spectrum(w), exponent)) @ u.conj().T
 
 
 def oracle_fidelity(rho0: FockDensity, rho1: FockDensity) -> float:
@@ -177,8 +178,8 @@ def oracle_fidelity(rho0: FockDensity, rho1: FockDensity) -> float:
     eigensolver noise additive instead of sqrt-amplified.
     """
     _check_dims(rho0, rho1)
-    root0 = _clean_root(rho0, "rho0")
-    root1 = _clean_root(rho1, "rho1")
+    root0 = _clean_power(rho0, "rho0", 0.5)
+    root1 = _clean_power(rho1, "rho1", 0.5)
     singular = np.linalg.svd(root0 @ root1, compute_uv=False)
     return float(np.sum(singular) ** 2)
 
@@ -188,10 +189,5 @@ def oracle_s_overlap(rho0: FockDensity, rho1: FockDensity, s: float) -> float:
     _check_dims(rho0, rho1)
     if not 0.0 <= s <= 1.0:
         raise InvalidParameterError(f"s must be in [0, 1], got {s}")
-    powered = []
-    for name, rho, exponent in (("rho0", rho0, s), ("rho1", rho1, 1.0 - s)):
-        w, u = np.linalg.eigh(rho.matrix)
-        if float(w[0]) < -1e-10:
-            raise NumericalError(f"{name} eigenvalue {w[0]:.3e} < -1e-10")
-        powered.append((u * np.power(_clean_spectrum(w), exponent)) @ u.conj().T)
-    return float(np.sum(powered[0] * powered[1].T).real)
+    power0, power1 = _clean_power(rho0, "rho0", s), _clean_power(rho1, "rho1", 1.0 - s)
+    return float(np.sum(power0 * power1.T).real)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .errors import InvalidParameterError
 
 LAMBDA_MAX_DEFAULT = 0.95
@@ -56,6 +57,17 @@ class GaussianState:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
 
+    @classmethod
+    def from_moments(cls, m) -> "GaussianState":
+        """State from kernel moments (mu_q, mu_p, sigma_qq, sigma_qp, sigma_pp)."""
+        mq, mp, sqq, sqp, spp = m
+        return cls([mq, mp], [[sqq, sqp], [sqp, spp]])
+
+    @property
+    def moments(self) -> tuple:
+        """Components (mu_q, mu_p, sigma_qq, sigma_qp, sigma_pp) for :mod:`qlidar.kernel`."""
+        return self.mu[0], self.mu[1], self.sigma[0, 0], self.sigma[0, 1], self.sigma[1, 1]
+
     @property
     def photon_number(self) -> float:
         """Mean photon number (tr(sigma) - 2) / 4 + |mu|^2 / 2."""
@@ -83,7 +95,7 @@ def validate(state: GaussianState, det_tol: float = DET_TOLERANCE) -> Validation
     s = state.sigma
     if abs(s[0, 1] - s[1, 0]) != 0.0:
         return ValidationResult(False, "sigma is not symmetric")
-    det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
+    det = kernel.det(s[0, 0], s[0, 1], s[1, 1])
     tr = s[0, 0] + s[1, 1]
     if not (det > 0.0 and tr > 0.0):
         return ValidationResult(False, f"sigma is not positive definite (det={det:g}, tr={tr:g})")
@@ -123,14 +135,6 @@ class ProbeBudget:
                 f"lam must be in [0, {self.lam_max}], got {self.lam}"
             )
 
-    @property
-    def n_squeeze(self) -> float:
-        return self.lam * self.n_tot
-
-    @property
-    def n_disp(self) -> float:
-        return (1.0 - self.lam) * self.n_tot
-
 
 def squeezed_vacuum(r: float) -> GaussianState:
     """Squeezed vacuum with sigma = diag(exp(-2r), exp(2r)) and zero mean."""
@@ -147,7 +151,7 @@ def thermal_state(n_th: float) -> GaussianState:
         raise InvalidParameterError(f"thermal occupation must be finite, got {n_th!r}")
     if n_th < 0:
         raise InvalidParameterError(f"thermal occupation must be >= 0, got {n_th}")
-    return GaussianState(np.zeros(2), (2.0 * n_th + 1.0) * np.eye(2))
+    return GaussianState.from_moments(kernel.thermal(n_th))
 
 
 def probe_from_budget(budget: ProbeBudget) -> GaussianState:
@@ -156,11 +160,9 @@ def probe_from_budget(budget: ProbeBudget) -> GaussianState:
     The returned state satisfies sinh^2(r) + |mu|^2 / 2 = n_tot: the budget is
     exhausted exactly between squeezing and displacement.
     """
-    r = math.asinh(math.sqrt(budget.n_squeeze))  # invert N_sq = sinh^2(r)
-    amp = math.sqrt(2.0 * budget.n_disp)
-    mu = amp * np.array([math.cos(budget.displacement_phase), math.sin(budget.displacement_phase)])
-    sigma = np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)])
-    return GaussianState(mu, sigma)
+    return GaussianState.from_moments(
+        kernel.probe(budget.lam, budget.n_tot, budget.displacement_phase)
+    )
 
 
 def rotation_matrix(theta: float) -> np.ndarray:

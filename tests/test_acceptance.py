@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from conftest import load_oracle_cases, random_physical_state
-from qlidar import allocation, fading, fock, metrics
+from qlidar import allocation, fading, fock, kernel, metrics
 from qlidar.channel import ChannelParams, apply_loss
 from qlidar.states import GaussianState
 
@@ -78,7 +78,7 @@ def test_criterion_04_oracle_gating():
         worst_closed = max(
             worst_closed,
             abs(metrics.gaussian_fidelity(s0, s1) - fid),
-            abs(math.exp(metrics._log_s_overlap(s0, s1, 0.5)) - overlap),
+            abs(math.exp(kernel.log_s_overlap(s0.moments, s1.moments, 0.5)) - overlap),
         )
         bigger = int(math.ceil(1.5 * cutoff))
         r0a, r1a = fock.build_state(s0, cutoff), fock.build_state(s1, cutoff)

@@ -103,6 +103,16 @@ class TestAllocationGrid:
         parallel = allocation.allocation_grid(10.0, 0.1, etas, lams, workers=2)
         assert np.array_equal(serial.scores, parallel.scores)
         assert np.array_equal(serial.lambda_opt, parallel.lambda_opt)
+        # every batched cell is bit-identical to the scalar score of its allocation
+        rng = np.random.default_rng(97)
+        for _ in range(3):
+            n_tot, n_th = float(rng.uniform(0.5, 40.0)), float(rng.uniform(0.0, 3.0))
+            eta_det = float(rng.uniform(0.3, 1.0))
+            grid = allocation.allocation_grid(n_tot, n_th, etas, lams, eta_det=eta_det, workers=2)
+            for i, eta in enumerate(etas):
+                params = ChannelParams(eta=float(eta), n_th=n_th, eta_det=eta_det)
+                for j, lam in enumerate(lams):
+                    assert grid.scores[i, j] == allocation.w2_score(lam, n_tot, params).w2_sq
 
     def test_monotone_in_eta_at_lambda_zero(self):
         etas = np.linspace(0.0, 1.0, 100)
@@ -132,6 +142,32 @@ class TestAllocationGrid:
         strong = transition(20.0, 0.1)
         weak = transition(5.0, 0.1)
         assert strong is not None and weak is not None and strong < weak
+
+
+NAN = float("nan")
+ETAS = allocation.default_eta_grid(0.25)
+LAMS = allocation.default_lambda_grid(0.25)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: allocation.allocation_grid(10.0, 0.1, np.array([0.0, 1.2]), LAMS),
+    lambda: allocation.allocation_grid(10.0, 0.1, np.array([-0.1, 0.5]), LAMS),
+    lambda: allocation.allocation_grid(10.0, 0.1, ETAS, np.array([0.0, 1.2])),
+    lambda: allocation.allocation_grid(10.0, 0.1, ETAS, np.array([-0.1, 0.5])),
+    lambda: allocation.allocation_grid(10.0, 0.1, np.array([0.2, NAN]), LAMS),
+    lambda: allocation.allocation_grid(10.0, 0.1, ETAS, np.array([0.2, NAN])),
+    lambda: allocation.allocation_grid(-1.0, 0.1, ETAS, LAMS),
+    lambda: allocation.allocation_grid(10.0, -0.1, ETAS, LAMS),
+    lambda: allocation.allocation_grid(10.0, 0.1, ETAS, LAMS, eta_det=0.0),
+    lambda: allocation.allocation_grid(10.0, 0.1, ETAS, LAMS, eta_det=1.5),
+    lambda: allocation.optimize_lambda(5.0, ChannelParams(eta=0.5, n_th=0.1), np.array([1.2])),
+    lambda: allocation.optimize_lambda(5.0, ChannelParams(eta=0.5, n_th=0.1), np.array([NAN])),
+    lambda: allocation.optimize_lambda(-1.0, ChannelParams(eta=0.5, n_th=0.1), LAMS),
+])
+def test_array_inputs_are_validated(call):
+    # the grid drivers check their parameters once per call, not per cell
+    with pytest.raises(InvalidParameterError):
+        call()
 
 
 class TestEtaCritical:

@@ -3,8 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from qlidar import allocation, fading, metrics
-from qlidar.channel import ChannelParams, apply_loss
+from qlidar.channel import ChannelParams, apply_loss, effective_noise
 from qlidar.states import ProbeBudget, probe_from_budget, thermal_state
 
 # full single-row output, frozen: schema and values must stay put
@@ -64,6 +66,28 @@ class TestBenchmark:
         assert abs(float(row[1]) - rep.w2_sq) < 1e-11
         assert abs(float(row[2]) - rep.xi_qbb) < 1e-11
         assert abs(float(row[4]) - rep.xi_qcb) < 1e-11
+
+        # every row of a batched sweep prints exactly what the scalar report gives
+        rng = np.random.default_rng(71)
+        for k in range(3):
+            n_tot, n_th = float(rng.uniform(0.5, 40.0)), float(rng.uniform(0.05, 3.0))
+            lam, eta_det = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.3, 0.99))
+            v_el = 0.0 if k == 0 else float(rng.uniform(0.0, 0.5))
+            out_dir = tmp_path / f"sweep{k}"
+            result = run_cli("benchmark", "--n-tot", repr(n_tot), "--n-th", repr(n_th),
+                             "--lambda", repr(lam), "--eta-det", repr(eta_det),
+                             "--v-el", repr(v_el), "--out", str(out_dir))
+            assert result.returncode == 0, result.stderr
+            rows = (out_dir / "benchmark.csv").read_text().splitlines()[1:]
+            assert len(rows) == 200
+            probe = probe_from_budget(ProbeBudget(n_tot, lam, lam_max=1.0))
+            for eta, line in zip(np.linspace(0.001, 1.0, 200), rows):
+                params = ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det, v_el=v_el)
+                n_eff = effective_noise(params)
+                out = apply_loss(probe, ChannelParams(eta=eta, n_th=n_eff, eta_det=eta_det))
+                rep = metrics.metric_report(out, thermal_state(n_eff))
+                values = (eta, rep.w2_sq, rep.xi_qbb, rep.xi_qbb_proxy, rep.xi_qcb, rep.snr_sq_opt)
+                assert line == ",".join(format(float(v), ".12g") for v in values)
 
     def test_deterministic_rerun(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

@@ -40,16 +40,28 @@ class TestSampleEta:
 
 class TestRunEnsemble:
     def test_single_realization_composition(self):
-        config = fading.FadingConfig(n_realizations=1, seed=4242)
-        ens = fading.run_ensemble(config)
-        eta = fading.sample_eta(config, 0)
-        out = apply_loss(
-            probe_from_budget(config.probe), ChannelParams(eta=eta, n_th=config.n_th)
-        )
-        env = thermal_state(config.n_th)
-        assert ens.etas[0] == eta
-        assert ens.w2_sq[0] == metrics.w2_sq(env, out)[0]
-        assert ens.xi_qbb[0] == metrics.xi_qbb(env, out)
+        rng = np.random.default_rng(4242)
+        configs = [fading.FadingConfig(n_realizations=1, seed=4242)] + [
+            fading.FadingConfig(
+                alpha=float(rng.uniform(0.5, 5.0)), beta=float(rng.uniform(0.5, 5.0)),
+                n_realizations=300, seed=int(rng.integers(2**31)),
+                probe=ProbeBudget(float(rng.uniform(0.5, 40.0)), float(rng.uniform(0.0, 0.95)),
+                                  displacement_phase=float(rng.uniform(0.0, 6.3))),
+                n_th=float(rng.uniform(0.0, 3.0)),
+            )
+            for _ in range(3)
+        ]
+        for config in configs:
+            ens = fading.run_ensemble(config, workers=2 if config.n_realizations > 1 else 1)
+            probe = probe_from_budget(config.probe)
+            env = thermal_state(config.n_th)
+            # batched scoring is bit-identical to the scalar API, realization by realization
+            for i in range(config.n_realizations):
+                eta = fading.sample_eta(config, i)
+                out = apply_loss(probe, ChannelParams(eta=eta, n_th=config.n_th))
+                assert ens.etas[i] == eta
+                assert ens.w2_sq[i] == metrics.w2_sq(env, out)[0]
+                assert ens.xi_qbb[i] == metrics.xi_qbb(env, out)
 
     def test_reproducibility_bit_identical(self):
         a = fading.run_ensemble(SMALL)

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import load_oracle_cases, random_physical_state
-from qlidar import fock, metrics
+from qlidar import fock, kernel, metrics
 from qlidar.channel import ChannelParams, apply_loss
 from qlidar.errors import InvalidParameterError
 from qlidar.states import (
@@ -225,7 +225,7 @@ class TestXiQcb:
         rho0 = fock.build_state(VACUUM, 200)
         rho1 = fock.build_state(THERMAL_2, 200)
         for s in np.arange(0.05, 0.96, 0.05):
-            closed = math.exp(metrics._log_s_overlap(VACUUM, THERMAL_2, float(s)))
+            closed = math.exp(kernel.log_s_overlap(VACUUM.moments, THERMAL_2.moments, float(s)))
             oracle = fock.oracle_s_overlap(rho0, rho1, float(s))
             assert abs(closed - oracle) < 1e-6
         xi_cb = metrics.xi_qcb(VACUUM, THERMAL_2)
@@ -256,18 +256,25 @@ class TestHomodyneSnr:
 
 class TestOptimalQuadrature:
     def test_aligned_case(self):
-        h1 = GaussianState([2.0, 0.0], np.diag([0.25, 4.0]))
-        quad = metrics.optimal_quadrature(h1, VACUUM)
-        assert abs(quad.theta_opt - 0.0) < 1e-9
-        assert abs(quad.snr_sq_opt - 16.0) < 1e-9
-        assert not quad.degenerate
+        # a tiny negative mu_p puts atan2 just below 0, which mod pi rounds to pi
+        for mu, variances, snr in (([2.0, 0.0], [0.25, 4.0], 16.0),
+                                   ([1.0, -1e-20], [2.0, 3.0], 0.5),
+                                   ([1.0, 1e-20], [2.0, 3.0], 0.5)):
+            quad = metrics.optimal_quadrature(GaussianState(mu, np.diag(variances)), VACUUM)
+            assert 0.0 <= quad.theta_opt < math.pi
+            assert abs(quad.theta_opt - 0.0) < 1e-15
+            assert abs(quad.snr_sq_opt - snr) < 1e-9
+            assert not quad.degenerate
 
     def test_no_displacement_degenerate(self):
-        quad = metrics.optimal_quadrature(squeezed_vacuum(0.7), VACUUM)
-        assert quad.degenerate
-        assert quad.snr_sq_opt == 0.0
-        # variance-minimising direction is the squeezed (first) axis
-        assert min(quad.theta_opt, math.pi - quad.theta_opt) < 1e-9
+        tilted = [GaussianState([0.0, 0.0], [[1.0, b], [b, 4.0]]) for b in (-1e-12, 1e-12)]
+        for h1 in [squeezed_vacuum(0.7), *tilted]:
+            quad = metrics.optimal_quadrature(h1, VACUUM)
+            assert quad.degenerate
+            assert quad.snr_sq_opt == 0.0
+            assert 0.0 <= quad.theta_opt < math.pi
+            # variance-minimising direction is the squeezed (first) axis
+            assert min(quad.theta_opt, math.pi - quad.theta_opt) < 1e-9
 
     def test_rotated_vs_grid(self):
         from qlidar.states import rotation_matrix
@@ -313,7 +320,7 @@ class TestOracleGrid:
     def test_closed_forms_match_frozen_oracle(self):
         for case_id, s0, s1, _, fid, overlap in load_oracle_cases():
             got_f = metrics.gaussian_fidelity(s0, s1)
-            got_q = math.exp(metrics._log_s_overlap(s0, s1, 0.5))
+            got_q = math.exp(kernel.log_s_overlap(s0.moments, s1.moments, 0.5))
             assert abs(got_f - fid) < 1e-6, f"fidelity mismatch on case {case_id}"
             assert abs(got_q - overlap) < 1e-6, f"overlap mismatch on case {case_id}"
 
