@@ -6,6 +6,9 @@ independent check for the Gaussian closed forms in :mod:`qlidar.metrics`:
 nothing here shares code with those formulas beyond the (mu, sigma)
 parametrisation itself.
 
+Generator spectra are taken once per cutoff, rotations are diagonal phases, and
+each density matrix is eigendecomposed once for its PSD guard and overlaps.
+
 Operator calibration.  The quadrature operators are Q = a + a^dag and
 P = -i (a - a^dag), whose vacuum variances are 1, matching the covariance
 convention.  First moments are read out as mu = sqrt(2) * (Re<a>, Im<a>),
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,20 +39,35 @@ class FockDensity:
     matrix: np.ndarray
     trace_deficit: float
 
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors of ``matrix``, taken once."""
+        return np.linalg.eigh(self.matrix)
+
 
 def lowering_operator(dim: int) -> np.ndarray:
     """Matrix of the annihilation operator a on the first ``dim`` Fock levels."""
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
-def default_cutoff(state: GaussianState) -> int:
-    """Cutoff heuristic sized by mean photon number (60 / 80 / 200 tiers)."""
-    n = state.photon_number
-    if n <= 3.0:
-        return 60
-    if n <= 10.0:
-        return 80
-    return 200
+@lru_cache(maxsize=4)
+def _generator_spectra(cutoff: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Read-only ``eigh`` of i K for the unit squeeze and displacement generators.
+
+    K_sq = (a^2 - a^dag^2) / 2 and K_d = a^dag - a, so exp(x K) = U diag(e^(-i x w)) U^dag.
+    Few entries suffice: a cutoff-convergence check alternates cutoffs c and 1.5c.
+    """
+    a = lowering_operator(cutoff)
+    spectra = (np.linalg.eigh(0.5j * (a @ a - a.T @ a.T)), np.linalg.eigh(1j * (a.T - a)))
+    for array in (*spectra[0], *spectra[1]):
+        array.flags.writeable = False
+    return spectra
+
+
+def _exp_generator(spectrum: tuple[np.ndarray, np.ndarray], scale: float) -> np.ndarray:
+    """exp(scale K) for a real generator K, from the spectrum of i K."""
+    w, u = spectrum
+    return ((u * np.exp(-1j * scale * w)) @ u.conj().T).real
 
 
 def _decompose(sigma: np.ndarray) -> tuple[float, float, float]:
@@ -65,25 +84,20 @@ def _decompose(sigma: np.ndarray) -> tuple[float, float, float]:
     return nbar, r, phi
 
 
-def _expm_antihermitian(g: np.ndarray) -> np.ndarray:
-    """exp(G) for anti-Hermitian G from the eigendecomposition of iG.
-
-    iG = U diag(w) U^dag is Hermitian, so exp(G) = U diag(e^(-i w)) U^dag.
-    """
-    w, u = np.linalg.eigh(1j * g)
-    return (u * np.exp(-1j * w)) @ u.conj().T
-
-
 def build_state(
     state: GaussianState, cutoff: int, trace_budget: float = TRACE_BUDGET_DEFAULT
 ) -> FockDensity:
     """Construct rho = D S rho_thermal S^dag D^dag in a truncated basis.
 
-    The squeezing and displacement operators are exponentials of truncated
-    anti-Hermitian generators G, taken from the eigendecomposition of the
-    Hermitian iG; the phase-space rotation is diagonal in the number basis.
+    The squeezing and displacement operators are exponentials of the truncated
+    generators r K_sq and |beta| K_d, taken from the spectra of i K that
+    :func:`_generator_spectra` caches per cutoff.  The phase-space rotation
+    and the direction arg(beta) of the displacement are diagonal phases in
+    the number basis: P a P^dag = e^(-i theta) a for P = diag(e^(i theta n)).
     Raises :class:`CutoffTooSmallError` when truncation loses more trace than
-    ``trace_budget``.
+    ``trace_budget``.  Truncated squeeze and displacement operators stay
+    unitary, so the deficit sees only the thermal tail; convergence in the
+    cutoff is what catches their truncation.
     """
     verdict = validate(state)
     if not verdict:
@@ -92,6 +106,7 @@ def build_state(
         raise InvalidParameterError(f"cutoff must be >= 2, got {cutoff}")
     nbar, r, phi = _decompose(state.sigma)
     levels = np.arange(cutoff)
+    squeeze_spectrum, displace_spectrum = _generator_spectra(cutoff)
 
     if nbar > 0.0:
         probs = np.exp(levels * math.log(nbar / (nbar + 1.0)) - math.log(nbar + 1.0))
@@ -99,9 +114,8 @@ def build_state(
         probs = np.zeros(cutoff)
         probs[0] = 1.0
 
-    a = lowering_operator(cutoff)
     if r != 0.0:
-        squeeze = _expm_antihermitian(0.5 * r * (a @ a - a.T @ a.T)).real
+        squeeze = _exp_generator(squeeze_spectrum, r)
         rho = (squeeze * probs) @ squeeze.T
     else:
         rho = np.diag(probs)
@@ -113,7 +127,8 @@ def build_state(
 
     beta = (state.mu[0] + 1j * state.mu[1]) / math.sqrt(2.0)
     if beta != 0.0:
-        displace = _expm_antihermitian(beta * a.T - np.conj(beta) * a)
+        phase = np.exp(1j * np.angle(beta) * levels)
+        displace = phase[:, None] * _exp_generator(displace_spectrum, abs(beta)) * np.conj(phase)
         rho = displace @ rho @ displace.conj().T
 
     rho = 0.5 * (rho + rho.conj().T)
@@ -121,27 +136,11 @@ def build_state(
     if deficit > trace_budget:
         raise CutoffTooSmallError(deficit, trace_budget, int(math.ceil(1.5 * cutoff)))
 
-    eigmin = float(np.linalg.eigvalsh(rho)[0])
+    density = FockDensity(dim=cutoff, matrix=rho, trace_deficit=deficit)
+    eigmin = float(density.spectrum[0][0])
     if eigmin < -1e-10:
         raise NumericalError(f"density matrix has eigenvalue {eigmin:.3e} < -1e-10")
-    return FockDensity(dim=cutoff, matrix=rho, trace_deficit=deficit)
-
-
-def extract_moments(rho: FockDensity) -> tuple[np.ndarray, np.ndarray]:
-    """Read (mu, sigma) back from a density matrix via the calibrated operators."""
-    a = lowering_operator(rho.dim)
-    q = a + a.T
-    p = -1j * (a - a.T)
-    m = rho.matrix
-    a_mean = complex(np.trace(m @ a))
-    q_mean = float(np.trace(m @ q).real)
-    p_mean = float(np.trace(m @ p).real)
-    var_q = float(np.trace(m @ q @ q).real) - q_mean**2
-    var_p = float(np.trace(m @ p @ p).real) - p_mean**2
-    cov_qp = 0.5 * float(np.trace(m @ (q @ p + p @ q)).real) - q_mean * p_mean
-    mu = math.sqrt(2.0) * np.array([a_mean.real, a_mean.imag])
-    sigma = np.array([[var_q, cov_qp], [cov_qp, var_p]])
-    return mu, sigma
+    return density
 
 
 def _clean_spectrum(w: np.ndarray) -> np.ndarray:
@@ -163,8 +162,8 @@ def _check_dims(rho0: FockDensity, rho1: FockDensity) -> None:
 
 
 def _clean_power(rho: FockDensity, name: str, exponent: float) -> np.ndarray:
-    """rho^exponent from a clamped Hermitian eigendecomposition."""
-    w, u = np.linalg.eigh(rho.matrix)
+    """rho^exponent from the clamped spectrum of rho."""
+    w, u = rho.spectrum
     if float(w[0]) < -1e-10:
         raise NumericalError(f"{name} eigenvalue {w[0]:.3e} < -1e-10")
     return (u * np.power(_clean_spectrum(w), exponent)) @ u.conj().T

@@ -7,7 +7,45 @@ from numpy.testing import assert_allclose
 from conftest import load_oracle_cases, random_physical_state
 from qlidar import fock
 from qlidar.errors import CutoffTooSmallError, InvalidParameterError
-from qlidar.states import GaussianState, squeezed_vacuum, thermal_state
+from qlidar.states import GaussianState, rotate, squeezed_vacuum, thermal_state
+
+
+def extract_moments(rho: fock.FockDensity) -> tuple[np.ndarray, np.ndarray]:
+    """Read (mu, sigma) back from a density matrix via the calibrated operators."""
+    a = fock.lowering_operator(rho.dim)
+    q = a + a.T
+    p = -1j * (a - a.T)
+    m = rho.matrix
+    a_mean = complex(np.trace(m @ a))
+    q_mean = float(np.trace(m @ q).real)
+    p_mean = float(np.trace(m @ p).real)
+    var_q = float(np.trace(m @ q @ q).real) - q_mean**2
+    var_p = float(np.trace(m @ p @ p).real) - p_mean**2
+    cov_qp = 0.5 * float(np.trace(m @ (q @ p + p @ q)).real) - q_mean * p_mean
+    mu = math.sqrt(2.0) * np.array([a_mean.real, a_mean.imag])
+    sigma = np.array([[var_q, cov_qp], [cov_qp, var_p]])
+    return mu, sigma
+
+
+def _expm_antihermitian(g: np.ndarray) -> np.ndarray:
+    """exp(G) for anti-Hermitian G from the eigendecomposition of the Hermitian iG."""
+    w, u = np.linalg.eigh(1j * g)
+    return (u * np.exp(-1j * w)) @ u.conj().T
+
+
+def _dense_reference_rho(state: GaussianState, cutoff: int) -> np.ndarray:
+    """rho = D S rho_thermal S^dag D^dag, exponentiating each state's full generators."""
+    nbar, r, phi = fock._decompose(state.sigma)
+    levels = np.arange(cutoff)
+    probs = (nbar / (nbar + 1.0)) ** levels / (nbar + 1.0)
+    a = fock.lowering_operator(cutoff)
+    squeeze = _expm_antihermitian(0.5 * r * (a @ a - a.T @ a.T)).real
+    phase = np.exp(1j * phi * levels)
+    rho = phase[:, None] * ((squeeze * probs) @ squeeze.T) * np.conj(phase)[None, :]
+    beta = (state.mu[0] + 1j * state.mu[1]) / math.sqrt(2.0)
+    displace = _expm_antihermitian(beta * a.T - np.conj(beta) * a)
+    rho = displace @ rho @ displace.conj().T
+    return 0.5 * (rho + rho.conj().T)
 
 
 class TestBuildState:
@@ -20,7 +58,7 @@ class TestBuildState:
 
     def test_squeezed_vacuum_moments(self):
         rho = fock.build_state(squeezed_vacuum(0.5), 60)
-        mu, sigma = fock.extract_moments(rho)
+        mu, sigma = extract_moments(rho)
         assert np.max(np.abs(mu)) < 1e-8
         assert abs(sigma[0, 0] - math.exp(-1.0)) < 1e-8
         assert abs(sigma[1, 1] - math.exp(1.0)) < 1e-8
@@ -53,6 +91,52 @@ class TestBuildState:
             assert float(np.linalg.eigvalsh(rho.matrix)[0]) > -1e-10
             assert rho.trace_deficit <= 1e-8
 
+    def test_matches_per_state_dense_exponentials(self):
+        # cached unit-generator spectra scaled by r and |beta|, with arg(beta)
+        # as diagonal phases, against each state's own generator exponentials;
+        # the fixed states cover theta = pi and pi/2 and the r = 0 and beta = 0 branches
+        core = GaussianState([0.0, 0.0], 1.6 * rotate(squeezed_vacuum(0.6), 0.4).sigma)
+        fixed = [
+            GaussianState([-1.3, 0.0], core.sigma),
+            GaussianState([0.0, 1.1], core.sigma),
+            GaussianState([0.0, -0.9], np.eye(2)),
+            GaussianState([0.8, -0.5], 2.2 * np.eye(2)),
+            core,
+        ]
+        rng = np.random.default_rng(83)
+        for cutoff in (60, 90, 135):
+            states = fixed + [random_physical_state(rng, 1.5, 0.8, 0.8) for _ in range(20)]
+            for state in states:
+                rho = fock.build_state(state, cutoff).matrix
+                assert np.max(np.abs(rho - _dense_reference_rho(state, cutoff))) <= 1e-13
+
+    def test_pair_takes_one_eigh_per_density(self, monkeypatch):
+        # both states squeezed and displaced, with the generator spectra of this cutoff cached
+        cutoff = 90
+        fock._generator_spectra(cutoff)
+        s0 = GaussianState([0.7, -0.4], rotate(squeezed_vacuum(0.5), 0.3).sigma)
+        s1 = GaussianState([-0.2, 0.9], 1.4 * rotate(squeezed_vacuum(0.3), 1.1).sigma)
+        calls = {"eigh": 0, "eigvalsh": 0}
+
+        def counted(name):
+            solver = getattr(np.linalg, name)
+
+            def wrapper(m, *args, **kwargs):
+                if m.shape[-1] == cutoff:
+                    calls[name] += 1
+                return solver(m, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh"))
+        rho0, rho1 = fock.build_state(s0, cutoff), fock.build_state(s1, cutoff)
+        fock.oracle_fidelity(rho0, rho1)
+        fock.oracle_s_overlap(rho0, rho1, 0.5)
+        assert calls == {"eigh": 2, "eigvalsh": 0}
+        squeeze, displace = fock._generator_spectra(cutoff)
+        assert not any(array.flags.writeable for array in (*squeeze, *displace))
+
 
 def test_moment_round_trip_random():
     # 50 random low-energy states, including rotated covariances; second
@@ -61,7 +145,7 @@ def test_moment_round_trip_random():
     for _ in range(50):
         state = random_physical_state(rng, mu_scale=1.5, nbar_max=0.8, r_max=0.8)
         rho = fock.build_state(state, 150)
-        mu, sigma = fock.extract_moments(rho)
+        mu, sigma = extract_moments(rho)
         assert np.max(np.abs(mu - state.mu)) < 1e-8
         assert np.max(np.abs(sigma - state.sigma)) < 1e-8
 
@@ -124,12 +208,6 @@ class TestOracleSOverlap:
         rho = fock.build_state(thermal_state(0.0), 20)
         with pytest.raises(InvalidParameterError):
             fock.oracle_s_overlap(rho, rho, 1.5)
-
-
-def test_default_cutoff_tiers():
-    assert fock.default_cutoff(thermal_state(0.0)) == 60
-    assert fock.default_cutoff(thermal_state(4.0)) == 80
-    assert fock.default_cutoff(thermal_state(12.0)) == 200
 
 
 def test_oracle_regression_against_frozen_table():

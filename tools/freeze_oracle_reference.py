@@ -42,18 +42,23 @@ def eval_pair(s0: GaussianState, s1: GaussianState, cutoff: int):
 
 
 def converged_values(s0: GaussianState, s1: GaussianState, cutoff: int):
-    """Escalate the cutoff until a 1.5x increase moves both values < GATE_TOL."""
+    """Escalate the cutoff until a 1.5x increase moves both values < GATE_TOL.
+
+    After a non-converged step the larger cutoff's values are carried forward,
+    so each cutoff is evaluated once.
+    """
+    carried = None
     while True:
         try:
-            fid, half = eval_pair(s0, s1, cutoff)
+            fid, half = carried or eval_pair(s0, s1, cutoff)
             bigger = int(math.ceil(1.5 * cutoff))
             fid2, half2 = eval_pair(s0, s1, bigger)
         except CutoffTooSmallError as exc:
-            cutoff = exc.suggested_cutoff
+            cutoff, carried = exc.suggested_cutoff, None
             continue
         if abs(fid - fid2) < GATE_TOL and abs(half - half2) < GATE_TOL:
             return fid, half, cutoff
-        cutoff = bigger
+        cutoff, carried = bigger, (fid2, half2)
 
 
 def main() -> None:
