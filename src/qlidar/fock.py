@@ -1,13 +1,18 @@
 """Truncated Fock-space oracle for overlap metrics.
 
-Builds explicit density matrices for displaced squeezed thermal states and
-evaluates fidelity and s-overlaps by dense linear algebra.  This is the
-independent check for the Gaussian closed forms in :mod:`qlidar.metrics`:
-nothing here shares code with those formulas beyond the (mu, sigma)
-parametrisation itself.
+Builds displaced squeezed thermal states in a truncated number basis as
+rho = U diag(p) U^dag, with U = D(beta) P(phi) S(r) and p the thermal
+distribution, and evaluates fidelity and s-overlaps by dense linear algebra
+on those factors.  This is the independent check for the Gaussian closed
+forms in :mod:`qlidar.metrics`: nothing here shares code with those formulas
+beyond the (mu, sigma) parametrisation itself.  The Williamson split of sigma
+is this module's own 2x2 ``eigh``, and rho^s = U diag(p^s) U^dag is the
+functional calculus of any unitary U, not the Gaussian overlap formula.
 
-Generator spectra are taken once per cutoff, rotations are diagonal phases, and
-each density matrix is eigendecomposed once for its PSD guard and overlaps.
+U is a product of exponentials of truncated anti-Hermitian generators and
+diagonal phases, so it is unitary to rounding and the factors are the exact
+eigendecomposition of the truncated matrix as built: no density matrix is
+ever eigendecomposed, and no eigenvalue needs clipping.
 
 Operator calibration.  The quadrature operators are Q = a + a^dag and
 P = -i (a - a^dag), whose vacuum variances are 1, matching the covariance
@@ -25,7 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CutoffTooSmallError, InvalidParameterError, NumericalError
+from .errors import CutoffTooSmallError, InvalidParameterError
 from .states import GaussianState, validate
 
 TRACE_BUDGET_DEFAULT = 1e-8
@@ -33,16 +38,17 @@ TRACE_BUDGET_DEFAULT = 1e-8
 
 @dataclass(frozen=True)
 class FockDensity:
-    """Dense Hermitian PSD matrix in the number basis, with truncation info."""
+    """rho = unitary diag(probs) unitary^dag in the number basis, with truncation info."""
 
     dim: int
-    matrix: np.ndarray
+    unitary: np.ndarray
+    probs: np.ndarray
     trace_deficit: float
 
     @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and eigenvectors of ``matrix``, taken once."""
-        return np.linalg.eigh(self.matrix)
+    def matrix(self) -> np.ndarray:
+        """The dense density matrix, formed on first use."""
+        return (self.unitary * self.probs) @ self.unitary.conj().T
 
 
 def lowering_operator(dim: int) -> np.ndarray:
@@ -87,17 +93,19 @@ def _decompose(sigma: np.ndarray) -> tuple[float, float, float]:
 def build_state(
     state: GaussianState, cutoff: int, trace_budget: float = TRACE_BUDGET_DEFAULT
 ) -> FockDensity:
-    """Construct rho = D S rho_thermal S^dag D^dag in a truncated basis.
+    """Factor rho = D P S rho_thermal S^dag P^dag D^dag in a truncated basis.
 
-    The squeezing and displacement operators are exponentials of the truncated
-    generators r K_sq and |beta| K_d, taken from the spectra of i K that
-    :func:`_generator_spectra` caches per cutoff.  The phase-space rotation
-    and the direction arg(beta) of the displacement are diagonal phases in
-    the number basis: P a P^dag = e^(-i theta) a for P = diag(e^(i theta n)).
-    Raises :class:`CutoffTooSmallError` when truncation loses more trace than
-    ``trace_budget``.  Truncated squeeze and displacement operators stay
-    unitary, so the deficit sees only the thermal tail; convergence in the
-    cutoff is what catches their truncation.
+    Returns U = D(beta) P(phi) S(r) and the truncated thermal populations
+    p_n = nbar^n / (nbar + 1)^(n + 1).  The squeezing and displacement
+    operators are exponentials of the truncated generators r K_sq and
+    |beta| K_d, taken from the spectra of i K that :func:`_generator_spectra`
+    caches per cutoff.  The phase-space rotation and the direction arg(beta)
+    of the displacement are diagonal phases in the number basis:
+    P a P^dag = e^(-i theta) a for P = diag(e^(i theta n)).
+    Raises :class:`CutoffTooSmallError`, before any matrix is formed, when the
+    thermal tail beyond the cutoff, 1 - sum p = (nbar / (nbar + 1))^cutoff,
+    exceeds ``trace_budget``.  U stays unitary under truncation, so it loses
+    no trace; convergence in the cutoff is what catches its truncation.
     """
     verdict = validate(state)
     if not verdict:
@@ -105,88 +113,52 @@ def build_state(
     if cutoff < 2:
         raise InvalidParameterError(f"cutoff must be >= 2, got {cutoff}")
     nbar, r, phi = _decompose(state.sigma)
-    levels = np.arange(cutoff)
-    squeeze_spectrum, displace_spectrum = _generator_spectra(cutoff)
-
-    if nbar > 0.0:
-        probs = np.exp(levels * math.log(nbar / (nbar + 1.0)) - math.log(nbar + 1.0))
-    else:
-        probs = np.zeros(cutoff)
-        probs[0] = 1.0
-
-    if r != 0.0:
-        squeeze = _exp_generator(squeeze_spectrum, r)
-        rho = (squeeze * probs) @ squeeze.T
-    else:
-        rho = np.diag(probs)
-
-    rho = rho.astype(complex)
-    if phi != 0.0:
-        phase = np.exp(1j * phi * levels)
-        rho = phase[:, None] * rho * np.conj(phase)[None, :]
-
-    beta = (state.mu[0] + 1j * state.mu[1]) / math.sqrt(2.0)
-    if beta != 0.0:
-        phase = np.exp(1j * np.angle(beta) * levels)
-        displace = phase[:, None] * _exp_generator(displace_spectrum, abs(beta)) * np.conj(phase)
-        rho = displace @ rho @ displace.conj().T
-
-    rho = 0.5 * (rho + rho.conj().T)
-    deficit = max(0.0, 1.0 - float(np.trace(rho).real))
+    ratio = nbar / (nbar + 1.0)
+    deficit = ratio**cutoff
     if deficit > trace_budget:
         raise CutoffTooSmallError(deficit, trace_budget, int(math.ceil(1.5 * cutoff)))
 
-    density = FockDensity(dim=cutoff, matrix=rho, trace_deficit=deficit)
-    eigmin = float(density.spectrum[0][0])
-    if eigmin < -1e-10:
-        raise NumericalError(f"density matrix has eigenvalue {eigmin:.3e} < -1e-10")
-    return density
+    levels = np.arange(cutoff)
+    probs = ratio**levels / (nbar + 1.0)
+    squeeze_spectrum, displace_spectrum = _generator_spectra(cutoff)
+    phase = np.exp(1j * phi * levels)
+    if r != 0.0:
+        unitary = phase[:, None] * _exp_generator(squeeze_spectrum, r)
+    else:
+        unitary = np.diag(phase)
+
+    beta = (state.mu[0] + 1j * state.mu[1]) / math.sqrt(2.0)
+    if beta != 0.0:
+        turn = np.exp(1j * np.angle(beta) * levels)
+        shift = _exp_generator(displace_spectrum, abs(beta))
+        unitary = turn[:, None] * (shift @ (np.conj(turn)[:, None] * unitary))
+    return FockDensity(dim=cutoff, unitary=unitary, probs=probs, trace_deficit=deficit)
 
 
-def _clean_spectrum(w: np.ndarray) -> np.ndarray:
-    """Zero out the eigenvalue noise floor of a truncated density matrix.
-
-    Eigenvalues below dim * eps * max(w) are numerical junk from the dense
-    eigensolver; raising them to fractional powers would pollute overlaps at
-    the 1e-5 level, so they are removed outright.
-    """
-    floor = w.size * np.finfo(float).eps * float(w.max())
-    return np.where(w < floor, 0.0, w)
-
-
-def _check_dims(rho0: FockDensity, rho1: FockDensity) -> None:
+def _overlap_matrix(rho0: FockDensity, rho1: FockDensity) -> np.ndarray:
+    """W = U0^dag U1, the eigenvectors of rho1 in the eigenbasis of rho0."""
     if rho0.dim != rho1.dim:
-        raise InvalidParameterError(
-            f"dimension mismatch: {rho0.dim} vs {rho1.dim}"
-        )
-
-
-def _clean_power(rho: FockDensity, name: str, exponent: float) -> np.ndarray:
-    """rho^exponent from the clamped spectrum of rho."""
-    w, u = rho.spectrum
-    if float(w[0]) < -1e-10:
-        raise NumericalError(f"{name} eigenvalue {w[0]:.3e} < -1e-10")
-    return (u * np.power(_clean_spectrum(w), exponent)) @ u.conj().T
+        raise InvalidParameterError(f"dimension mismatch: {rho0.dim} vs {rho1.dim}")
+    return rho0.unitary.conj().T @ rho1.unitary
 
 
 def oracle_fidelity(rho0: FockDensity, rho1: FockDensity) -> float:
     """Uhlmann fidelity (tr |sqrt(rho0) sqrt(rho1)|)^2 by brute force.
 
-    The square roots come from clamped Hermitian eigendecompositions; the
-    trace norm is the sum of singular values of their product, which keeps
-    eigensolver noise additive instead of sqrt-amplified.
+    sqrt(rho0) sqrt(rho1) = U0 (sqrt(p0) W sqrt(p1)) U1^dag, so its trace norm
+    is the sum of singular values of the bracket.
     """
-    _check_dims(rho0, rho1)
-    root0 = _clean_power(rho0, "rho0", 0.5)
-    root1 = _clean_power(rho1, "rho1", 0.5)
-    singular = np.linalg.svd(root0 @ root1, compute_uv=False)
+    bracket = np.sqrt(rho0.probs)[:, None] * _overlap_matrix(rho0, rho1) * np.sqrt(rho1.probs)
+    singular = np.linalg.svd(bracket, compute_uv=False)
     return float(np.sum(singular) ** 2)
 
 
 def oracle_s_overlap(rho0: FockDensity, rho1: FockDensity, s: float) -> float:
-    """Tr[rho0^s rho1^(1-s)] with matrix powers via clamped eigendecomposition."""
-    _check_dims(rho0, rho1)
+    """Tr[rho0^s rho1^(1-s)] = sum_jk p0_j^s |W_jk|^2 p1_k^(1-s).
+
+    0^0 = 1 keeps rho^0 the identity on the truncated space.
+    """
     if not 0.0 <= s <= 1.0:
         raise InvalidParameterError(f"s must be in [0, 1], got {s}")
-    power0, power1 = _clean_power(rho0, "rho0", s), _clean_power(rho1, "rho1", 1.0 - s)
-    return float(np.sum(power0 * power1.T).real)
+    weights = np.abs(_overlap_matrix(rho0, rho1)) ** 2
+    return float(np.power(rho0.probs, s) @ weights @ np.power(rho1.probs, 1.0 - s))

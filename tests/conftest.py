@@ -9,15 +9,20 @@ from qlidar.states import GaussianState, rotation_matrix
 DATA_DIR = Path(__file__).parent / "data"
 
 
+def squeezed_thermal_state(nbar, r, phi, mu) -> GaussianState:
+    """sigma = R(phi) (2 nbar + 1) diag(e^-2r, e^2r) R(phi)^T, displaced to mu."""
+    rot = rotation_matrix(phi)
+    core = (2.0 * nbar + 1.0) * np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)])
+    return GaussianState(mu, rot @ core @ rot.T)
+
+
 def random_physical_state(rng, mu_scale=3.0, nbar_max=1.5, r_max=1.0) -> GaussianState:
     """Random valid state: rotated squeezed thermal core plus displacement."""
     nbar = rng.uniform(0.0, nbar_max)
     r = rng.uniform(0.0, r_max)
     phi = rng.uniform(0.0, math.pi)
     mu = rng.uniform(-mu_scale, mu_scale, size=2)
-    rot = rotation_matrix(phi)
-    core = (2.0 * nbar + 1.0) * np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)])
-    return GaussianState(mu, rot @ core @ rot.T)
+    return squeezed_thermal_state(nbar, r, phi, mu)
 
 
 def load_oracle_cases():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import load_oracle_cases, random_physical_state
-from qlidar import fock
+from conftest import load_oracle_cases, random_physical_state, squeezed_thermal_state
+from qlidar import fock, kernel, metrics
 from qlidar.errors import CutoffTooSmallError, InvalidParameterError
 from qlidar.states import GaussianState, rotate, squeezed_vacuum, thermal_state
 
@@ -83,6 +83,8 @@ class TestBuildState:
             fock.build_state(GaussianState([0, 0], np.diag([0.5, 0.5])), 40)
 
     def test_hermitian_and_psd(self):
+        # rho = U diag(p) U^dag is Hermitian PSD because p >= 0 and U is unitary;
+        # those two facts stand in for a PSD guard on every built state
         rng = np.random.default_rng(71)
         for _ in range(10):
             state = random_physical_state(rng, mu_scale=1.5, nbar_max=0.8, r_max=0.8)
@@ -90,6 +92,11 @@ class TestBuildState:
             assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-12
             assert float(np.linalg.eigvalsh(rho.matrix)[0]) > -1e-10
             assert rho.trace_deficit <= 1e-8
+            for cutoff in (60, 90, 135, 203):
+                factors = fock.build_state(state, cutoff)
+                assert np.all(factors.probs >= 0.0)
+                gram = factors.unitary.conj().T @ factors.unitary
+                assert np.max(np.abs(gram - np.eye(cutoff))) <= 1e-12
 
     def test_matches_per_state_dense_exponentials(self):
         # cached unit-generator spectra scaled by r and |beta|, with arg(beta)
@@ -110,13 +117,14 @@ class TestBuildState:
                 rho = fock.build_state(state, cutoff).matrix
                 assert np.max(np.abs(rho - _dense_reference_rho(state, cutoff))) <= 1e-13
 
-    def test_pair_takes_one_eigh_per_density(self, monkeypatch):
-        # both states squeezed and displaced, with the generator spectra of this cutoff cached
+    def test_pair_takes_no_density_eigh(self, monkeypatch):
+        # both states squeezed and displaced, with the generator spectra of this cutoff cached;
+        # the densities come factorised, so only the fidelity's svd is cutoff-sized
         cutoff = 90
         fock._generator_spectra(cutoff)
         s0 = GaussianState([0.7, -0.4], rotate(squeezed_vacuum(0.5), 0.3).sigma)
         s1 = GaussianState([-0.2, 0.9], 1.4 * rotate(squeezed_vacuum(0.3), 1.1).sigma)
-        calls = {"eigh": 0, "eigvalsh": 0}
+        calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
 
         def counted(name):
             solver = getattr(np.linalg, name)
@@ -130,10 +138,11 @@ class TestBuildState:
 
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh"))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh"))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd"))
         rho0, rho1 = fock.build_state(s0, cutoff), fock.build_state(s1, cutoff)
         fock.oracle_fidelity(rho0, rho1)
         fock.oracle_s_overlap(rho0, rho1, 0.5)
-        assert calls == {"eigh": 2, "eigvalsh": 0}
+        assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 1}
         squeeze, displace = fock._generator_spectra(cutoff)
         assert not any(array.flags.writeable for array in (*squeeze, *displace))
 
@@ -162,12 +171,9 @@ class TestOracleFidelity:
 
     def test_orthogonal_fock_states(self):
         dim = 10
-        m0 = np.zeros((dim, dim), dtype=complex)
-        m0[0, 0] = 1.0
-        m1 = np.zeros((dim, dim), dtype=complex)
-        m1[1, 1] = 1.0
-        rho0 = fock.FockDensity(dim, m0, 0.0)
-        rho1 = fock.FockDensity(dim, m1, 0.0)
+        basis = np.eye(dim)
+        rho0 = fock.FockDensity(dim, basis.astype(complex), basis[0], 0.0)
+        rho1 = fock.FockDensity(dim, basis.astype(complex), basis[1], 0.0)
         assert fock.oracle_fidelity(rho0, rho1) < 1e-12
 
     def test_symmetry(self):
@@ -191,8 +197,8 @@ class TestOracleSOverlap:
             assert abs(fock.oracle_s_overlap(rho, rho, s) - 1.0) < 1e-10
 
     def test_power_zero_identity(self):
-        # clamped spectrum: rho^0 acts as the identity, so the trace of the
-        # other state comes back
+        # 0^0 = 1: rho^0 acts as the identity, so the trace of the other
+        # state comes back
         rho0 = fock.build_state(thermal_state(0.0), 60)
         rho1 = fock.build_state(thermal_state(1.0), 60)
         assert abs(fock.oracle_s_overlap(rho0, rho1, 0.0) - 1.0) < 1e-8
@@ -203,6 +209,23 @@ class TestOracleSOverlap:
         rho0 = fock.build_state(s0, cutoff)
         rho1 = fock.build_state(s1, cutoff)
         assert abs(fock.oracle_s_overlap(rho0, rho1, 0.5) - overlap) < 1e-8
+
+    def test_half_of_near_pure_pair_is_cutoff_stable(self):
+        # oracle-workload seed 1, pair 36: nbar 0.13 and 0.45, overlap 9.3e-4.
+        # Fractional powers of a clipped eigensolver spectrum left this pair
+        # 2.5e-8 off the closed form at every cutoff from 90 to 203
+        s0 = squeezed_thermal_state(
+            0.1292204448402001, 0.6585653488304386, 1.2742157787105073,
+            [0.22377496884255454, -1.4698883455445215],
+        )
+        s1 = squeezed_thermal_state(
+            0.44864589210598527, 0.7851891633928064, 1.331694675205377,
+            [1.3250208984212746, 1.3296255446201668],
+        )
+        closed = math.exp(-metrics.xi_qbb(s0, s1))
+        for cutoff in (90, 135, 203):
+            rho0, rho1 = fock.build_state(s0, cutoff), fock.build_state(s1, cutoff)
+            assert abs(closed - fock.oracle_s_overlap(rho0, rho1, 0.5)) <= 1e-12
 
     def test_rejects_bad_s(self):
         rho = fock.build_state(thermal_state(0.0), 20)
@@ -217,3 +240,16 @@ def test_oracle_regression_against_frozen_table():
         rho1 = fock.build_state(s1, cutoff)
         assert abs(fock.oracle_fidelity(rho0, rho1) - fid) < 1e-8, f"case {case_id}"
         assert abs(fock.oracle_s_overlap(rho0, rho1, 0.5) - overlap) < 1e-8, f"case {case_id}"
+
+
+def test_edge_s_overlap_against_closed_form_on_frozen_pairs():
+    # p^0.05 lifts the thermal tail that the trace budget sized the table's
+    # cutoffs for: at those cutoffs truncation alone leaves errors up to 1e-4,
+    # so each pair is built two 1.5x escalations higher
+    for case_id, s0, s1, cutoff, _, _ in load_oracle_cases():
+        dim = int(math.ceil(1.5 * math.ceil(1.5 * cutoff)))
+        rho0, rho1 = fock.build_state(s0, dim), fock.build_state(s1, dim)
+        for s in (0.05, 0.95):
+            closed = math.exp(kernel.log_s_overlap(s0.moments, s1.moments, s))
+            oracle = fock.oracle_s_overlap(rho0, rho1, s)
+            assert abs(closed - oracle) <= 1e-8, f"case {case_id}, s = {s}"
