@@ -19,14 +19,18 @@ from .errors import InvalidParameterError, UndefinedThresholdError
 from .states import LAMBDA_MAX_DEFAULT, ProbeBudget, probe_from_budget, thermal_state
 
 
+def _grid(stop: float, step: float) -> np.ndarray:
+    if not (step > 0 and math.isfinite(step)):
+        raise InvalidParameterError(f"grid step must be finite and > 0, got {step}")
+    return np.linspace(0.0, stop, int(round(stop / step)) + 1)
+
+
 def default_eta_grid(step: float = 0.01) -> np.ndarray:
-    n = int(round(1.0 / step))
-    return np.linspace(0.0, 1.0, n + 1)
+    return _grid(1.0, step)
 
 
 def default_lambda_grid(step: float = 0.01, lam_max: float = LAMBDA_MAX_DEFAULT) -> np.ndarray:
-    n = int(round(lam_max / step))
-    return np.linspace(0.0, lam_max, n + 1)
+    return _grid(lam_max, step)
 
 
 def w2_score(lam: float, n_tot: float, params: ChannelParams) -> metrics.MetricReport:
@@ -138,8 +142,8 @@ def eta_critical(n_tot: float, n_th: float) -> float:
     """
     if not (isinstance(n_tot, (int, float)) and math.isfinite(n_tot)) or n_tot <= 0:
         raise UndefinedThresholdError(f"threshold undefined for n_tot = {n_tot!r}")
-    if n_th < 0:
-        raise InvalidParameterError(f"n_th must be >= 0, got {n_th}")
+    if not (n_th >= 0 and math.isfinite(n_th)):
+        raise InvalidParameterError(f"n_th must be finite and >= 0, got {n_th}")
     t = 2.0 * n_th + 1.0
     return t / (1.0 + n_tot / t)
 

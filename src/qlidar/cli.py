@@ -6,11 +6,12 @@ Six subcommands: benchmark (metric sweep over transmissivity), heatmap
 (Monte-Carlo fading ensemble), metrics (single state-pair report) and
 threshold (quantum-advantage threshold evaluation).
 
-Every run resolves its parameters as flags > config file > built-in
-defaults, writes UTF-8 CSV files with LF line endings and 12 significant
-digits, and leaves a flat key = value manifest next to them, also on
-failure.  Exit codes: 0 success, 2 parameter error, 3 I/O error,
-4 numerical error.
+Each subcommand declares its parameters and their defaults once, in
+``_SUBCOMMANDS``; its parser takes only those flags.  Every run resolves
+them as flags > config file > built-in defaults, writes UTF-8 CSV files
+with LF line endings and 12 significant digits, and leaves a flat
+key = value manifest next to them, also on failure.  Exit codes:
+0 success, 2 parameter error, 3 I/O error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -69,28 +70,22 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-class _Resolver:
-    """Flags > config file > defaults, with typed access."""
-
-    def __init__(self, args: argparse.Namespace, defaults: dict):
-        self.args = vars(args)
-        self.config = _read_config(args.config) if getattr(args, "config", None) else {}
-        self.defaults = defaults
-        self.resolved: dict = {}
-
-    def get(self, key: str, cast=float):
-        flag = self.args.get(key)
-        if flag is not None:
-            value = flag
-        elif key in self.config:
+def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+    """Each key of ``defaults`` from its flag, else the config file, else the default."""
+    config = _read_config(args.config) if args.config else {}
+    unknown = sorted(set(config) - set(_FLAGS))
+    if unknown:
+        raise InvalidParameterError(f"unknown config key(s): {', '.join(unknown)}")
+    resolved = {}
+    for key, default in defaults.items():
+        value = getattr(args, key)
+        if value is None and key in config:
             try:
-                value = cast(self.config[key])
+                value = _FLAGS[key][1](config[key])
             except ValueError as exc:
                 raise InvalidParameterError(f"config key {key}: {exc}") from exc
-        else:
-            value = self.defaults[key]
-        self.resolved[key] = value
-        return value
+        resolved[key] = default if value is None else value
+    return resolved
 
 
 def _parse_state(text: str, name: str) -> GaussianState:
@@ -109,18 +104,11 @@ def _parse_state(text: str, name: str) -> GaussianState:
     return GaussianState.from_moments(values)
 
 
-def cmd_benchmark(args, out_dir: Path, manifest: dict) -> list[Path]:
-    res = _Resolver(args, {"n_tot": 5.0, "n_th": 2.0, "lam": 0.5,
-                           "eta_det": 1.0, "v_el": 0.0, "eta": None})
-    n_tot = res.get("n_tot")
-    n_th = res.get("n_th")
-    lam = res.get("lam")
-    eta_det = res.get("eta_det")
-    v_el = res.get("v_el")
-    eta_single = res.get("eta", cast=float)
-    etas = np.linspace(0.001, 1.0, 200) if eta_single is None else np.array([eta_single])
-    manifest.update({k: v for k, v in res.resolved.items() if v is not None})
-    manifest["eta_sweep"] = "single" if eta_single is not None else "0.001:1:200"
+def cmd_benchmark(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
+    n_tot, n_th, lam, eta_det, v_el = p["n_tot"], p["n_th"], p["lam"], p["eta_det"], p["v_el"]
+    etas = np.linspace(0.001, 1.0, 200) if p["eta"] is None else np.array([p["eta"]])
+    manifest.update({k: v for k, v in p.items() if v is not None})
+    manifest["eta_sweep"] = "single" if p["eta"] is not None else "0.001:1:200"
 
     # validate once at the largest eta, which also raises the SingularityError
     # of v_el > 0 at unit eta_eff, then score every eta in one kernel call
@@ -141,19 +129,13 @@ def _grids(step: float):
     return allocation.default_eta_grid(step), allocation.default_lambda_grid(step)
 
 
-def cmd_heatmap(args, out_dir: Path, manifest: dict) -> list[Path]:
-    res = _Resolver(args, {"n_tot": 10.0, "n_th": 0.1, "eta_det": 1.0,
-                           "grid_step": 0.01, "workers": 1})
-    n_tot = res.get("n_tot")
-    n_th = res.get("n_th")
-    eta_det = res.get("eta_det")
-    step = res.get("grid_step")
-    workers = res.get("workers", cast=int)
-    manifest.update(res.resolved)
+def cmd_heatmap(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
+    n_tot, n_th = p["n_tot"], p["n_th"]
+    manifest.update(p)
 
-    eta_grid, lambda_grid = _grids(step)
+    eta_grid, lambda_grid = _grids(p["grid_step"])
     grid = allocation.allocation_grid(n_tot, n_th, eta_grid, lambda_grid,
-                                      eta_det=eta_det, workers=workers)
+                                      eta_det=p["eta_det"], workers=p["workers"])
     score_rows = [
         (eta, lam, grid.scores[i, j])
         for i, eta in enumerate(grid.eta_grid)
@@ -173,25 +155,18 @@ def cmd_heatmap(args, out_dir: Path, manifest: dict) -> list[Path]:
     return [scores_path, opt_path]
 
 
-def cmd_parametric(args, out_dir: Path, manifest: dict) -> list[Path]:
-    res = _Resolver(args, {"eta_det": 1.0, "grid_step": 0.01, "workers": 1,
-                           "n_tot": None, "n_th": None})
-    eta_det = res.get("eta_det")
-    step = res.get("grid_step")
-    workers = res.get("workers", cast=int)
-    n_tot = args.n_tot
-    n_th = args.n_th
-    if (n_tot is None) != (n_th is None):
+def cmd_parametric(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
+    if (p["n_tot"] is None) != (p["n_th"] is None):
         raise InvalidParameterError("give both --n-tot and --n-th to select one scenario")
-    scenarios = PARAMETRIC_SCENARIOS if n_tot is None else ((n_tot, n_th),)
-    manifest.update({"eta_det": eta_det, "grid_step": step, "workers": workers,
-                     "scenarios": ";".join(f"{_fmt(n)}:{_fmt(t)}" for n, t in scenarios)})
+    scenarios = PARAMETRIC_SCENARIOS if p["n_tot"] is None else ((p["n_tot"], p["n_th"]),)
+    manifest.update({k: p[k] for k in ("eta_det", "grid_step", "workers")})
+    manifest["scenarios"] = ";".join(f"{_fmt(n)}:{_fmt(t)}" for n, t in scenarios)
 
-    eta_grid, lambda_grid = _grids(step)
+    eta_grid, lambda_grid = _grids(p["grid_step"])
     paths = []
     for n, t in scenarios:
         grid = allocation.allocation_grid(n, t, eta_grid, lambda_grid,
-                                          eta_det=eta_det, workers=workers)
+                                          eta_det=p["eta_det"], workers=p["workers"])
         path = out_dir / f"parametric_ntot{_fmt(n)}_nth{_fmt(t)}.csv"
         _write_csv(path, ["eta", "lambda_opt"], zip(grid.eta_grid, grid.lambda_opt))
         found = allocation.transition_eta(grid)
@@ -202,22 +177,12 @@ def cmd_parametric(args, out_dir: Path, manifest: dict) -> list[Path]:
     return paths
 
 
-def cmd_fading(args, out_dir: Path, manifest: dict) -> list[Path]:
-    res = _Resolver(args, {"alpha": 2.0, "beta": 3.0, "realizations": 10_000,
-                           "seed": fading.DEFAULT_SEED, "n_tot": 10.0, "lam": 0.5,
-                           "n_th": 2.0, "workers": 1})
-    config = fading.FadingConfig(
-        alpha=res.get("alpha"),
-        beta=res.get("beta"),
-        n_realizations=res.get("realizations", cast=int),
-        seed=res.get("seed", cast=int),
-        probe=ProbeBudget(res.get("n_tot"), res.get("lam")),
-        n_th=res.get("n_th"),
-    )
-    workers = res.get("workers", cast=int)
-    manifest.update(res.resolved)
-
-    ensemble = fading.run_ensemble(config, workers=workers)
+def cmd_fading(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
+    manifest.update(p)
+    config = fading.FadingConfig(alpha=p["alpha"], beta=p["beta"], n_realizations=p["realizations"],
+                                 seed=p["seed"], probe=ProbeBudget(p["n_tot"], p["lam"]),
+                                 n_th=p["n_th"])
+    ensemble = fading.run_ensemble(config, workers=p["workers"])
     real_path = out_dir / "fading_realizations.csv"
     _write_csv(
         real_path,
@@ -256,15 +221,15 @@ def cmd_fading(args, out_dir: Path, manifest: dict) -> list[Path]:
     return paths
 
 
-def cmd_metrics(args, out_dir: Path, manifest: dict) -> list[Path]:
-    if args.state0 is not None or args.state1 is not None:
-        if args.state0 is None or args.state1 is None:
+def cmd_metrics(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
+    if p["state0"] is not None or p["state1"] is not None:
+        if p["state0"] is None or p["state1"] is None:
             raise InvalidParameterError("give both --state0 and --state1")
-        state_h0 = _parse_state(args.state0, "state0")
-        state_h1 = _parse_state(args.state1, "state1")
-        manifest.update({"state0": args.state0, "state1": args.state1})
-    elif args.budget is not None:
-        parts = [p.strip() for p in args.budget.split(",")]
+        state_h0 = _parse_state(p["state0"], "state0")
+        state_h1 = _parse_state(p["state1"], "state1")
+        manifest.update({"state0": p["state0"], "state1": p["state1"]})
+    elif p["budget"] is not None:
+        parts = [part.strip() for part in p["budget"].split(",")]
         if len(parts) not in (2, 3):
             raise InvalidParameterError("budget must be 'n_tot,lambda[,phase]'")
         try:
@@ -272,17 +237,12 @@ def cmd_metrics(args, out_dir: Path, manifest: dict) -> list[Path]:
             phase = float(parts[2]) if len(parts) == 3 else 0.0
         except ValueError as exc:
             raise InvalidParameterError(f"budget: {exc}") from None
-        res = _Resolver(args, {"eta": 1.0, "n_th": 0.0, "eta_det": 1.0, "v_el": 0.0})
-        eta = res.get("eta")
-        n_th = res.get("n_th")
-        eta_det = res.get("eta_det")
-        v_el = res.get("v_el")
-        n_eff = effective_noise(ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det, v_el=v_el))
+        channel = {k: p[k] for k in ("eta", "n_th", "eta_det", "v_el")}
+        n_eff = effective_noise(ChannelParams(**channel))
         probe = probe_from_budget(ProbeBudget(n_tot, lam, displacement_phase=phase, lam_max=1.0))
-        state_h1 = apply_loss(probe, ChannelParams(eta=eta, n_th=n_eff, eta_det=eta_det))
+        state_h1 = apply_loss(probe, ChannelParams(eta=p["eta"], n_th=n_eff, eta_det=p["eta_det"]))
         state_h0 = thermal_state(n_eff)
-        manifest.update(res.resolved)
-        manifest.update({"budget_n_tot": n_tot, "budget_lambda": lam, "budget_phase": phase})
+        manifest.update(channel, budget_n_tot=n_tot, budget_lambda=lam, budget_phase=phase)
     else:
         raise InvalidParameterError("give either --state0/--state1 or --budget")
 
@@ -295,14 +255,9 @@ def cmd_metrics(args, out_dir: Path, manifest: dict) -> list[Path]:
     return []
 
 
-def cmd_threshold(args, out_dir: Path, manifest: dict) -> list[Path]:
-    res = _Resolver(args, {"n_tot": 10.0, "n_th": 0.1, "eta_det": 1.0,
-                           "v_el": 0.0, "eta": None})
-    n_tot = res.get("n_tot")
-    n_th = res.get("n_th")
-    eta_det = res.get("eta_det")
-    v_el = res.get("v_el")
-    manifest.update({k: v for k, v in res.resolved.items() if v is not None})
+def cmd_threshold(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
+    n_tot, n_th, eta_det, v_el = p["n_tot"], p["n_th"], p["eta_det"], p["v_el"]
+    manifest.update({k: v for k, v in p.items() if v is not None})
 
     eta_c = allocation.eta_critical(n_tot, n_th)
     reachable = eta_c <= 1.0
@@ -314,12 +269,11 @@ def cmd_threshold(args, out_dir: Path, manifest: dict) -> list[Path]:
         print("no quantum regime at any transmissivity")
 
     if v_el > 0.0 or eta_det < 1.0:
-        eta = args.eta
-        if eta is None:
+        if p["eta"] is None:
             raise InvalidParameterError(
                 "detector imperfections need --eta to evaluate the substituted threshold"
             )
-        params = ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det, v_el=v_el)
+        params = ChannelParams(eta=p["eta"], n_th=n_th, eta_det=eta_det, v_el=v_el)
         eta_c_eff = allocation.eta_critical_effective(n_tot, params)
         print(f"eta_critical_effective = {_fmt(eta_c_eff)}")
         print(f"eta_effective = {_fmt(params.eta_eff)}")
@@ -327,6 +281,43 @@ def cmd_threshold(args, out_dir: Path, manifest: dict) -> list[Path]:
         manifest["eta_effective"] = _fmt(params.eta_eff)
     return []
 
+
+# key -> (flag, type, help); the key doubles as config-file and manifest key
+_FLAGS = {
+    "n_tot": ("--n-tot", float, "total mean photon budget"),
+    "n_th": ("--n-th", float, "thermal background occupation"),
+    "lam": ("--lambda", float, "squeezing fraction of the budget"),
+    "eta": ("--eta", float, "channel transmissivity"),
+    "eta_det": ("--eta-det", float, "detector efficiency (folded into eta)"),
+    "v_el": ("--v-el", float, "detector electronic noise in shot-noise units"),
+    "seed": ("--seed", int, "RNG seed"),
+    "grid_step": ("--grid-step", float, "grid step for eta and lambda sweeps"),
+    "realizations": ("--realizations", int, "number of Monte-Carlo realizations"),
+    "workers": ("--workers", int, "parallel worker processes (results are order-independent)"),
+    "alpha": ("--alpha", float, "Beta shape alpha"),
+    "beta": ("--beta", float, "Beta shape beta"),
+    "state0": ("--state0", str, "H0 state as mu_q,mu_p,sigma_qq,sigma_qp,sigma_pp"),
+    "state1": ("--state1", str, "H1 state as mu_q,mu_p,sigma_qq,sigma_qp,sigma_pp"),
+    "budget": ("--budget", str, "probe shorthand n_tot,lambda[,phase]; pairs with --eta/--n-th"),
+}
+
+# subcommand -> (help, {key: default}); None means "not given"
+_SUBCOMMANDS = {
+    "benchmark": ("metric sweep over transmissivity", {
+        "n_tot": 5.0, "n_th": 2.0, "lam": 0.5, "eta_det": 1.0, "v_el": 0.0, "eta": None}),
+    "heatmap": ("Wasserstein score map over (eta, lambda)", {
+        "n_tot": 10.0, "n_th": 0.1, "eta_det": 1.0, "grid_step": 0.01, "workers": 1}),
+    "parametric": ("optimal squeezing fraction per power/noise scenario", {
+        "eta_det": 1.0, "grid_step": 0.01, "workers": 1, "n_tot": None, "n_th": None}),
+    "fading": ("Monte-Carlo fading ensemble", {
+        "alpha": 2.0, "beta": 3.0, "realizations": 10_000, "seed": fading.DEFAULT_SEED,
+        "n_tot": 10.0, "lam": 0.5, "n_th": 2.0, "workers": 1}),
+    "metrics": ("all metrics for one state pair", {
+        "state0": None, "state1": None, "budget": None,
+        "eta": 1.0, "n_th": 0.0, "eta_det": 1.0, "v_el": 0.0}),
+    "threshold": ("quantum-advantage threshold", {
+        "n_tot": 10.0, "n_th": 0.1, "eta_det": 1.0, "v_el": 0.0, "eta": None}),
+}
 
 _COMMANDS = {
     "benchmark": cmd_benchmark,
@@ -342,49 +333,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qlidar", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qlidar {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--n-tot", dest="n_tot", type=float, default=None,
-                       help="total mean photon budget")
-        p.add_argument("--n-th", dest="n_th", type=float, default=None,
-                       help="thermal background occupation")
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="squeezing fraction of the budget")
-        p.add_argument("--eta", type=float, default=None, help="channel transmissivity")
-        p.add_argument("--eta-det", dest="eta_det", type=float, default=None,
-                       help="detector efficiency (folded into eta)")
-        p.add_argument("--v-el", dest="v_el", type=float, default=None,
-                       help="detector electronic noise in shot-noise units")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed")
+    for name, (help_text, defaults) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in defaults:
+            flag, cast, flag_help = _FLAGS[key]
+            p.add_argument(flag, dest=key, type=cast, help=flag_help)
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--config", default=None, help="flat key = value config file")
-        p.add_argument("--grid-step", dest="grid_step", type=float, default=None,
-                       help="grid step for eta and lambda sweeps")
-        p.add_argument("--realizations", type=int, default=None,
-                       help="number of Monte-Carlo realizations")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel worker processes (results are order-independent)")
-
-    for name, help_text in [
-        ("benchmark", "metric sweep over transmissivity"),
-        ("heatmap", "Wasserstein score map over (eta, lambda)"),
-        ("parametric", "optimal squeezing fraction per power/noise scenario"),
-        ("fading", "Monte-Carlo fading ensemble"),
-        ("metrics", "all metrics for one state pair"),
-        ("threshold", "quantum-advantage threshold"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        if name == "fading":
-            p.add_argument("--alpha", type=float, default=None, help="Beta shape alpha")
-            p.add_argument("--beta", type=float, default=None, help="Beta shape beta")
-        if name == "metrics":
-            p.add_argument("--state0", default=None,
-                           help="H0 state as mu_q,mu_p,sigma_qq,sigma_qp,sigma_pp")
-            p.add_argument("--state1", default=None,
-                           help="H1 state as mu_q,mu_p,sigma_qq,sigma_qp,sigma_pp")
-            p.add_argument("--budget", default=None,
-                           help="probe shorthand n_tot,lambda[,phase]; pairs with --eta/--n-th")
     return parser
 
 
@@ -407,7 +362,8 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
-        outputs = _COMMANDS[command](args, out_dir, manifest)
+        params = _resolve(args, _SUBCOMMANDS[command][1])
+        outputs = _COMMANDS[command](params, out_dir, manifest)
         manifest["status"] = "ok"
     except InvalidParameterError as exc:
         manifest["error"] = str(exc)

@@ -42,8 +42,10 @@ class FadingConfig:
             raise InvalidParameterError(
                 f"n_realizations must be >= 1, got {self.n_realizations}"
             )
-        if self.n_th < 0:
-            raise InvalidParameterError(f"n_th must be >= 0, got {self.n_th}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise InvalidParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not (self.n_th >= 0 and math.isfinite(self.n_th)):
+            raise InvalidParameterError(f"n_th must be finite and >= 0, got {self.n_th}")
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:

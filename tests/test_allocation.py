@@ -163,6 +163,11 @@ LAMS = allocation.default_lambda_grid(0.25)
     lambda: allocation.optimize_lambda(5.0, ChannelParams(eta=0.5, n_th=0.1), np.array([1.2])),
     lambda: allocation.optimize_lambda(5.0, ChannelParams(eta=0.5, n_th=0.1), np.array([NAN])),
     lambda: allocation.optimize_lambda(-1.0, ChannelParams(eta=0.5, n_th=0.1), LAMS),
+    lambda: allocation.default_eta_grid(0.0),
+    lambda: allocation.default_eta_grid(-0.1),
+    lambda: allocation.default_lambda_grid(NAN),
+    lambda: allocation.default_lambda_grid(math.inf),
+    lambda: allocation.eta_critical(10.0, NAN),
 ])
 def test_array_inputs_are_validated(call):
     # the grid drivers check their parameters once per call, not per cell

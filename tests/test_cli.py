@@ -1,11 +1,14 @@
 import math
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from qlidar import allocation, fading, metrics
+from qlidar import allocation, cli, fading, metrics
 from qlidar.channel import ChannelParams, apply_loss, effective_noise
 from qlidar.states import ProbeBudget, probe_from_budget, thermal_state
 
@@ -293,6 +296,90 @@ class TestErrorHandling:
         result = run_cli("benchmark", "--config", str(config), "--out", str(tmp_path))
         assert result.returncode == 2
 
+    def test_unknown_config_key_is_named(self, tmp_path):
+        config = tmp_path / "typo.conf"
+        config.write_text("n_tott = 5\n")
+        result = run_cli("benchmark", "--config", str(config), "--out", str(tmp_path))
+        assert result.returncode == 2
+        assert "n_tott" in result.stderr
+        assert "n_tott" in read_manifest(tmp_path / "benchmark_manifest.txt")["error"]
+
+    def test_config_keys_of_other_subcommands_are_allowed(self, tmp_path):
+        # one file serves every subcommand; heatmap reads none of these keys
+        config = tmp_path / "shared.conf"
+        config.write_text("seed = 3\nalpha = 2.5\nlam = 0.4\nbudget = 10,0.5\ngrid_step = 0.5\n")
+        result = run_cli("heatmap", "--config", str(config), "--out", str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        assert read_manifest(tmp_path / "heatmap_manifest.txt")["grid_step"] == "0.5"
+
+    @pytest.mark.parametrize("argv", [
+        ("heatmap", "--v-el", "0.1"),
+        ("heatmap", "--lambda", "0.3"),
+        ("fading", "--eta-det", "0.5"),
+        ("benchmark", "--seed", "1"),
+        ("threshold", "--grid-step", "0.1"),
+    ])
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, argv, tmp_path):
+        result = run_cli(*argv, "--out", str(tmp_path))
+        assert result.returncode == 2
+        assert "unrecognized arguments" in result.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("heatmap", "--grid-step", "0"),
+        ("parametric", "--grid-step", "-0.1"),
+        ("heatmap", "--grid-step", "nan"),
+        ("fading", "--seed", "-1"),
+        ("fading", "--n-th", "nan"),
+        ("threshold", "--n-th", "nan"),
+    ])
+    def test_out_of_domain_value_is_parameter_error(self, argv, tmp_path):
+        result = run_cli(*argv, "--out", str(tmp_path))
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        manifest = read_manifest(tmp_path / f"{argv[0]}_manifest.txt")
+        assert manifest["status"] == "error"
+        assert manifest["error"]
+
+    def test_parametric_reads_scenario_from_config(self, tmp_path):
+        config = tmp_path / "one.conf"
+        config.write_text("n_tot = 5\nn_th = 2\ngrid_step = 0.1\n")
+        result = run_cli("parametric", "--config", str(config), "--out", str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        files = sorted(p.name for p in tmp_path.glob("parametric_*.csv"))
+        assert files == ["parametric_ntot5_nth2.csv"]
+
+    def test_threshold_reads_eta_from_config(self, tmp_path):
+        config = tmp_path / "eta.conf"
+        config.write_text("n_tot = 10\nn_th = 2\neta = 0.5\n")
+        result = run_cli("threshold", "--config", str(config), "--v-el", "0.1",
+                         "--out", str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        assert "eta_critical_effective = " in result.stdout
+        assert read_manifest(tmp_path / "threshold_manifest.txt")["eta"] == "0.5"
+
+
+def readme_cli_section() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_examples_run(tmp_path):
+    block = re.search(r"```\n(.*?)```", readme_cli_section(), re.S).group(1)
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("qlidar ")]
+    assert len(commands) >= 6
+    for i, argv in enumerate(commands):
+        assert argv[-2:] == ["--out", "out"], argv
+        result = run_cli(*argv[:-1], str(tmp_path / str(i)))
+        assert result.returncode == 0, (argv, result.stderr)
+
+
+def test_readme_flag_table_matches_parser():
+    section = readme_cli_section()
+    for name, (_, defaults) in cli._SUBCOMMANDS.items():
+        row = re.search(rf"^\| `{name}` \|(.*)\|$", section, re.M).group(1)
+        assert set(re.findall(r"`(--[a-z0-9-]+)`", row)) == {cli._FLAGS[k][0] for k in defaults}
+
 
 def test_imports_pull_in_no_scipy():
     code = (
@@ -302,3 +389,4 @@ def test_imports_pull_in_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+

@@ -176,6 +176,12 @@ def test_config_validation():
         fading.FadingConfig(n_realizations=0)
     with pytest.raises(InvalidParameterError):
         fading.FadingConfig(n_th=-0.1)
+    with pytest.raises(InvalidParameterError):
+        fading.FadingConfig(n_th=math.nan)
+    with pytest.raises(InvalidParameterError):
+        fading.FadingConfig(seed=-1)
+    with pytest.raises(InvalidParameterError):
+        fading.FadingConfig(seed=1.5)
 
 
 def test_dynamic_range_contrast_is_reported():
