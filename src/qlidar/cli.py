@@ -10,8 +10,11 @@ Each subcommand declares its parameters and their defaults once, in
 ``_SUBCOMMANDS``; its parser takes only those flags.  Every run resolves
 them as flags > config file > built-in defaults, writes UTF-8 CSV files
 with LF line endings and 12 significant digits, and leaves a flat
-key = value manifest next to them, also on failure.  Exit codes:
-0 success, 2 parameter error, 3 I/O error, 4 numerical error.
+key = value manifest next to them, also on failure once the command line
+has parsed; a command line the parser rejects (a flag the subcommand does
+not read, a value of the wrong type) exits 2 with a usage message and
+leaves no manifest.  Exit codes: 0 success, 2 parameter error, 3 I/O
+error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -221,10 +224,17 @@ def cmd_fading(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
     return paths
 
 
+# channel of the metrics --budget shorthand; unused with an explicit state pair
+_BUDGET_CHANNEL = {"eta": 1.0, "n_th": 0.0, "eta_det": 1.0, "v_el": 0.0}
+
+
 def cmd_metrics(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
     if p["state0"] is not None or p["state1"] is not None:
         if p["state0"] is None or p["state1"] is None:
             raise InvalidParameterError("give both --state0 and --state1")
+        unused = [_FLAGS[k][0] for k in _BUDGET_CHANNEL if p[k] is not None]
+        if unused:
+            raise InvalidParameterError(f"{', '.join(unused)} apply only with --budget")
         state_h0 = _parse_state(p["state0"], "state0")
         state_h1 = _parse_state(p["state1"], "state1")
         manifest.update({"state0": p["state0"], "state1": p["state1"]})
@@ -237,10 +247,11 @@ def cmd_metrics(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
             phase = float(parts[2]) if len(parts) == 3 else 0.0
         except ValueError as exc:
             raise InvalidParameterError(f"budget: {exc}") from None
-        channel = {k: p[k] for k in ("eta", "n_th", "eta_det", "v_el")}
+        channel = {k: default if p[k] is None else p[k] for k, default in _BUDGET_CHANNEL.items()}
         n_eff = effective_noise(ChannelParams(**channel))
         probe = probe_from_budget(ProbeBudget(n_tot, lam, displacement_phase=phase, lam_max=1.0))
-        state_h1 = apply_loss(probe, ChannelParams(eta=p["eta"], n_th=n_eff, eta_det=p["eta_det"]))
+        state_h1 = apply_loss(probe, ChannelParams(eta=channel["eta"], n_th=n_eff,
+                                                   eta_det=channel["eta_det"]))
         state_h0 = thermal_state(n_eff)
         manifest.update(channel, budget_n_tot=n_tot, budget_lambda=lam, budget_phase=phase)
     else:
@@ -313,8 +324,7 @@ _SUBCOMMANDS = {
         "alpha": 2.0, "beta": 3.0, "realizations": 10_000, "seed": fading.DEFAULT_SEED,
         "n_tot": 10.0, "lam": 0.5, "n_th": 2.0, "workers": 1}),
     "metrics": ("all metrics for one state pair", {
-        "state0": None, "state1": None, "budget": None,
-        "eta": 1.0, "n_th": 0.0, "eta_det": 1.0, "v_el": 0.0}),
+        "state0": None, "state1": None, "budget": None, **dict.fromkeys(_BUDGET_CHANNEL)}),
     "threshold": ("quantum-advantage threshold", {
         "n_tot": 10.0, "n_th": 0.1, "eta_det": 1.0, "v_el": 0.0, "eta": None}),
 }

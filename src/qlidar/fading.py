@@ -3,9 +3,12 @@
 Transmissivity fluctuates as a Beta(alpha, beta) variate, drawn per
 realization from an independent counter-keyed Philox stream so that any
 execution order (serial, chunked, parallel) reproduces the same ensemble
-bit for bit.  Each realization is pushed through the lossy channel and
-scored against the thermal background; the mixed fading state itself is
-never materialised, only its per-realization statistics.
+bit for bit.  Realization i uses numpy's ``SeedSequence(seed,
+spawn_key=(i,))`` Philox key with counter 0; the keys of a block of
+indices are derived in one array call.  Each realization is pushed
+through the lossy channel and scored against the thermal background; the
+mixed fading state itself is never materialised, only its
+per-realization statistics.
 """
 
 from __future__ import annotations
@@ -38,9 +41,11 @@ class FadingConfig:
             raise InvalidParameterError(f"alpha must be > 0, got {self.alpha}")
         if not (self.beta > 0 and math.isfinite(self.beta)):
             raise InvalidParameterError(f"beta must be > 0, got {self.beta}")
-        if self.n_realizations < 1:
+        # one uint32 spawn word per realization index
+        if not (isinstance(self.n_realizations, (int, np.integer))
+                and 1 <= self.n_realizations <= 2**32):
             raise InvalidParameterError(
-                f"n_realizations must be >= 1, got {self.n_realizations}"
+                f"n_realizations must be an integer in [1, 2**32], got {self.n_realizations!r}"
             )
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise InvalidParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
@@ -48,25 +53,68 @@ class FadingConfig:
             raise InvalidParameterError(f"n_th must be finite and >= 0, got {self.n_th}")
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    # one Philox stream per realization index; independent of draw order
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
+# numpy SeedSequence constants: hashmix multiplier chain A, generate_state chain B
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def sample_eta(config: FadingConfig, index: int) -> float:
+def _philox_keys(seed: int, indices: np.ndarray) -> np.ndarray:
+    """Philox key of ``SeedSequence(seed, spawn_key=(i,))`` per uint32 index i, shape (n, 2).
+
+    The pool of ``SeedSequence(seed)`` is shared by every index; the spawn
+    word i is then hashed into each pool word and the pool is read out as
+    ``generate_state(2, uint64)``, all as uint32 array arithmetic.  The hash
+    constant has advanced once per earlier hashmix: 16 for the pool plus 4
+    per seed word beyond the fourth.
+    """
+    spawn = indices.astype(np.uint32)
+    n_words = max(1, -(-int(seed).bit_length() // 32))
+    hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, n_words - 4), 1 << 32) & _MASK
+    hash_b = _INIT_B
+    words = np.empty((spawn.size, 4), dtype="<u4")
+    for j, word in enumerate(np.random.SeedSequence(seed).pool.tolist()):
+        mixin = (spawn ^ hash_a) * (hash_a := hash_a * _MULT_A & _MASK)  # hashmix(i)
+        mixin ^= mixin >> 16
+        mixed = (_MIX_L * word & _MASK) - _MIX_R * mixin  # mix(pool word, hashmix(i))
+        mixed ^= mixed >> 16
+        state = (mixed ^ hash_b) * (hash_b := hash_b * _MULT_B & _MASK)  # generate_state
+        words[:, j] = state ^ (state >> 16)
+    # little-endian word pairs, as numpy reads generate_state(2, uint64)
+    return words.view("<u8").astype(np.uint64, copy=False)
+
+
+def sample_eta(config: FadingConfig, index):
     """Beta(alpha, beta) transmissivity for realization ``index``.
 
-    Sampled as X / (X + Y) with two Gamma variates, which is exact for all
-    shape parameters.  The open interval (0, 1) is enforced by redrawing the
+    An int index gives a float, an array of indices an array of that shape.
+    Each index draws exactly what
+    ``Generator(Philox(SeedSequence(seed, spawn_key=(index,))))`` would:
+    the keys of all indices come from one ``_philox_keys`` call, and one
+    bit generator is reset to each key with counter 0 in turn.  Sampled as
+    X / (X + Y) with two Gamma variates, which is exact for all shape
+    parameters.  The open interval (0, 1) is enforced by redrawing the
     (measure-zero) boundary hits from the same stream.
     """
-    rng = _stream(config.seed, index)
-    while True:
-        x = rng.gamma(config.alpha)
-        y = rng.gamma(config.beta)
-        eta = x / (x + y)
-        if 0.0 < eta < 1.0:
-            return float(eta)
+    indices = np.asarray(index)
+    if indices.dtype.kind not in "iu" or np.any((indices < 0) | (indices >= 2**32)):
+        raise InvalidParameterError("realization indices must be integers in [0, 2**32)")
+    rng = np.random.Generator(np.random.Philox(0))
+    state = rng.bit_generator.state
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+    etas = np.empty(indices.size)
+    for n, key in enumerate(_philox_keys(config.seed, indices.ravel())):
+        state["state"]["key"] = key
+        rng.bit_generator.state = state
+        while True:
+            x = rng.gamma(config.alpha)
+            y = rng.gamma(config.beta)
+            eta = x / (x + y)
+            if 0.0 < eta < 1.0:
+                break
+        etas[n] = eta
+    return float(etas[0]) if indices.ndim == 0 else etas.reshape(indices.shape)
 
 
 @dataclass(frozen=True)
@@ -86,7 +134,8 @@ def _histogram(values: np.ndarray) -> Histogram:
         iqr = q75 - q25
         if iqr > 0:
             width = 2.0 * iqr * values.size ** (-1.0 / 3.0)
-            nbins = max(1, int(math.ceil((hi - lo) / width)))
+            # capped: near-Bernoulli samples have a tiny IQR and a huge bin count
+            nbins = min(values.size, max(1, int(math.ceil((hi - lo) / width))))
         else:
             nbins = max(1, int(math.ceil(math.log2(values.size) + 1)))
         edges = np.linspace(lo, hi, nbins + 1)
@@ -125,7 +174,7 @@ class FadingEnsemble:
 
 
 def _eval_block(indices, config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    etas = np.array([sample_eta(config, i) for i in indices])
+    etas = sample_eta(config, indices)
     p = config.probe
     out = kernel.channel(kernel.probe(p.lam, p.n_tot, p.displacement_phase), etas, config.n_th)
     background = kernel.thermal(config.n_th)
@@ -136,7 +185,7 @@ def _eval_block(indices, config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _iqr_over_median(values: np.ndarray) -> float:
     q25, q50, q75 = np.percentile(values, [25.0, 50.0, 75.0])
-    return float((q75 - q25) / q50)
+    return float((q75 - q25) / q50) if q50 != 0 else math.nan
 
 
 def run_ensemble(config: FadingConfig, workers: int = 1) -> FadingEnsemble:

@@ -191,6 +191,20 @@ class TestFading:
         )
         assert abs(mass - 1.0) < 1e-9
 
+    def test_near_bernoulli_shapes_keep_histograms_finite(self, tmp_path):
+        # nearly every eta sits at 0 or 1, so the Freedman-Diaconis bin count
+        # (about 1.6e13 uncapped) is capped at the sample count
+        result = run_cli("fading", "--alpha", "0.005", "--beta", "0.01", "--realizations", "4000",
+                         "--seed", "7", "--out", str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        assert "Warning" not in result.stderr
+        assert read_manifest(tmp_path / "fading_manifest.txt")["status"] == "ok"
+        for key in ("eta", "w2_sq", "xi_qbb"):
+            rows = np.loadtxt(tmp_path / f"fading_hist_{key}.csv", delimiter=",", skiprows=1,
+                              ndmin=2)
+            assert 1 <= len(rows) <= 4000
+            assert abs(float(np.sum((rows[:, 1] - rows[:, 0]) * rows[:, 2])) - 1.0) < 1e-9
+
     def test_seed_reproducibility(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         run_cli("fading", "--realizations", "300", "--seed", "5", "--out", str(a_dir))
@@ -235,6 +249,18 @@ class TestMetricsCommand:
     def test_missing_pair(self, tmp_path):
         result = run_cli("metrics", "--out", str(tmp_path))
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("flags", [
+        ("--eta", "0.3", "--n-th", "5"), ("--eta-det", "0.9"), ("--v-el", "0.1"),
+    ])
+    def test_budget_channel_flags_rejected_with_state_pair(self, flags, tmp_path):
+        result = run_cli("metrics", "--state0", "0,0,1,0,1", "--state1", "1.41,0,1,0,1",
+                         *flags, "--out", str(tmp_path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        manifest = read_manifest(tmp_path / "metrics_manifest.txt")
+        assert manifest["status"] == "error"
+        assert all(flag in manifest["error"] for flag in flags[::2])
 
 
 class TestThreshold:
@@ -320,9 +346,22 @@ class TestErrorHandling:
         ("threshold", "--grid-step", "0.1"),
     ])
     def test_flags_a_subcommand_does_not_read_are_rejected(self, argv, tmp_path):
-        result = run_cli(*argv, "--out", str(tmp_path))
+        out = tmp_path / "d"
+        result = run_cli(*argv, "--out", str(out))
         assert result.returncode == 2
         assert "unrecognized arguments" in result.stderr
+        assert not out.exists()   # the parser exits before any manifest is written
+
+    @pytest.mark.parametrize("argv", [
+        ("heatmap", "--n-tot", "abc"),
+        ("fading", "--realizations", "2.5"),
+    ])
+    def test_values_the_parser_cannot_convert_leave_no_manifest(self, argv, tmp_path):
+        out = tmp_path / "d"
+        result = run_cli(*argv, "--out", str(out))
+        assert result.returncode == 2
+        assert "invalid" in result.stderr and "value" in result.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ("heatmap", "--grid-step", "0"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,24 @@ from qlidar.errors import InvalidParameterError
 from qlidar.states import ProbeBudget, probe_from_budget, thermal_state
 
 SMALL = fading.FadingConfig(n_realizations=2000, seed=99)
+
+# seeds of 1, 2, 5 and 7 uint32 words and the largest uint32 spawn word
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**128, 2**200 + 99)
+EDGE_INDICES = np.array([0, 1, 2, 4999, 2**31, 2**32 - 1])
+
+
+def _reference_draw(config, index):
+    """(eta, gamma pairs drawn) from a Philox stream built per index, the contract."""
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(int(index),))))
+    pairs = 0
+    while True:
+        x = rng.gamma(config.alpha)
+        y = rng.gamma(config.beta)
+        pairs += 1
+        eta = x / (x + y)
+        if 0.0 < eta < 1.0:
+            return float(eta), pairs
 
 
 class TestSampleEta:
@@ -28,14 +47,57 @@ class TestSampleEta:
 
     def test_uniform_special_case(self):
         config = fading.FadingConfig(alpha=1.0, beta=1.0, seed=31)
-        draws = np.array([fading.sample_eta(config, i) for i in range(100_000)])
+        draws = fading.sample_eta(config, np.arange(100_000))
         assert abs(draws.mean() - 0.5) < 0.005
 
     def test_default_beta_moments(self):
         config = fading.FadingConfig(seed=17)
-        draws = np.array([fading.sample_eta(config, i) for i in range(10_000)])
+        draws = fading.sample_eta(config, np.arange(10_000))
         assert abs(draws.mean() - 0.4) < 0.01
         assert abs(draws.var() - 0.04) < 0.005
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_keys_match_numpy_seed_sequence(self, seed):
+        keys = fading._philox_keys(seed, EDGE_INDICES)
+        assert keys.dtype == np.uint64 and keys.shape == (EDGE_INDICES.size, 2)
+        for key, i in zip(keys, EDGE_INDICES):
+            expected = np.random.SeedSequence(seed, spawn_key=(int(i),)).generate_state(
+                2, np.uint64)
+            assert np.array_equal(key, expected), (seed, i)
+
+    @pytest.mark.parametrize("config", [
+        fading.FadingConfig(alpha=0.02, beta=0.02, seed=5),
+        fading.FadingConfig(),
+    ])
+    def test_array_form_matches_per_index_streams(self, config):
+        indices = np.arange(2000)
+        reference = [_reference_draw(config, i) for i in indices]
+        expected = np.array([eta for eta, _ in reference])
+        etas = fading.sample_eta(config, indices)
+        assert np.array_equal(etas.view(np.uint64), expected.view(np.uint64))
+        if config.alpha < 0.1:
+            # the boundary redraw path is exercised, not just compiled
+            assert sum(pairs > 1 for _, pairs in reference) > 100
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_edge_seeds_and_indices_match_per_index_streams(self, seed):
+        config = fading.FadingConfig(seed=seed)
+        etas = fading.sample_eta(config, EDGE_INDICES)
+        assert [float(e) for e in etas] == [_reference_draw(config, i)[0] for i in EDGE_INDICES]
+
+    def test_int_form_is_float_of_array_form(self):
+        config = fading.FadingConfig(seed=2**32)
+        etas = fading.sample_eta(config, np.arange(6))
+        for i in range(6):
+            eta = fading.sample_eta(config, i)
+            assert type(eta) is float and eta == etas[i]
+        assert np.array_equal(fading.sample_eta(config, np.arange(6).reshape(2, 3)),
+                              etas.reshape(2, 3))
+
+    @pytest.mark.parametrize("index", [-1, 2**32, 1.5, np.array([0, -1]), np.array([0.0])])
+    def test_rejects_indices_outside_uint32(self, index):
+        with pytest.raises(InvalidParameterError):
+            fading.sample_eta(fading.FadingConfig(), index)
 
 
 class TestRunEnsemble:
@@ -175,6 +237,10 @@ def test_config_validation():
     with pytest.raises(InvalidParameterError):
         fading.FadingConfig(n_realizations=0)
     with pytest.raises(InvalidParameterError):
+        fading.FadingConfig(n_realizations=2.5)
+    with pytest.raises(InvalidParameterError):
+        fading.FadingConfig(n_realizations=2**32 + 1)
+    with pytest.raises(InvalidParameterError):
         fading.FadingConfig(n_th=-0.1)
     with pytest.raises(InvalidParameterError):
         fading.FadingConfig(n_th=math.nan)
@@ -192,3 +258,9 @@ def test_dynamic_range_contrast_is_reported():
     assert math.isfinite(ens.summary.iqr_over_median_xi_qbb)
     assert ens.summary.iqr_over_median_w2_sq > 0
     assert ens.summary.iqr_over_median_xi_qbb > 0
+
+
+def test_iqr_over_median_is_nan_at_zero_median():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(fading._iqr_over_median(np.array([0.0, 0.0, 0.0, 1.0])))
