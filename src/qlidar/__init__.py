@@ -42,7 +42,6 @@ from .metrics import (
     metric_report,
     optimal_quadrature,
     s_overlap_minimum,
-    sqrt_spd_2x2,
     w2_sq,
     xi_qbb,
     xi_qcb,
@@ -95,7 +94,6 @@ __all__ = [
     "run_ensemble",
     "s_overlap_minimum",
     "sample_eta",
-    "sqrt_spd_2x2",
     "squeezed_vacuum",
     "thermal_state",
     "transition_eta",

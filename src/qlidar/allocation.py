@@ -18,6 +18,9 @@ from .channel import ChannelParams, apply_loss, effective_noise
 from .errors import InvalidParameterError, UndefinedThresholdError
 from .states import LAMBDA_MAX_DEFAULT, ProbeBudget, probe_from_budget, thermal_state
 
+FD_STEP = 1e-6
+EMPIRICAL_GRID_STEP = 0.02
+
 
 def _grid(stop: float, step: float) -> np.ndarray:
     if not (step > 0 and math.isfinite(step)):
@@ -29,8 +32,8 @@ def default_eta_grid(step: float = 0.01) -> np.ndarray:
     return _grid(1.0, step)
 
 
-def default_lambda_grid(step: float = 0.01, lam_max: float = LAMBDA_MAX_DEFAULT) -> np.ndarray:
-    return _grid(lam_max, step)
+def default_lambda_grid(step: float = 0.01) -> np.ndarray:
+    return _grid(LAMBDA_MAX_DEFAULT, step)
 
 
 def w2_score(lam: float, n_tot: float, params: ChannelParams) -> metrics.MetricReport:
@@ -52,13 +55,23 @@ def _w2_terms(eta_eff, lambdas, n_tot: float, n_th: float):
     return kernel.w2_terms(kernel.thermal(n_th), out)
 
 
+def _ascending(values, name: str, check) -> np.ndarray:
+    """A grid as a float array, checked once: nonempty, ``check`` passes at
+    both extremes, so at every value (a NaN is both), and strictly ascending,
+    which the first-maximiser tie rule and :func:`transition_eta` rely on."""
+    grid = np.asarray(values, dtype=float)
+    if grid.size == 0:
+        raise InvalidParameterError(f"{name} grid must be nonempty")
+    for x in (grid.min(), grid.max()):
+        check(float(x))
+    if not np.all(np.diff(grid) > 0):
+        raise InvalidParameterError(f"{name} grid must be strictly ascending")
+    return grid
+
+
 def _fractions(n_tot: float, lambdas) -> np.ndarray:
-    """Squeezing fractions, checked once per grid: the budget rules hold for
-    every fraction when they hold for the extremes (a NaN is both)."""
-    lams = np.asarray(lambdas, dtype=float)
-    for lam in (lams.min(), lams.max()):
-        ProbeBudget(n_tot, float(lam), lam_max=1.0)
-    return lams
+    """Squeezing fractions under the budget rules, as :func:`_ascending` checks them."""
+    return _ascending(lambdas, "lambda", lambda lam: ProbeBudget(n_tot, lam, lam_max=1.0))
 
 
 def optimize_lambda(
@@ -69,12 +82,8 @@ def optimize_lambda(
     Ties break toward the smallest fraction (argmax returns the first
     maximiser of an ascending grid).
     """
-    grid = np.asarray(lambda_grid, dtype=float)
-    if grid.size == 0:
-        raise InvalidParameterError("lambda grid must be nonempty")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise InvalidParameterError("lambda grid must be strictly ascending")
-    disp, bures = _w2_terms(params.eta_eff, _fractions(n_tot, grid), n_tot, params.n_th)
+    grid = _fractions(n_tot, lambda_grid)
+    disp, bures = _w2_terms(params.eta_eff, grid, n_tot, params.n_th)
     scores = disp + bures
     idx = int(np.argmax(scores))
     return float(grid[idx]), float(scores[idx])
@@ -108,10 +117,9 @@ def allocation_grid(
     every cell is computed elementwise, so parallel and serial runs produce
     bit-identical arrays.
     """
-    etas = default_eta_grid() if eta_grid is None else np.asarray(eta_grid, dtype=float)
+    etas = _ascending(default_eta_grid() if eta_grid is None else eta_grid, "eta",
+                      lambda eta: ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det))
     lambdas = _fractions(n_tot, default_lambda_grid() if lambda_grid is None else lambda_grid)
-    for eta in (etas.min(), etas.max()):
-        ChannelParams(eta=float(eta), n_th=n_th, eta_det=eta_det)
     eta_eff = etas[:, None] * eta_det
     disp, bures = kernel.map_blocks(_w2_terms, eta_eff, workers, lambdas, n_tot, n_th)
     scores = disp + bures
@@ -182,23 +190,20 @@ class GradientDiagnostics:
         return self.d_cov_dlambda_paper / self.d_cov_fd
 
 
-def _richardson_forward(f0: float, f1: float, f2: float, h: float) -> float:
-    """Derivative at 0+ from f(0), f(h), f(2h): centred differences at h and
-    h/2, extrapolated."""
-    d1 = (f2 - f0) / (2.0 * h)
-    d2 = (f1 - f0) / h
+def _richardson_forward(f0: float, f1: float, f2: float) -> float:
+    """Derivative at 0+ from f(0), f(h), f(2h) with h = ``FD_STEP``: centred
+    differences at h and h/2, extrapolated."""
+    d1 = (f2 - f0) / (2.0 * FD_STEP)
+    d2 = (f1 - f0) / FD_STEP
     return 2.0 * d2 - d1
 
 
-def gradient_diagnostics(
-    n_tot: float,
-    params: ChannelParams,
-    h: float = 1e-6,
-    eta_grid: np.ndarray | None = None,
-    lambda_grid: np.ndarray | None = None,
-    compute_empirical: bool = True,
-) -> GradientDiagnostics:
-    """Gradient diagnostics of the score split at vanishing squeezing fraction."""
+def gradient_diagnostics(n_tot: float, params: ChannelParams) -> GradientDiagnostics:
+    """Gradient diagnostics of the score split at vanishing squeezing fraction.
+
+    The finite differences step by ``FD_STEP``; the empirical transition is
+    read off an allocation grid of step ``EMPIRICAL_GRID_STEP`` in eta and lambda.
+    """
     if n_tot <= 0:
         raise InvalidParameterError(f"n_tot must be > 0, got {n_tot}")
     eta = params.eta_eff
@@ -207,24 +212,16 @@ def gradient_diagnostics(
     d_cov_paper = (2.0 * eta**2 * n_tot / t) * (1.0 + n_tot / t)
 
     # one channel + metric evaluation per point feeds both slopes
-    disp, cov = _w2_terms(eta, _fractions(n_tot, [0.0, h, 2.0 * h]), n_tot, params.n_th)
-    d_disp_fd = _richardson_forward(*disp.tolist(), h)
-    d_cov_fd = _richardson_forward(*cov.tolist(), h)
-
-    eta_c = eta_critical(n_tot, params.n_th)
-    empirical = math.nan
-    if compute_empirical:
-        etas = default_eta_grid(0.02) if eta_grid is None else eta_grid
-        lambdas = default_lambda_grid(0.02) if lambda_grid is None else lambda_grid
-        grid = allocation_grid(n_tot, params.n_th, etas, lambdas, eta_det=params.eta_det)
-        found = transition_eta(grid)
-        empirical = math.nan if found is None else found
-
+    fractions = _fractions(n_tot, [0.0, FD_STEP, 2.0 * FD_STEP])
+    disp, cov = _w2_terms(eta, fractions, n_tot, params.n_th)
+    grid = allocation_grid(n_tot, params.n_th, default_eta_grid(EMPIRICAL_GRID_STEP),
+                           default_lambda_grid(EMPIRICAL_GRID_STEP), eta_det=params.eta_det)
+    found = transition_eta(grid)
     return GradientDiagnostics(
         d_disp_dlambda=d_disp,
         d_cov_dlambda_paper=d_cov_paper,
-        d_disp_fd=d_disp_fd,
-        d_cov_fd=d_cov_fd,
-        eta_c_analytic=eta_c,
-        eta_c_empirical=empirical,
+        d_disp_fd=_richardson_forward(*disp.tolist()),
+        d_cov_fd=_richardson_forward(*cov.tolist()),
+        eta_c_analytic=eta_critical(n_tot, params.n_th),
+        eta_c_empirical=math.nan if found is None else found,
     )

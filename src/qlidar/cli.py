@@ -268,6 +268,9 @@ def cmd_metrics(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
 
 def cmd_threshold(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
     n_tot, n_th, eta_det, v_el = p["n_tot"], p["n_th"], p["eta_det"], p["v_el"]
+    imperfect = v_el > 0.0 or eta_det < 1.0
+    if p["eta"] is not None and not imperfect:
+        raise InvalidParameterError("--eta applies only with --eta-det < 1 or --v-el > 0")
     manifest.update({k: v for k, v in p.items() if v is not None})
 
     eta_c = allocation.eta_critical(n_tot, n_th)
@@ -279,7 +282,7 @@ def cmd_threshold(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
     if not reachable:
         print("no quantum regime at any transmissivity")
 
-    if v_el > 0.0 or eta_det < 1.0:
+    if imperfect:
         if p["eta"] is None:
             raise InvalidParameterError(
                 "detector imperfections need --eta to evaluate the substituted threshold"

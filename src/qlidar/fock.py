@@ -90,9 +90,7 @@ def _decompose(sigma: np.ndarray) -> tuple[float, float, float]:
     return nbar, r, phi
 
 
-def build_state(
-    state: GaussianState, cutoff: int, trace_budget: float = TRACE_BUDGET_DEFAULT
-) -> FockDensity:
+def build_state(state: GaussianState, cutoff: int) -> FockDensity:
     """Factor rho = D P S rho_thermal S^dag P^dag D^dag in a truncated basis.
 
     Returns U = D(beta) P(phi) S(r) and the truncated thermal populations
@@ -104,7 +102,7 @@ def build_state(
     P a P^dag = e^(-i theta) a for P = diag(e^(i theta n)).
     Raises :class:`CutoffTooSmallError`, before any matrix is formed, when the
     thermal tail beyond the cutoff, 1 - sum p = (nbar / (nbar + 1))^cutoff,
-    exceeds ``trace_budget``.  U stays unitary under truncation, so it loses
+    exceeds ``TRACE_BUDGET_DEFAULT``.  U stays unitary under truncation, so it loses
     no trace; convergence in the cutoff is what catches its truncation.
     """
     verdict = validate(state)
@@ -115,8 +113,8 @@ def build_state(
     nbar, r, phi = _decompose(state.sigma)
     ratio = nbar / (nbar + 1.0)
     deficit = ratio**cutoff
-    if deficit > trace_budget:
-        raise CutoffTooSmallError(deficit, trace_budget, int(math.ceil(1.5 * cutoff)))
+    if deficit > TRACE_BUDGET_DEFAULT:
+        raise CutoffTooSmallError(deficit, TRACE_BUDGET_DEFAULT, int(math.ceil(1.5 * cutoff)))
 
     levels = np.arange(cutoff)
     probs = ratio**levels / (nbar + 1.0)

@@ -18,6 +18,7 @@ from itertools import repeat
 import numpy as np
 
 XI_SATURATION_CAP = 700.0
+S_TOLERANCE = 1e-8
 
 _LOG2 = math.log(2.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -125,16 +126,16 @@ def _log_overlap_in_s(m0, m1):
     return f
 
 
-def chernoff(m0, m1, s_tol=1e-8):
+def chernoff(m0, m1):
     """(s_star, min over s of log_s_overlap) by golden section, each pair until
-    its bracket is at most ``s_tol``.  Ties shrink a bracket from both ends,
+    its bracket is at most ``S_TOLERANCE``.  Ties shrink a bracket from both ends,
     which pins symmetric pairs to s = 1/2; s = 1/2 wins whenever it is lower."""
     f = _log_overlap_in_s(m0, m1)
     a = np.full(np.broadcast(*m0, *m1).shape, _S_EDGE)
     b = np.full_like(a, 1.0 - _S_EDGE)
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    active = b - a > s_tol
+    active = b - a > S_TOLERANCE
     while active.any():
         lo, hi = active & (fc < fd), active & (fc > fd)
         new_c, new_d = active & ~hi, active & ~lo  # a tie moves both points
@@ -148,16 +149,16 @@ def chernoff(m0, m1, s_tol=1e-8):
             fc = np.where(new_c, f(c), fc)
         if new_d.any():
             fd = np.where(new_d, f(d), fd)
-        active = b - a > s_tol
+        active = b - a > S_TOLERANCE
     s_star = 0.5 * (a + b)
     best, half = f(s_star), f(np.full_like(a, 0.5))
     lower = half < best
     return np.where(lower, 0.5, s_star), np.where(lower, half, best)
 
 
-def exponent(log_overlap, cap=XI_SATURATION_CAP):
-    """Error exponent -ln(overlap), clipped to [0, cap]."""
-    return np.minimum(np.maximum(-log_overlap, 0.0), cap)
+def exponent(log_overlap):
+    """Error exponent -ln(overlap), clipped to [0, XI_SATURATION_CAP]."""
+    return np.minimum(np.maximum(-log_overlap, 0.0), XI_SATURATION_CAP)
 
 
 def report(h1, h0):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernel
 from .errors import InvalidParameterError
-from .kernel import XI_SATURATION_CAP
+from .kernel import XI_SATURATION_CAP  # noqa: F401  (re-exported)
 from .states import GaussianState, validate
 
 
@@ -39,17 +39,6 @@ def _checked(**states: GaussianState) -> list[tuple]:
         if not verdict:
             raise InvalidParameterError(f"{name} is unphysical: {verdict.reason}")
     return [state.moments for state in states.values()]
-
-
-def sqrt_spd_2x2(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a symmetric positive-definite 2x2 matrix.
-
-    Closed form sqrt(M) = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)),
-    exact for 2x2 SPD matrices (Cayley-Hamilton).
-    """
-    m = _check_spd(m, "matrix")
-    sd = math.sqrt(kernel.det(m[0, 0], m[0, 1], m[1, 1]))
-    return (m + sd * np.eye(2)) / math.sqrt(m[0, 0] + m[1, 1] + 2.0 * sd)
 
 
 def bures_sq(sigma0: np.ndarray, sigma1: np.ndarray) -> float:
@@ -78,77 +67,43 @@ def gaussian_fidelity(state0: GaussianState, state1: GaussianState) -> float:
     return float(np.exp(kernel.log_fidelity(*_checked(state0=state0, state1=state1))))
 
 
-def xi_qbb(
-    state0: GaussianState,
-    state1: GaussianState,
-    mode: str = "overlap",
-    cap: float = XI_SATURATION_CAP,
-) -> float:
-    """Bhattacharyya-type error exponent.
+def xi_qbb(state0: GaussianState, state1: GaussianState) -> float:
+    """Bhattacharyya-type error exponent -ln Tr[sqrt(rho0) sqrt(rho1)], the s = 1/2
+    point of the Chernoff overlap, capped at ``XI_SATURATION_CAP`` (saturated regime).
 
-    mode="overlap" evaluates -ln Tr[sqrt(rho0) sqrt(rho1)], the s = 1/2 point
-    of the Chernoff overlap.  mode="fidelity_proxy" evaluates -(1/2) ln F.
-    The two coincide for commuting states; for pure states the overlap equals
-    the fidelity itself, so the overlap exponent is exactly twice the proxy.
-    Values beyond ``cap`` are returned as ``cap`` (saturated regime flag).
+    The proxy -(1/2) ln F is ``MetricReport.xi_qbb_proxy``: the two coincide for
+    commuting states, and for pure states this exponent is exactly twice the proxy.
     """
     m0, m1 = _checked(state0=state0, state1=state1)
-    if mode == "overlap":
-        log_overlap = kernel.log_s_overlap(m0, m1, 0.5)
-    elif mode == "fidelity_proxy":
-        log_overlap = 0.5 * kernel.log_fidelity(m0, m1)
-    else:
-        raise InvalidParameterError(f"unknown xi_qbb mode {mode!r}")
-    return float(kernel.exponent(log_overlap, cap))
+    return float(kernel.exponent(kernel.log_s_overlap(m0, m1, 0.5)))
 
 
-def s_overlap_minimum(
-    state0: GaussianState, state1: GaussianState, s_tol: float = 1e-8
-) -> tuple[float, float]:
+def s_overlap_minimum(state0: GaussianState, state1: GaussianState) -> tuple[float, float]:
     """Minimise ln Tr[rho0^s rho1^(1-s)] over s in [0, 1] by golden section.
 
     Returns (s_star, log_overlap_min).  The overlap is convex in s, so the
-    search is reliable; ties between probe points shrink the bracket from
-    both ends, which pins s_star to 1/2 for symmetric pairs.
+    search is reliable; it stops at a bracket of ``kernel.S_TOLERANCE``.  Ties
+    between probe points shrink the bracket from both ends, which pins s_star
+    to 1/2 for symmetric pairs.
     """
-    s_star, best = kernel.chernoff(*_checked(state0=state0, state1=state1), s_tol)
+    s_star, best = kernel.chernoff(*_checked(state0=state0, state1=state1))
     return float(s_star), float(best)
 
 
-def xi_qcb(
-    state0: GaussianState,
-    state1: GaussianState,
-    cap: float = XI_SATURATION_CAP,
-    s_tol: float = 1e-8,
-) -> float:
-    """Chernoff error exponent -ln min_s Tr[rho0^s rho1^(1-s)]."""
-    _, log_min = s_overlap_minimum(state0, state1, s_tol=s_tol)
-    return float(kernel.exponent(log_min, cap))
+def xi_qcb(state0: GaussianState, state1: GaussianState) -> float:
+    """Chernoff error exponent -ln min_s Tr[rho0^s rho1^(1-s)], capped as :func:`xi_qbb`."""
+    return float(kernel.exponent(s_overlap_minimum(state0, state1)[1]))
 
 
-def homodyne_snr(
-    state_h1: GaussianState,
-    state_h0: GaussianState,
-    theta: float,
-    variance: str = "h1",
-) -> float:
+def homodyne_snr(state_h1: GaussianState, state_h0: GaussianState, theta: float) -> float:
     """Squared deflection SNR of a homodyne measurement at LO angle theta.
 
     SNR^2(theta) = |u_theta . (mu1 - mu0)|^2 / V_theta with the projected
-    variance taken under the target-present hypothesis (variance="h1"); pass
-    variance="max" for the conservative max(V_H0, V_H1) variant.
+    variance taken under the target-present hypothesis.
     """
     _checked(state_h1=state_h1, state_h0=state_h0)
     u = np.array([math.cos(theta), math.sin(theta)])
-    num = float(u @ (state_h1.mu - state_h0.mu)) ** 2
-    v1 = float(u @ state_h1.sigma @ u)
-    if variance == "h1":
-        v = v1
-    elif variance == "max":
-        v = max(v1, float(u @ state_h0.sigma @ u))
-    else:
-        raise InvalidParameterError(f"unknown variance rule {variance!r}")
-    return num / v
+    return float(u @ (state_h1.mu - state_h0.mu)) ** 2 / float(u @ state_h1.sigma @ u)
 
 
 class OptimalQuadrature(NamedTuple):

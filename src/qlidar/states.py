@@ -85,11 +85,11 @@ class ValidationResult:
         return self.ok
 
 
-def validate(state: GaussianState, det_tol: float = DET_TOLERANCE) -> ValidationResult:
+def validate(state: GaussianState) -> ValidationResult:
     """Check symmetry, positive definiteness and det(sigma) >= 1.
 
     The determinant bound is the single-mode uncertainty relation in the
-    vacuum-variance-1 convention; ``det_tol`` absorbs floating-point
+    vacuum-variance-1 convention; ``DET_TOLERANCE`` absorbs floating-point
     undershoot from channel arithmetic.
     """
     s = state.sigma
@@ -99,7 +99,7 @@ def validate(state: GaussianState, det_tol: float = DET_TOLERANCE) -> Validation
     tr = s[0, 0] + s[1, 1]
     if not (det > 0.0 and tr > 0.0):
         return ValidationResult(False, f"sigma is not positive definite (det={det:g}, tr={tr:g})")
-    if det < 1.0 - det_tol:
+    if det < 1.0 - DET_TOLERANCE:
         return ValidationResult(False, f"det(sigma)={det:.15g} violates the uncertainty bound det >= 1")
     return ValidationResult(True)
 

@@ -189,9 +189,7 @@ def test_criterion_09_gradient_checks():
         eta = float(rng.uniform(0.05, 1.0))
         n_tot = float(rng.uniform(0.5, 25.0))
         n_th = float(rng.uniform(0.0, 2.5))
-        diag = allocation.gradient_diagnostics(
-            n_tot, ChannelParams(eta=eta, n_th=n_th), compute_empirical=False
-        )
+        diag = allocation.gradient_diagnostics(n_tot, ChannelParams(eta=eta, n_th=n_th))
         worst = max(worst, abs(diag.d_disp_fd - diag.d_disp_dlambda) / abs(diag.d_disp_dlambda))
         ratios.append((eta, n_tot, n_th, diag.d_cov_dlambda_paper, diag.d_cov_fd, diag.cov_ratio))
     # persisted (captured in the test log): perturbative estimate vs finite

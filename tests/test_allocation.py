@@ -163,6 +163,13 @@ LAMS = allocation.default_lambda_grid(0.25)
     lambda: allocation.optimize_lambda(5.0, ChannelParams(eta=0.5, n_th=0.1), np.array([1.2])),
     lambda: allocation.optimize_lambda(5.0, ChannelParams(eta=0.5, n_th=0.1), np.array([NAN])),
     lambda: allocation.optimize_lambda(-1.0, ChannelParams(eta=0.5, n_th=0.1), LAMS),
+    lambda: allocation.allocation_grid(10.0, 0.1, ETAS, LAMS[::-1]),
+    lambda: allocation.allocation_grid(10.0, 0.1, ETAS[::-1], LAMS),
+    lambda: allocation.allocation_grid(10.0, 0.1, ETAS, np.array([])),
+    lambda: allocation.allocation_grid(10.0, 0.1, np.array([]), LAMS),
+    lambda: allocation.allocation_grid(10.0, 0.1, np.array([0.5, 0.5]), LAMS),
+    lambda: allocation.optimize_lambda(5.0, ChannelParams(eta=0.5, n_th=0.1), LAMS[::-1]),
+    lambda: allocation.optimize_lambda(5.0, ChannelParams(eta=0.5, n_th=0.1), np.array([])),
     lambda: allocation.default_eta_grid(0.0),
     lambda: allocation.default_eta_grid(-0.1),
     lambda: allocation.default_lambda_grid(NAN),
@@ -210,24 +217,18 @@ class TestEtaCritical:
 
 class TestGradientDiagnostics:
     def test_lossless_displacement_slope(self):
-        d = allocation.gradient_diagnostics(
-            10.0, ChannelParams(eta=1.0, n_th=0.0), compute_empirical=False
-        )
+        d = allocation.gradient_diagnostics(10.0, ChannelParams(eta=1.0, n_th=0.0))
         assert d.d_disp_dlambda == -20.0
         assert abs(d.d_disp_fd - (-20.0)) < 1e-8 * 20.0
 
     def test_dark_channel_all_zero(self):
-        d = allocation.gradient_diagnostics(
-            10.0, ChannelParams(eta=0.0, n_th=0.5), compute_empirical=False
-        )
+        d = allocation.gradient_diagnostics(10.0, ChannelParams(eta=0.0, n_th=0.5))
         assert d.d_disp_dlambda == 0.0
         assert d.d_disp_fd == 0.0
         assert d.d_cov_fd == 0.0
 
     def test_perturbative_estimate_value(self):
-        d = allocation.gradient_diagnostics(
-            10.0, ChannelParams(eta=0.5, n_th=0.1), compute_empirical=False
-        )
+        d = allocation.gradient_diagnostics(10.0, ChannelParams(eta=0.5, n_th=0.1))
         assert abs(d.d_cov_dlambda_paper - 38.88888888888889) < 1e-12
         # the estimate is not gated against the finite difference, only reported
         assert d.d_cov_fd > 0.0
@@ -239,9 +240,7 @@ class TestGradientDiagnostics:
             eta = float(rng.uniform(0.05, 1.0))
             n_tot = float(rng.uniform(0.5, 25.0))
             n_th = float(rng.uniform(0.0, 2.5))
-            d = allocation.gradient_diagnostics(
-                n_tot, ChannelParams(eta=eta, n_th=n_th), compute_empirical=False
-            )
+            d = allocation.gradient_diagnostics(n_tot, ChannelParams(eta=eta, n_th=n_th))
             assert abs(d.d_disp_fd - d.d_disp_dlambda) < 1e-8 * abs(d.d_disp_dlambda)
 
     def test_empirical_transition_present(self):

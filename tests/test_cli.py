@@ -292,6 +292,20 @@ class TestThreshold:
         result = run_cli("threshold", "--n-tot", "0", "--n-th", "0.1", "--out", str(tmp_path))
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_eta_rejected_without_detector_imperfections(self, from_config, tmp_path):
+        # at eta_det = 1 and v_el = 0 the threshold never reads eta
+        config = tmp_path / "eta.conf"
+        config.write_text("eta = 0.3\n")
+        given = ("--config", str(config)) if from_config else ("--eta", "0.3")
+        result = run_cli("threshold", "--n-tot", "10", "--n-th", "0.1", *given,
+                         "--out", str(tmp_path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        manifest = read_manifest(tmp_path / "threshold_manifest.txt")
+        assert manifest["status"] == "error"
+        assert "--eta" in manifest["error"]
+
 
 class TestErrorHandling:
     def test_bad_parameter_exit_code(self, tmp_path):

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from conftest import load_oracle_cases, random_physical_state
 from qlidar import fock, kernel, metrics
@@ -20,35 +19,6 @@ from qlidar.states import (
 VACUUM = thermal_state(0.0)
 COHERENT_1 = GaussianState([math.sqrt(2.0), 0.0], np.eye(2))  # |alpha|^2 = 1
 THERMAL_2 = thermal_state(2.0)
-
-
-class TestSqrtSpd:
-    def test_diagonal(self):
-        assert_allclose(metrics.sqrt_spd_2x2(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), rtol=1e-15)
-
-    def test_identity(self):
-        assert_allclose(metrics.sqrt_spd_2x2(np.eye(2)), np.eye(2), rtol=1e-15)
-
-    def test_coupled(self):
-        m = np.array([[2.0, 1.0], [1.0, 2.0]])
-        root = metrics.sqrt_spd_2x2(m)
-        s3 = math.sqrt(3.0)
-        expected = np.array([[(s3 + 1) / 2, (s3 - 1) / 2], [(s3 - 1) / 2, (s3 + 1) / 2]])
-        assert_allclose(root, expected, rtol=1e-14)
-        assert_allclose(root @ root, m, atol=1e-12)
-
-    def test_square_roundtrip_random(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            m = random_physical_state(rng).sigma
-            root = metrics.sqrt_spd_2x2(m)
-            assert np.max(np.abs(root @ root - m)) < 1e-12
-
-    def test_rejects_non_spd(self):
-        with pytest.raises(InvalidParameterError):
-            metrics.sqrt_spd_2x2(np.diag([1.0, -1.0]))
-        with pytest.raises(InvalidParameterError):
-            metrics.sqrt_spd_2x2(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def _bures_sq_eig(sigma0: np.ndarray, sigma1: np.ndarray) -> float:
@@ -81,6 +51,13 @@ class TestBures:
             ab = metrics.bures_sq(a, b)
             assert abs(ab - metrics.bures_sq(b, a)) < 1e-10
             assert abs(ab - _bures_sq_eig(a, b)) < 1e-10
+
+    def test_rejects_non_spd(self):
+        for bad in (np.diag([1.0, -1.0]), np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(3)):
+            with pytest.raises(InvalidParameterError):
+                metrics.bures_sq(bad, np.eye(2))
+            with pytest.raises(InvalidParameterError):
+                metrics.bures_sq(np.eye(2), bad)
 
 
 class TestW2:
@@ -166,13 +143,13 @@ class TestXiQbb:
     def test_identical(self):
         state = probe_from_budget(ProbeBudget(2.0, 0.2))
         assert metrics.xi_qbb(state, state) < 1e-10
-        assert metrics.xi_qbb(state, state, mode="fidelity_proxy") < 1e-10
+        assert metrics.metric_report(state, state).xi_qbb_proxy < 1e-10
 
     def test_coherent_pair_modes(self):
         # proxy: -(1/2) ln F = 0.5.  For pure states the s = 1/2 overlap equals
         # the fidelity itself, so the overlap exponent is exactly twice that.
-        proxy = metrics.xi_qbb(VACUUM, COHERENT_1, mode="fidelity_proxy")
-        overlap = metrics.xi_qbb(VACUUM, COHERENT_1, mode="overlap")
+        proxy = metrics.metric_report(COHERENT_1, VACUUM).xi_qbb_proxy
+        overlap = metrics.xi_qbb(VACUUM, COHERENT_1)
         assert abs(proxy - 0.5) < 1e-12
         assert abs(overlap - 1.0) < 1e-12
         assert abs(overlap - 2.0 * proxy) < 1e-8
@@ -182,25 +159,24 @@ class TestXiQbb:
         for _ in range(50):
             a = rotate(squeezed_vacuum(float(rng.uniform(0, 1))), float(rng.uniform(0, math.pi)))
             b = GaussianState(rng.uniform(-2, 2, 2), squeezed_vacuum(float(rng.uniform(0, 1))).sigma)
-            overlap = metrics.xi_qbb(a, b, mode="overlap")
-            proxy = metrics.xi_qbb(a, b, mode="fidelity_proxy")
+            overlap = metrics.xi_qbb(a, b)
+            proxy = metrics.metric_report(b, a).xi_qbb_proxy
             assert abs(overlap - 2.0 * proxy) < 1e-8
 
     def test_vacuum_thermal_overlap_vs_oracle(self):
-        got = metrics.xi_qbb(VACUUM, THERMAL_2, mode="overlap")
+        got = metrics.xi_qbb(VACUUM, THERMAL_2)
         rho0 = fock.build_state(VACUUM, 200)
         rho1 = fock.build_state(THERMAL_2, 200)
         oracle = -math.log(fock.oracle_s_overlap(rho0, rho1, 0.5))
         assert abs(got - oracle) < 1e-6
 
     def test_saturation_cap(self):
+        # |mu|^2 = 6400: every exponent is 1600 or 3200 before the cap
         far = GaussianState([80.0, 0.0], np.eye(2))
-        assert metrics.xi_qbb(VACUUM, far, cap=700.0) == 700.0
-        assert metrics.xi_qbb(VACUUM, far, cap=50.0) == 50.0
-
-    def test_unknown_mode(self):
-        with pytest.raises(InvalidParameterError):
-            metrics.xi_qbb(VACUUM, COHERENT_1, mode="nope")
+        assert metrics.XI_SATURATION_CAP == 700.0
+        for exponent in (metrics.xi_qbb(VACUUM, far), metrics.xi_qcb(VACUUM, far),
+                         metrics.metric_report(far, VACUUM).xi_qbb_proxy):
+            assert exponent == metrics.XI_SATURATION_CAP
 
 
 class TestXiQcb:
@@ -246,12 +222,6 @@ class TestHomodyneSnr:
     def test_squeezing_boost(self):
         h1 = GaussianState([2.0, 0.0], np.diag([0.25, 4.0]))
         assert abs(metrics.homodyne_snr(h1, VACUUM, 0.0) - 16.0) < 1e-12
-
-    def test_max_variance_option(self):
-        h1 = GaussianState([2.0, 0.0], np.diag([0.25, 4.0]))
-        h0 = thermal_state(1.0)  # variance 3 > 0.25
-        conservative = metrics.homodyne_snr(h1, h0, 0.0, variance="max")
-        assert abs(conservative - 4.0 / 3.0) < 1e-12
 
 
 class TestOptimalQuadrature:
