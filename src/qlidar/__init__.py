@@ -49,7 +49,6 @@ from .metrics import (
 from .states import (
     GaussianState,
     ProbeBudget,
-    ValidationResult,
     probe_from_budget,
     rotate,
     squeezed_vacuum,
@@ -75,7 +74,6 @@ __all__ = [
     "SelectionReport",
     "SingularityError",
     "UndefinedThresholdError",
-    "ValidationResult",
     "allocation_grid",
     "apply_loss",
     "bures_sq",

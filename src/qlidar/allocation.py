@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernel, metrics
 from .channel import ChannelParams, apply_loss, effective_noise
-from .errors import InvalidParameterError, UndefinedThresholdError
+from .errors import InvalidParameterError, UndefinedThresholdError, integer, real
 from .states import LAMBDA_MAX_DEFAULT, ProbeBudget, probe_from_budget, thermal_state
 
 FD_STEP = 1e-6
@@ -23,8 +23,8 @@ EMPIRICAL_GRID_STEP = 0.02
 
 
 def _grid(stop: float, step: float) -> np.ndarray:
-    if not (step > 0 and math.isfinite(step)):
-        raise InvalidParameterError(f"grid step must be finite and > 0, got {step}")
+    if (step := real("grid step", step)) <= 0:
+        raise InvalidParameterError(f"grid step must be > 0, got {step}")
     return np.linspace(0.0, stop, int(round(stop / step)) + 1)
 
 
@@ -36,6 +36,12 @@ def default_lambda_grid(step: float = 0.01) -> np.ndarray:
     return _grid(LAMBDA_MAX_DEFAULT, step)
 
 
+def _no_electronic_noise(params: ChannelParams) -> None:
+    if params.v_el > 0.0:  # rejected, not dropped: the scores model an ideal detector
+        raise InvalidParameterError(f"v_el = {params.v_el} is not modelled here; fold it into "
+                                    "n_th with effective_noise, or use eta_critical_effective")
+
+
 def w2_score(lam: float, n_tot: float, params: ChannelParams) -> metrics.MetricReport:
     """Full metric report for the allocation (lam, n_tot) through the channel.
 
@@ -43,6 +49,7 @@ def w2_score(lam: float, n_tot: float, params: ChannelParams) -> metrics.MetricR
     is both the no-target hypothesis and the channel output at zero
     transmissivity.
     """
+    _no_electronic_noise(params)
     # scoring may probe any fraction up to 1, independent of the search cap
     out = apply_loss(probe_from_budget(ProbeBudget(n_tot, lam, lam_max=1.0)), params)
     return metrics.metric_report(out, thermal_state(params.n_th))
@@ -63,7 +70,7 @@ def _ascending(values, name: str, check) -> np.ndarray:
     if grid.size == 0:
         raise InvalidParameterError(f"{name} grid must be nonempty")
     for x in (grid.min(), grid.max()):
-        check(float(x))
+        check(x)
     if not np.all(np.diff(grid) > 0):
         raise InvalidParameterError(f"{name} grid must be strictly ascending")
     return grid
@@ -82,6 +89,7 @@ def optimize_lambda(
     Ties break toward the smallest fraction (argmax returns the first
     maximiser of an ascending grid).
     """
+    _no_electronic_noise(params)
     grid = _fractions(n_tot, lambda_grid)
     disp, bures = _w2_terms(params.eta_eff, grid, n_tot, params.n_th)
     scores = disp + bures
@@ -117,6 +125,7 @@ def allocation_grid(
     every cell is computed elementwise, so parallel and serial runs produce
     bit-identical arrays.
     """
+    workers = integer("workers", workers, 1)
     etas = _ascending(default_eta_grid() if eta_grid is None else eta_grid, "eta",
                       lambda eta: ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det))
     lambdas = _fractions(n_tot, default_lambda_grid() if lambda_grid is None else lambda_grid)
@@ -148,10 +157,10 @@ def eta_critical(n_tot: float, n_th: float) -> float:
     Values above 1 mean no quantum regime at any transmissivity; callers are
     expected to flag them rather than clamp.
     """
-    if not (isinstance(n_tot, (int, float)) and math.isfinite(n_tot)) or n_tot <= 0:
+    if (n_tot := real("n_tot", n_tot)) <= 0:
         raise UndefinedThresholdError(f"threshold undefined for n_tot = {n_tot!r}")
-    if not (n_th >= 0 and math.isfinite(n_th)):
-        raise InvalidParameterError(f"n_th must be finite and >= 0, got {n_th}")
+    if (n_th := real("n_th", n_th)) < 0:
+        raise InvalidParameterError(f"n_th must be >= 0, got {n_th}")
     t = 2.0 * n_th + 1.0
     return t / (1.0 + n_tot / t)
 
@@ -204,7 +213,8 @@ def gradient_diagnostics(n_tot: float, params: ChannelParams) -> GradientDiagnos
     The finite differences step by ``FD_STEP``; the empirical transition is
     read off an allocation grid of step ``EMPIRICAL_GRID_STEP`` in eta and lambda.
     """
-    if n_tot <= 0:
+    _no_electronic_noise(params)
+    if (n_tot := real("n_tot", n_tot)) <= 0:
         raise InvalidParameterError(f"n_tot must be > 0, got {n_tot}")
     eta = params.eta_eff
     t = 2.0 * params.n_th + 1.0

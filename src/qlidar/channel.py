@@ -14,11 +14,10 @@ injected into the map; it is exposed separately through
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import kernel
-from .errors import InvalidParameterError, SingularityError
+from .errors import InvalidParameterError, SingularityError, real
 from .states import GaussianState, validate
 
 
@@ -33,9 +32,7 @@ class ChannelParams:
 
     def __post_init__(self):
         for name in ("eta", "n_th", "eta_det", "v_el"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise InvalidParameterError(f"{name} must be a finite real, got {v!r}")
+            object.__setattr__(self, name, real(name, getattr(self, name)))
         if not 0.0 <= self.eta <= 1.0:
             raise InvalidParameterError(f"eta must be in [0, 1], got {self.eta}")
         if not 0.0 < self.eta_det <= 1.0:
@@ -53,9 +50,7 @@ class ChannelParams:
 
 def apply_loss(state: GaussianState, params: ChannelParams) -> GaussianState:
     """Propagate a state through the lossy thermal channel."""
-    verdict = validate(state)
-    if not verdict:
-        raise InvalidParameterError(f"input state is unphysical: {verdict.reason}")
+    validate(state, "input state")
     return GaussianState.from_moments(kernel.channel(state.moments, params.eta_eff, params.n_th))
 
 

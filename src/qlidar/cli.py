@@ -115,7 +115,7 @@ def cmd_benchmark(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
 
     # validate once at the largest eta, which also raises the SingularityError
     # of v_el > 0 at unit eta_eff, then score every eta in one kernel call
-    effective_noise(ChannelParams(eta=float(etas.max()), n_th=n_th, eta_det=eta_det, v_el=v_el))
+    effective_noise(ChannelParams(eta=etas.max(), n_th=n_th, eta_det=eta_det, v_el=v_el))
     ProbeBudget(n_tot, lam, lam_max=1.0)
     eta_eff = etas * eta_det
     n_eff = kernel.effective_noise(n_th, v_el, eta_eff)
@@ -267,10 +267,13 @@ def cmd_metrics(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
 
 
 def cmd_threshold(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
-    n_tot, n_th, eta_det, v_el = p["n_tot"], p["n_th"], p["eta_det"], p["v_el"]
-    imperfect = v_el > 0.0 or eta_det < 1.0
-    if p["eta"] is not None and not imperfect:
-        raise InvalidParameterError("--eta applies only with --eta-det < 1 or --v-el > 0")
+    n_tot, n_th = p["n_tot"], p["n_th"]
+    # checked before any output; eta = 1 stands in where --eta is not read
+    params = ChannelParams(eta=1.0 if p["eta"] is None else p["eta"], n_th=n_th,
+                           eta_det=p["eta_det"], v_el=p["v_el"])
+    imperfect = params.v_el > 0.0 or params.eta_det < 1.0
+    if (p["eta"] is not None) != imperfect:
+        raise InvalidParameterError("--eta is needed with --eta-det < 1 or --v-el > 0, and only then")
     manifest.update({k: v for k, v in p.items() if v is not None})
 
     eta_c = allocation.eta_critical(n_tot, n_th)
@@ -283,11 +286,6 @@ def cmd_threshold(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
         print("no quantum regime at any transmissivity")
 
     if imperfect:
-        if p["eta"] is None:
-            raise InvalidParameterError(
-                "detector imperfections need --eta to evaluate the substituted threshold"
-            )
-        params = ChannelParams(eta=p["eta"], n_th=n_th, eta_det=eta_det, v_el=v_el)
         eta_c_eff = allocation.eta_critical_effective(n_tot, params)
         print(f"eta_critical_effective = {_fmt(eta_c_eff)}")
         print(f"eta_effective = {_fmt(params.eta_eff)}")

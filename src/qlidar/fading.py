@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, integer, real
 from .states import ProbeBudget
 
 DEFAULT_SEED = 20250614
@@ -37,20 +37,16 @@ class FadingConfig:
     n_th: float = 2.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+        for name in ("alpha", "beta", "n_th"):
+            object.__setattr__(self, name, real(name, getattr(self, name)))
+        integer("n_realizations", self.n_realizations, 1, 2**32)  # one uint32 spawn word each
+        integer("seed", self.seed, 0)
+        if self.alpha <= 0:
             raise InvalidParameterError(f"alpha must be > 0, got {self.alpha}")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
+        if self.beta <= 0:
             raise InvalidParameterError(f"beta must be > 0, got {self.beta}")
-        # one uint32 spawn word per realization index
-        if not (isinstance(self.n_realizations, (int, np.integer))
-                and 1 <= self.n_realizations <= 2**32):
-            raise InvalidParameterError(
-                f"n_realizations must be an integer in [1, 2**32], got {self.n_realizations!r}"
-            )
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise InvalidParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not (self.n_th >= 0 and math.isfinite(self.n_th)):
-            raise InvalidParameterError(f"n_th must be finite and >= 0, got {self.n_th}")
+        if self.n_th < 0:
+            raise InvalidParameterError(f"n_th must be >= 0, got {self.n_th}")
 
 
 # numpy SeedSequence constants: hashmix multiplier chain A, generate_state chain B
@@ -199,6 +195,7 @@ def run_ensemble(config: FadingConfig, workers: int = 1) -> FadingEnsemble:
     result independent of ``workers`` and of the blocks.
     """
     n = config.n_realizations
+    workers = integer("workers", workers, 1)
     etas, w2, xi = kernel.map_blocks(_eval_block, np.arange(n), workers, config)
 
     saturated = int(np.sum(xi >= kernel.XI_SATURATION_CAP))
@@ -259,7 +256,7 @@ def post_select(
         values = ensemble.xi_qbb
     else:
         raise InvalidParameterError(f"unknown selection metric {metric!r}")
-    if not 0.0 <= quantile < 1.0:
+    if not 0.0 <= (quantile := real("quantile", quantile)) < 1.0:
         raise InvalidParameterError(f"quantile must be in [0, 1), got {quantile}")
     degenerate = bool(values.max() == values.min())
     threshold = float(values.min()) if degenerate else float(np.quantile(values, quantile))

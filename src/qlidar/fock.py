@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CutoffTooSmallError, InvalidParameterError
+from .errors import CutoffTooSmallError, InvalidParameterError, integer, real
 from .states import GaussianState, validate
 
 TRACE_BUDGET_DEFAULT = 1e-8
@@ -105,11 +105,8 @@ def build_state(state: GaussianState, cutoff: int) -> FockDensity:
     exceeds ``TRACE_BUDGET_DEFAULT``.  U stays unitary under truncation, so it loses
     no trace; convergence in the cutoff is what catches its truncation.
     """
-    verdict = validate(state)
-    if not verdict:
-        raise InvalidParameterError(f"state is unphysical: {verdict.reason}")
-    if cutoff < 2:
-        raise InvalidParameterError(f"cutoff must be >= 2, got {cutoff}")
+    validate(state)
+    cutoff = integer("cutoff", cutoff, 2)
     nbar, r, phi = _decompose(state.sigma)
     ratio = nbar / (nbar + 1.0)
     deficit = ratio**cutoff
@@ -156,7 +153,7 @@ def oracle_s_overlap(rho0: FockDensity, rho1: FockDensity, s: float) -> float:
 
     0^0 = 1 keeps rho^0 the identity on the truncated space.
     """
-    if not 0.0 <= s <= 1.0:
+    if not 0.0 <= (s := real("s", s)) <= 1.0:
         raise InvalidParameterError(f"s must be in [0, 1], got {s}")
     weights = np.abs(_overlap_matrix(rho0, rho1)) ** 2
     return float(np.power(rho0.probs, s) @ weights @ np.power(rho1.probs, 1.0 - s))

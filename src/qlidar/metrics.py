@@ -20,12 +20,7 @@ from .states import GaussianState, validate
 
 
 def _check_spd(m: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise InvalidParameterError(f"{name} must be 2x2, got shape {m.shape}")
-    if abs(m[0, 1] - m[1, 0]) > 1e-12:
-        raise InvalidParameterError(f"{name} must be symmetric")
-    m = 0.5 * (m + m.T)
+    m = GaussianState(np.zeros(2), m).sigma
     if not (kernel.det(m[0, 0], m[0, 1], m[1, 1]) > 0.0 and m[0, 0] + m[1, 1] > 0.0):
         raise InvalidParameterError(f"{name} must be positive definite")
     return m
@@ -35,9 +30,7 @@ def _checked(**states: GaussianState) -> list[tuple]:
     """Kernel moments of each state once it is checked to be physical; the
     keyword names the state in the error."""
     for name, state in states.items():
-        verdict = validate(state)
-        if not verdict:
-            raise InvalidParameterError(f"{name} is unphysical: {verdict.reason}")
+        validate(state, name)
     return [state.moments for state in states.values()]
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, real
 
 LAMBDA_MAX_DEFAULT = 0.95
 DET_TOLERANCE = 1e-12
@@ -32,10 +32,10 @@ DET_TOLERANCE = 1e-12
 class GaussianState:
     """First moment vector and 2x2 quadrature covariance of one bosonic mode.
 
-    The covariance matrix is symmetrised and both arrays are frozen on
-    construction.  Construction only checks shape and finiteness; physics
-    (positivity, uncertainty relation) is checked by :func:`validate` so that
-    deliberately unphysical matrices can still be inspected.
+    Construction is the one check of a covariance: shape, finiteness and
+    symmetry to 1e-12 of its largest entry; then sigma is symmetrised and both
+    arrays are frozen.  Physics (positivity, uncertainty relation) is left to
+    :func:`validate` so that deliberately unphysical matrices can be inspected.
     """
 
     mu: np.ndarray
@@ -50,6 +50,8 @@ class GaussianState:
             raise InvalidParameterError(f"sigma must be 2x2, got shape {sigma.shape}")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
             raise InvalidParameterError("state moments must be finite")
+        if abs(sigma[0, 1] - sigma[1, 0]) > 1e-12 * np.max(np.abs(sigma)):
+            raise InvalidParameterError(f"sigma must be symmetric, got {sigma.tolist()}")
         sigma = 0.5 * (sigma + sigma.T)
         mu = mu.copy()
         mu.setflags(write=False)
@@ -74,34 +76,24 @@ class GaussianState:
         return (np.trace(self.sigma) - 2.0) / 4.0 + 0.5 * float(self.mu @ self.mu)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    """Pass/fail verdict with the violated invariant named on failure."""
-
-    ok: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate(state: GaussianState) -> ValidationResult:
-    """Check symmetry, positive definiteness and det(sigma) >= 1.
+def validate(state: GaussianState, name: str = "state") -> None:
+    """Raise :class:`InvalidParameterError`, naming the state ``name``, unless
+    sigma is positive definite with det(sigma) >= 1.
 
     The determinant bound is the single-mode uncertainty relation in the
     vacuum-variance-1 convention; ``DET_TOLERANCE`` absorbs floating-point
     undershoot from channel arithmetic.
     """
     s = state.sigma
-    if abs(s[0, 1] - s[1, 0]) != 0.0:
-        return ValidationResult(False, "sigma is not symmetric")
     det = kernel.det(s[0, 0], s[0, 1], s[1, 1])
     tr = s[0, 0] + s[1, 1]
     if not (det > 0.0 and tr > 0.0):
-        return ValidationResult(False, f"sigma is not positive definite (det={det:g}, tr={tr:g})")
-    if det < 1.0 - DET_TOLERANCE:
-        return ValidationResult(False, f"det(sigma)={det:.15g} violates the uncertainty bound det >= 1")
-    return ValidationResult(True)
+        reason = f"sigma is not positive definite (det={det:g}, tr={tr:g})"
+    elif det < 1.0 - DET_TOLERANCE:
+        reason = f"det(sigma)={det:.15g} violates the uncertainty bound det >= 1"
+    else:
+        return
+    raise InvalidParameterError(f"{name} is unphysical: {reason}")
 
 
 @dataclass(frozen=True)
@@ -123,33 +115,25 @@ class ProbeBudget:
 
     def __post_init__(self):
         for name in ("n_tot", "lam", "displacement_phase", "lam_max"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise InvalidParameterError(f"{name} must be a finite real, got {v!r}")
+            object.__setattr__(self, name, real(name, getattr(self, name)))
         if self.n_tot < 0:
             raise InvalidParameterError(f"n_tot must be >= 0, got {self.n_tot}")
         if not 0.0 <= self.lam_max <= 1.0:
             raise InvalidParameterError(f"lam_max must be in [0, 1], got {self.lam_max}")
         if not 0.0 <= self.lam <= self.lam_max:
-            raise InvalidParameterError(
-                f"lam must be in [0, {self.lam_max}], got {self.lam}"
-            )
+            raise InvalidParameterError(f"lam must be in [0, {self.lam_max}], got {self.lam}")
 
 
 def squeezed_vacuum(r: float) -> GaussianState:
     """Squeezed vacuum with sigma = diag(exp(-2r), exp(2r)) and zero mean."""
-    if not (isinstance(r, (int, float)) and math.isfinite(r)):
-        raise InvalidParameterError(f"squeezing parameter must be finite, got {r!r}")
-    if r < 0:
+    if (r := real("squeezing parameter", r)) < 0:
         raise InvalidParameterError(f"squeezing parameter must be >= 0, got {r}")
     return GaussianState(np.zeros(2), np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)]))
 
 
 def thermal_state(n_th: float) -> GaussianState:
     """Thermal state with sigma = (2*n_th + 1) * I and zero mean."""
-    if not (isinstance(n_th, (int, float)) and math.isfinite(n_th)):
-        raise InvalidParameterError(f"thermal occupation must be finite, got {n_th!r}")
-    if n_th < 0:
+    if (n_th := real("thermal occupation", n_th)) < 0:
         raise InvalidParameterError(f"thermal occupation must be >= 0, got {n_th}")
     return GaussianState.from_moments(kernel.thermal(n_th))
 

@@ -175,6 +175,11 @@ LAMS = allocation.default_lambda_grid(0.25)
     lambda: allocation.default_lambda_grid(NAN),
     lambda: allocation.default_lambda_grid(math.inf),
     lambda: allocation.eta_critical(10.0, NAN),
+    lambda: allocation.eta_critical(10.0, "0.1"),
+    lambda: allocation.default_eta_grid("0.1"),
+    lambda: allocation.allocation_grid(10.0, 0.1, ETAS, LAMS, workers=0),
+    lambda: allocation.allocation_grid(10.0, 0.1, ETAS, LAMS, workers=1.5),
+    lambda: allocation.gradient_diagnostics(0.0, ChannelParams(eta=0.5, n_th=0.1)),
 ])
 def test_array_inputs_are_validated(call):
     # the grid drivers check their parameters once per call, not per cell
@@ -182,10 +187,25 @@ def test_array_inputs_are_validated(call):
         call()
 
 
+NOISY = ChannelParams(eta=0.5, n_th=0.1, v_el=0.2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: allocation.w2_score(0.5, 10.0, NOISY),
+    lambda: allocation.optimize_lambda(10.0, NOISY, LAMS),
+    lambda: allocation.gradient_diagnostics(10.0, NOISY),
+])
+def test_electronic_noise_is_rejected_not_ignored(call):
+    # the allocation scores model an ideal detector
+    with pytest.raises(InvalidParameterError, match="effective_noise"):
+        call()
+
+
 class TestEtaCritical:
     def test_low_noise_case(self):
         got = allocation.eta_critical(10.0, 0.1)
         assert abs(got - 1.2 / (1.0 + 10.0 / 1.2)) < 1e-15
+        assert allocation.eta_critical(np.int64(10), np.float64(0.1)) == got
 
     def test_unreachable_case(self):
         got = allocation.eta_critical(5.0, 2.0)

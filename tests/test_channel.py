@@ -73,7 +73,7 @@ def test_physicality_preserved_randomized():
             n_th=float(rng.uniform(0, 3)),
             eta_det=float(rng.uniform(0.1, 1.0)),
         )
-        assert validate(apply_loss(state, params)).ok
+        assert validate(apply_loss(state, params)) is None
 
 
 def test_photon_number_interpolation():
@@ -88,7 +88,7 @@ def test_photon_number_interpolation():
 
 def test_rejects_invalid_state():
     bad = GaussianState([0, 0], np.diag([0.5, 0.5]))
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="^input state is unphysical: det"):
         apply_loss(bad, ChannelParams(eta=0.5, n_th=0.0))
 
 
@@ -99,10 +99,19 @@ def test_rejects_invalid_state():
     dict(eta=0.5, n_th=0.0, eta_det=0.0),
     dict(eta=0.5, n_th=0.0, eta_det=1.2),
     dict(eta=0.5, n_th=0.0, v_el=-0.1),
+    dict(eta=True, n_th=0.0),
+    dict(eta=0.5, n_th="0"),
+    dict(eta=0.5, n_th=0.0, eta_det=math.nan),
 ])
 def test_rejects_bad_params(kwargs):
     with pytest.raises(InvalidParameterError):
         ChannelParams(**kwargs)
+
+
+def test_params_store_numpy_scalars_as_floats():
+    params = ChannelParams(eta=np.float32(0.5), n_th=np.int64(2))
+    assert params == ChannelParams(eta=0.5, n_th=2.0)
+    assert type(params.eta_eff) is float   # a float32 eta would keep eta_eff in float32
 
 
 class TestEffectiveNoise:

@@ -307,6 +307,17 @@ class TestThreshold:
         assert "--eta" in manifest["error"]
 
 
+    @pytest.mark.parametrize("argv,named", [
+        (("--eta-det", "1.5", "--eta", "0.3"), "eta_det must be in (0, 1]"),
+        (("--v-el", "0.1"), "--eta is needed"),
+    ])
+    def test_channel_is_checked_before_any_output(self, argv, named, tmp_path):
+        result = run_cli("threshold", *argv, "--out", str(tmp_path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert named in read_manifest(tmp_path / "threshold_manifest.txt")["error"]
+
+
 class TestErrorHandling:
     def test_bad_parameter_exit_code(self, tmp_path):
         result = run_cli("benchmark", "--eta", "1.5", "--out", str(tmp_path))
@@ -384,6 +395,12 @@ class TestErrorHandling:
         ("fading", "--seed", "-1"),
         ("fading", "--n-th", "nan"),
         ("threshold", "--n-th", "nan"),
+        ("threshold", "--eta-det", "1.5"),
+        ("threshold", "--v-el", "-0.1"),
+        ("threshold", "--eta-det", "nan"),
+        ("heatmap", "--workers", "0"),
+        ("parametric", "--workers", "0"),
+        ("fading", "--workers", "-3"),
     ])
     def test_out_of_domain_value_is_parameter_error(self, argv, tmp_path):
         result = run_cli(*argv, "--out", str(tmp_path))

@@ -227,6 +227,8 @@ class TestPostSelect:
             fading.post_select(ens, metric="nope", quantile=0.5)
         with pytest.raises(InvalidParameterError):
             fading.post_select(ens, metric="w2", quantile=1.0)
+        with pytest.raises(InvalidParameterError):
+            fading.post_select(ens, metric="w2", quantile="0.5")
 
 
 def test_config_validation():
@@ -248,6 +250,17 @@ def test_config_validation():
         fading.FadingConfig(seed=-1)
     with pytest.raises(InvalidParameterError):
         fading.FadingConfig(seed=1.5)
+    with pytest.raises(InvalidParameterError):
+        fading.FadingConfig(alpha="2")
+    with pytest.raises(InvalidParameterError):
+        fading.FadingConfig(n_realizations=True)
+    with pytest.raises(InvalidParameterError):
+        fading.FadingConfig(beta=math.inf)
+    with pytest.raises(InvalidParameterError):
+        fading.run_ensemble(fading.FadingConfig(n_realizations=5), workers=0)
+    config = fading.FadingConfig(alpha=np.float32(2.0), n_realizations=np.int64(5))
+    assert config == fading.FadingConfig(n_realizations=5)
+    assert type(config.alpha) is float
 
 
 def test_dynamic_range_contrast_is_reported():

@@ -55,6 +55,7 @@ class TestBuildState:
         expected[0, 0] = 1.0
         assert_allclose(rho.matrix, expected, atol=1e-15)
         assert rho.trace_deficit == 0.0
+        assert fock.build_state(thermal_state(0.0), np.int64(10)).dim == 10
 
     def test_squeezed_vacuum_moments(self):
         rho = fock.build_state(squeezed_vacuum(0.5), 60)
@@ -79,8 +80,13 @@ class TestBuildState:
         assert exc_info.value.trace_deficit > 1e-8
 
     def test_rejects_unphysical(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="^state is unphysical: det"):
             fock.build_state(GaussianState([0, 0], np.diag([0.5, 0.5])), 40)
+
+    @pytest.mark.parametrize("cutoff", [1, 2.5, True, np.float64(40.0)])
+    def test_rejects_bad_cutoff(self, cutoff):
+        with pytest.raises(InvalidParameterError, match="cutoff"):
+            fock.build_state(thermal_state(0.0), cutoff)
 
     def test_hermitian_and_psd(self):
         # rho = U diag(p) U^dag is Hermitian PSD because p >= 0 and U is unitary;
@@ -229,8 +235,9 @@ class TestOracleSOverlap:
 
     def test_rejects_bad_s(self):
         rho = fock.build_state(thermal_state(0.0), 20)
-        with pytest.raises(InvalidParameterError):
-            fock.oracle_s_overlap(rho, rho, 1.5)
+        for bad in (1.5, "0.5", math.nan):
+            with pytest.raises(InvalidParameterError):
+                fock.oracle_s_overlap(rho, rho, bad)
 
 
 def test_oracle_regression_against_frozen_table():

@@ -53,11 +53,20 @@ class TestBures:
             assert abs(ab - _bures_sq_eig(a, b)) < 1e-10
 
     def test_rejects_non_spd(self):
-        for bad in (np.diag([1.0, -1.0]), np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(3)):
+        for bad in (np.diag([1.0, -1.0]), np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(3),
+                    np.diag([math.inf, 1.0])):
             with pytest.raises(InvalidParameterError):
                 metrics.bures_sq(bad, np.eye(2))
             with pytest.raises(InvalidParameterError):
                 metrics.bures_sq(np.eye(2), bad)
+
+
+def test_scalar_api_names_the_unphysical_state():
+    bad = GaussianState([0, 0], np.diag([0.5, 0.5]))
+    with pytest.raises(InvalidParameterError, match="^state1 is unphysical: det"):
+        metrics.w2_sq(VACUUM, bad)
+    with pytest.raises(InvalidParameterError, match="^state_h0 is unphysical: det"):
+        metrics.homodyne_snr(VACUUM, bad, 0.0)
 
 
 class TestW2:

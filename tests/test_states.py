@@ -32,7 +32,7 @@ class TestSqueezedVacuum:
         state = squeezed_vacuum(math.log(2.0) / 2.0)
         assert_allclose(np.diag(state.sigma), [0.5, 2.0], rtol=1e-15)
 
-    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, True, "0.5"])
     def test_rejects_bad_r(self, bad):
         with pytest.raises(InvalidParameterError):
             squeezed_vacuum(bad)
@@ -44,7 +44,7 @@ class TestSqueezedVacuum:
 
 
 class TestThermalState:
-    @pytest.mark.parametrize("n_th,expected", [(0.0, 1.0), (2.0, 5.0), (0.1, 1.2)])
+    @pytest.mark.parametrize("n_th,expected", [(0.0, 1.0), (2.0, 5.0), (0.1, 1.2), (np.int64(2), 5.0)])
     def test_covariance(self, n_th, expected):
         state = thermal_state(n_th)
         assert_allclose(state.sigma, expected * np.eye(2), rtol=1e-15)
@@ -53,6 +53,11 @@ class TestThermalState:
     def test_rejects_negative(self):
         with pytest.raises(InvalidParameterError):
             thermal_state(-0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True, "2"])
+    def test_rejects_non_real(self, bad):
+        with pytest.raises(InvalidParameterError, match="must be a finite real"):
+            thermal_state(bad)
 
 
 class TestProbeFromBudget:
@@ -118,40 +123,51 @@ class TestProbeFromBudget:
         dict(n_tot=10.0, lam=0.97),          # above the default cap
         dict(n_tot=10.0, lam=0.5, lam_max=1.5),
         dict(n_tot=math.nan, lam=0.2),
+        dict(n_tot=True, lam=0.2),
+        dict(n_tot="10", lam=0.2),
+        dict(n_tot=10.0, lam=0.2, displacement_phase=None),
     ])
     def test_budget_rejects(self, kwargs):
         with pytest.raises(InvalidParameterError):
             ProbeBudget(**kwargs)
 
+    def test_budget_stores_numpy_scalars_as_floats(self):
+        budget = ProbeBudget(np.int64(10), np.float32(0.5))
+        assert budget == ProbeBudget(10.0, 0.5)
+        assert all(type(v) is float for v in vars(budget).values())
+
 
 class TestValidate:
     def test_vacuum_ok(self):
-        assert validate(GaussianState([0, 0], np.eye(2))).ok
+        assert validate(GaussianState([0, 0], np.eye(2))) is None
 
     def test_squeezed_ok(self):
         state = GaussianState([0, 0], np.diag([0.36787944117144233, 2.718281828459045]))
-        assert validate(state).ok
+        assert validate(state) is None
 
     def test_uncertainty_violation(self):
-        verdict = validate(GaussianState([0, 0], np.diag([0.5, 0.5])))
-        assert not verdict
-        assert "det" in verdict.reason
+        with pytest.raises(InvalidParameterError, match="^state is unphysical: det"):
+            validate(GaussianState([0, 0], np.diag([0.5, 0.5])))
 
     def test_not_positive_definite(self):
-        verdict = validate(GaussianState([0, 0], [[1.0, 2.0], [2.0, 1.0]]))
-        assert not verdict
-        assert "positive definite" in verdict.reason
+        with pytest.raises(InvalidParameterError, match="^probe is unphysical: .*positive definite"):
+            validate(GaussianState([0, 0], [[1.0, 2.0], [2.0, 1.0]]), "probe")
 
     def test_tolerance_band(self):
         # slight float undershoot of det = 1 must still validate
         state = GaussianState([0, 0], (1.0 - 1e-13) * np.eye(2))
-        assert validate(state).ok
+        assert validate(state) is None
 
 
 class TestGaussianState:
     def test_symmetrizes_sigma(self):
         state = GaussianState([0, 0], [[1.0, 1e-17], [0.0, 1.0]])
         assert state.sigma[0, 1] == state.sigma[1, 0]
+        # beyond 1e-12 of the largest entry the asymmetry is an input error
+        with pytest.raises(InvalidParameterError, match="symmetric"):
+            GaussianState([0, 0], [[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(InvalidParameterError, match="symmetric"):
+            GaussianState([0, 0], [[1e6, 1e-5], [0.0, 1e6]])
 
     def test_immutable(self):
         state = thermal_state(1.0)
@@ -177,5 +193,5 @@ def test_rotate_preserves_validity_and_det():
         r = rng.uniform(0, 1.5)
         theta = rng.uniform(0, 2 * math.pi)
         state = rotate(squeezed_vacuum(r), theta)
-        assert validate(state).ok
+        assert validate(state) is None
         assert abs(np.linalg.det(state.sigma) - 1.0) < 1e-12
