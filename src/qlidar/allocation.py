@@ -9,6 +9,7 @@ at vanishing squeezing fraction.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,16 +122,17 @@ def allocation_grid(
 
     The parameters are validated once; each block of eta rows is then
     scored in one array call of the closed-form kernel.  With ``workers`` > 1
-    contiguous row blocks go to a process pool and are joined in index order;
-    every cell is computed elementwise, so parallel and serial runs produce
-    bit-identical arrays.
+    contiguous row blocks go to a thread pool, since the kernel's ufuncs
+    release the GIL, and are joined in index order; every cell is computed
+    elementwise, so parallel and serial runs produce bit-identical arrays.
     """
     workers = integer("workers", workers, 1)
     etas = _ascending(default_eta_grid() if eta_grid is None else eta_grid, "eta",
                       lambda eta: ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det))
     lambdas = _fractions(n_tot, default_lambda_grid() if lambda_grid is None else lambda_grid)
     eta_eff = etas[:, None] * eta_det
-    disp, bures = kernel.map_blocks(_w2_terms, eta_eff, workers, lambdas, n_tot, n_th)
+    disp, bures = kernel.map_blocks(_w2_terms, eta_eff, workers, ThreadPoolExecutor,
+                                     lambdas, n_tot, n_th)
     scores = disp + bures
     lambda_opt = lambdas[np.argmax(scores, axis=1)]
     return AllocationGrid(n_tot, n_th, etas, lambdas, scores, lambda_opt)

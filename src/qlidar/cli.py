@@ -37,17 +37,23 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 PARAMETRIC_SCENARIOS = ((5.0, 0.1), (5.0, 2.0), (10.0, 0.1), (20.0, 0.1), (20.0, 2.0))
+# rows that _write_csv formats in one call; a chunk's text is a few hundred kB
+_CSV_CHUNK_ROWS = 4096
 
 
 def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Equal-length ``columns`` as rows of values formatted as :func:`_fmt`
+    formats them; "%.12g" is that format, applied to a chunk in one call."""
+    line = ",".join(["%.12g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            block = np.column_stack([c[start:start + _CSV_CHUNK_ROWS] for c in columns])
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_manifest(path: Path, entries: dict) -> None:
@@ -122,9 +128,9 @@ def cmd_benchmark(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
     h1 = kernel.channel(kernel.probe(lam, n_tot), eta_eff, n_eff)
     scores = kernel.report(h1, kernel.thermal(n_eff))
     columns = ("w2_sq", "xi_qbb", "xi_qbb_proxy", "xi_qcb", "snr_sq_opt")
-    rows = zip(etas, *(scores[c] for c in columns))
     path = out_dir / "benchmark.csv"
-    _write_csv(path, ["eta", "w2_sq", "xi_qbb_overlap", "xi_qbb_proxy", "xi_qcb", "snr_sq_opt"], rows)
+    _write_csv(path, ["eta", "w2_sq", "xi_qbb_overlap", "xi_qbb_proxy", "xi_qcb", "snr_sq_opt"],
+               [etas, *(scores[c] for c in columns)])
     return [path]
 
 
@@ -139,16 +145,12 @@ def cmd_heatmap(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
     eta_grid, lambda_grid = _grids(p["grid_step"])
     grid = allocation.allocation_grid(n_tot, n_th, eta_grid, lambda_grid,
                                       eta_det=p["eta_det"], workers=p["workers"])
-    score_rows = [
-        (eta, lam, grid.scores[i, j])
-        for i, eta in enumerate(grid.eta_grid)
-        for j, lam in enumerate(grid.lambda_grid)
-    ]
-    opt_rows = list(zip(grid.eta_grid, grid.lambda_opt))
+    etas, lams = np.meshgrid(grid.eta_grid, grid.lambda_grid, indexing="ij")
     scores_path = out_dir / "heatmap_scores.csv"
     opt_path = out_dir / "heatmap_lambda_opt.csv"
-    _write_csv(scores_path, ["eta", "lambda", "w2_sq"], score_rows)
-    _write_csv(opt_path, ["eta", "lambda_opt"], opt_rows)
+    _write_csv(scores_path, ["eta", "lambda", "w2_sq"],
+               [etas.ravel(), lams.ravel(), grid.scores.ravel()])
+    _write_csv(opt_path, ["eta", "lambda_opt"], [grid.eta_grid, grid.lambda_opt])
 
     found = allocation.transition_eta(grid)
     eta_c = allocation.eta_critical(n_tot, n_th)
@@ -171,7 +173,7 @@ def cmd_parametric(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
         grid = allocation.allocation_grid(n, t, eta_grid, lambda_grid,
                                           eta_det=p["eta_det"], workers=p["workers"])
         path = out_dir / f"parametric_ntot{_fmt(n)}_nth{_fmt(t)}.csv"
-        _write_csv(path, ["eta", "lambda_opt"], zip(grid.eta_grid, grid.lambda_opt))
+        _write_csv(path, ["eta", "lambda_opt"], [grid.eta_grid, grid.lambda_opt])
         found = allocation.transition_eta(grid)
         manifest[f"transition_eta_ntot{_fmt(n)}_nth{_fmt(t)}"] = (
             "none" if found is None else _fmt(found)
@@ -187,17 +189,14 @@ def cmd_fading(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
                                  n_th=p["n_th"])
     ensemble = fading.run_ensemble(config, workers=p["workers"])
     real_path = out_dir / "fading_realizations.csv"
-    _write_csv(
-        real_path,
-        ["realization", "eta", "w2_sq", "xi_qbb"],
-        ((i, e, w, x) for i, (e, w, x) in enumerate(zip(ensemble.etas, ensemble.w2_sq, ensemble.xi_qbb))),
-    )
+    _write_csv(real_path, ["realization", "eta", "w2_sq", "xi_qbb"],
+               [np.arange(ensemble.etas.size), ensemble.etas, ensemble.w2_sq, ensemble.xi_qbb])
     paths = [real_path]
     for key in ("eta", "w2_sq", "xi_qbb"):
         hist = ensemble.histograms[key]
         path = out_dir / f"fading_hist_{key}.csv"
         _write_csv(path, ["bin_left", "bin_right", "density"],
-                   zip(hist.edges[:-1], hist.edges[1:], hist.density))
+                   [hist.edges[:-1], hist.edges[1:], hist.density])
         paths.append(path)
 
     s = ensemble.summary
@@ -305,7 +304,9 @@ _FLAGS = {
     "seed": ("--seed", int, "RNG seed"),
     "grid_step": ("--grid-step", float, "grid step for eta and lambda sweeps"),
     "realizations": ("--realizations", int, "number of Monte-Carlo realizations"),
-    "workers": ("--workers", int, "parallel worker processes (results are order-independent)"),
+    "workers": ("--workers", int,
+                "parallel workers: threads for heatmap/parametric, processes for fading "
+                "(output is byte-identical for any N)"),
     "alpha": ("--alpha", float, "Beta shape alpha"),
     "beta": ("--beta", float, "Beta shape beta"),
     "state0": ("--state0", str, "H0 state as mu_q,mu_p,sigma_qq,sigma_qp,sigma_pp"),

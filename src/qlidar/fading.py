@@ -14,6 +14,7 @@ per-realization statistics.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,13 +191,15 @@ def run_ensemble(config: FadingConfig, workers: int = 1) -> FadingEnsemble:
     Each block of realization indices draws its transmissivities from the
     per-index Philox streams, then scores all of them in one array call of
     the closed-form kernel.  With ``workers`` > 1 contiguous index blocks go
-    to a process pool and are joined in index order.  Deterministic for a
-    fixed config: the per-index streams and elementwise scoring make the
-    result independent of ``workers`` and of the blocks.
+    to a process pool, since the per-index Philox reset holds the GIL, and
+    are joined in index order.  Deterministic for a fixed config: the
+    per-index streams and elementwise scoring make the result independent
+    of ``workers`` and of the blocks.
     """
     n = config.n_realizations
     workers = integer("workers", workers, 1)
-    etas, w2, xi = kernel.map_blocks(_eval_block, np.arange(n), workers, config)
+    etas, w2, xi = kernel.map_blocks(_eval_block, np.arange(n), workers, ProcessPoolExecutor,
+                                     config)
 
     saturated = int(np.sum(xi >= kernel.XI_SATURATION_CAP))
     if n > 1 and np.std(w2) > 0 and np.std(etas) > 0:

@@ -4,15 +4,16 @@ Moments are tuples of broadcastable components ``(mu_q, mu_p, sigma_qq,
 sigma_qp, sigma_pp)``; a covariance alone is the last three.  Every form is
 elementwise, so one call scores one pair or a whole map, and block
 boundaries never change a result; :func:`map_blocks` spreads such blocks over
-processes.  Nothing is validated here.  2x2 products are spelled out by
-component and transcendentals are numpy ufuncs (only the probe's squeezing
-comes from :mod:`math`), so scalar and array calls agree bit for bit.
+threads (the grids, whose ufuncs release the GIL) or processes (the fading
+draws), as its caller chooses.  Nothing is validated here.  2x2 products are
+spelled out by component and transcendentals are numpy ufuncs (only the
+probe's squeezing comes from :mod:`math`), so scalar and array calls agree
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
 import numpy as np
@@ -180,13 +181,14 @@ def report(h1, h0):
     }
 
 
-def map_blocks(fn, items, workers, *args):
+def map_blocks(fn, items, workers, executor, *args):
     """Apply ``fn(block, *args)`` to contiguous blocks of ``items`` and join the
     tuples of arrays it returns in index order; one call if ``workers`` <= 1,
-    else the blocks go to a process pool."""
+    else the blocks go to a pool of the ``concurrent.futures`` class
+    ``executor``, with no more workers than blocks."""
     if workers <= 1:
         return fn(items, *args)
     blocks = [b for b in np.array_split(items, 4 * workers) if b.size]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with executor(max_workers=min(workers, len(blocks))) as pool:
         parts = list(pool.map(fn, blocks, *(repeat(a) for a in args)))
     return tuple(np.concatenate(cols) for cols in zip(*parts))

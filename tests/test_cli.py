@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import re
 import shlex
@@ -32,6 +33,92 @@ def read_manifest(path: Path) -> dict:
         key, _, value = line.partition(" = ")
         entries[key] = value
     return entries
+
+
+def write_csv_per_value(path: Path, header: list[str], rows) -> None:
+    """The row-at-a-time writer that ``cli._write_csv`` replaced, kept as its reference."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format(float(v), ".12g") for v in row) + "\n")
+
+
+def assert_writers_agree(tmp_path: Path, columns) -> None:
+    header = [f"c{i}" for i in range(len(columns))]
+    cli._write_csv(tmp_path / "chunked.csv", header, columns)
+    write_csv_per_value(tmp_path / "per_value.csv", header, zip(*columns))
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "per_value.csv").read_bytes()
+
+
+class TestCsvWriter:
+    EDGE_VALUES = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                            1e12 - 1.0, 1e12, 1e12 + 1.0, 1.0, -3.0, 1e5, 2.0**53, 0.1])
+
+    @pytest.mark.parametrize("rows", [1, len(EDGE_VALUES), cli._CSV_CHUNK_ROWS - 1,
+                                      cli._CSV_CHUNK_ROWS, cli._CSV_CHUNK_ROWS + 1])
+    def test_edge_values_and_row_counts_around_a_chunk(self, rows, tmp_path):
+        rng = np.random.default_rng(rows)
+        # every bit pattern: all magnitudes, subnormals, nan payloads, both zeros
+        raw = rng.integers(0, 2**64, size=(2, rows), dtype=np.uint64).view(np.float64)
+        scaled = rng.normal(size=rows) * 10.0 ** rng.integers(-15, 15, size=rows)
+        edge = np.resize(self.EDGE_VALUES, rows)
+        assert_writers_agree(tmp_path, [np.arange(rows), *raw, scaled, edge, edge[::-1]])
+
+    def test_every_subcommand_writes_what_the_per_value_writer_writes(self, monkeypatch,
+                                                                         tmp_path):
+        written = []
+        chunked = cli._write_csv
+
+        def both(path, header, columns):
+            chunked(path, header, columns)
+            reference = path.with_suffix(".reference")
+            write_csv_per_value(reference, header, zip(*columns))
+            written.append((path, reference))
+
+        monkeypatch.setattr(cli, "_write_csv", both)
+        argvs = (["benchmark"], ["benchmark", "--eta", "0.5"], ["heatmap"], ["parametric"],
+                 ["fading"])
+        for i, argv in enumerate(argvs):
+            assert cli.main([*argv, "--out", str(tmp_path / str(i))]) == 0
+        assert len(written) == 1 + 1 + 2 + 5 + 4
+        for path, reference in written:
+            assert path.read_bytes() == reference.read_bytes(), path.name
+        # the heatmap's cell order is the row-major order of its per-cell loop
+        grid = allocation.allocation_grid(10.0, 0.1, *cli._grids(0.01))
+        write_csv_per_value(tmp_path / "cells.csv", ["eta", "lambda", "w2_sq"], (
+            (eta, lam, grid.scores[i, j])
+            for i, eta in enumerate(grid.eta_grid) for j, lam in enumerate(grid.lambda_grid)))
+        assert (tmp_path / "2" / "heatmap_scores.csv").read_bytes() == \
+            (tmp_path / "cells.csv").read_bytes()
+
+
+class ProcessPoolStarted(RuntimeError):
+    pass
+
+
+def test_grids_start_no_process_and_fading_does(monkeypatch, tmp_path):
+    def refuse(self, *args, **kwargs):
+        raise ProcessPoolStarted("a process pool was started")
+
+    # patching the class itself catches every name it is imported under
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse)
+    etas, lams = allocation.default_eta_grid(0.05), allocation.default_lambda_grid(0.05)
+    serial = allocation.allocation_grid(10.0, 0.1, etas, lams, workers=1)
+    threaded = allocation.allocation_grid(10.0, 0.1, etas, lams, workers=2)
+    assert np.array_equal(serial.scores, threaded.scores)
+    assert np.array_equal(serial.lambda_opt, threaded.lambda_opt)
+
+    for workers in ("1", "2"):
+        argv = ["parametric", "--workers", workers, "--out", str(tmp_path / workers)]
+        assert cli.main(argv) == 0
+    names = sorted(p.name for p in (tmp_path / "1").glob("*.csv"))
+    assert len(names) == len(cli.PARAMETRIC_SCENARIOS)
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    with pytest.raises(ProcessPoolStarted):
+        cli.main(["fading", "--realizations", "50", "--workers", "2",
+                  "--out", str(tmp_path / "fading")])
 
 
 class TestBenchmark:

@@ -140,6 +140,32 @@ class TestRunEnsemble:
         assert np.array_equal(serial.w2_sq, parallel.w2_sq)
         assert np.array_equal(serial.xi_qbb, parallel.xi_qbb)
 
+    def test_pool_gets_no_more_workers_than_blocks(self, monkeypatch):
+        sizes = []
+
+        class RecordingExecutor:
+            """Records the pool size asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(fading, "ProcessPoolExecutor", RecordingExecutor)
+        config = fading.FadingConfig(n_realizations=10, seed=99)
+        pooled = fading.run_ensemble(config, workers=64)
+        assert sizes == [10]
+        assert np.array_equal(pooled.etas, fading.run_ensemble(config).etas)
+        fading.run_ensemble(SMALL, workers=3)
+        assert sizes == [10, 3]
+
     def test_default_mean_transmissivity(self):
         ens = fading.run_ensemble(fading.FadingConfig())
         assert abs(ens.summary.mean_eta - 0.4) < 0.01
