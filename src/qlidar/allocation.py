@@ -17,7 +17,7 @@ import numpy as np
 from . import kernel, metrics
 from .channel import ChannelParams, apply_loss, effective_noise
 from .errors import InvalidParameterError, UndefinedThresholdError, integer, real
-from .states import LAMBDA_MAX_DEFAULT, ProbeBudget, probe_from_budget, thermal_state
+from .states import ProbeBudget, probe_from_budget, thermal_state
 
 FD_STEP = 1e-6
 EMPIRICAL_GRID_STEP = 0.02
@@ -34,7 +34,7 @@ def default_eta_grid(step: float = 0.01) -> np.ndarray:
 
 
 def default_lambda_grid(step: float = 0.01) -> np.ndarray:
-    return _grid(LAMBDA_MAX_DEFAULT, step)
+    return _grid(0.95, step)  # the usual cap of allocation searches
 
 
 def _no_electronic_noise(params: ChannelParams) -> None:
@@ -52,7 +52,7 @@ def w2_score(lam: float, n_tot: float, params: ChannelParams) -> metrics.MetricR
     """
     _no_electronic_noise(params)
     # scoring may probe any fraction up to 1, independent of the search cap
-    out = apply_loss(probe_from_budget(ProbeBudget(n_tot, lam, lam_max=1.0)), params)
+    out = apply_loss(probe_from_budget(ProbeBudget(n_tot, lam)), params)
     return metrics.metric_report(out, thermal_state(params.n_th))
 
 
@@ -79,7 +79,7 @@ def _ascending(values, name: str, check) -> np.ndarray:
 
 def _fractions(n_tot: float, lambdas) -> np.ndarray:
     """Squeezing fractions under the budget rules, as :func:`_ascending` checks them."""
-    return _ascending(lambdas, "lambda", lambda lam: ProbeBudget(n_tot, lam, lam_max=1.0))
+    return _ascending(lambdas, "lambda", lambda lam: ProbeBudget(n_tot, lam))
 
 
 def optimize_lambda(

@@ -122,7 +122,7 @@ def cmd_benchmark(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
     # validate once at the largest eta, which also raises the SingularityError
     # of v_el > 0 at unit eta_eff, then score every eta in one kernel call
     effective_noise(ChannelParams(eta=etas.max(), n_th=n_th, eta_det=eta_det, v_el=v_el))
-    ProbeBudget(n_tot, lam, lam_max=1.0)
+    ProbeBudget(n_tot, lam)
     eta_eff = etas * eta_det
     n_eff = kernel.effective_noise(n_th, v_el, eta_eff)
     h1 = kernel.channel(kernel.probe(lam, n_tot), eta_eff, n_eff)
@@ -248,7 +248,7 @@ def cmd_metrics(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
             raise InvalidParameterError(f"budget: {exc}") from None
         channel = {k: default if p[k] is None else p[k] for k, default in _BUDGET_CHANNEL.items()}
         n_eff = effective_noise(ChannelParams(**channel))
-        probe = probe_from_budget(ProbeBudget(n_tot, lam, displacement_phase=phase, lam_max=1.0))
+        probe = probe_from_budget(ProbeBudget(n_tot, lam, displacement_phase=phase))
         state_h1 = apply_loss(probe, ChannelParams(eta=channel["eta"], n_th=n_eff,
                                                    eta_det=channel["eta_det"]))
         state_h0 = thermal_state(n_eff)
@@ -389,6 +389,9 @@ def main(argv=None) -> int:
         manifest["error"] = str(exc)
         print(f"numerical error: {exc}", file=sys.stderr)
         code = EXIT_NUMERICAL
+    except Exception as exc:  # recorded, then raised unchanged
+        manifest["error"] = f"{type(exc).__name__}: {exc}"
+        raise
     finally:
         manifest["duration_s"] = f"{time.perf_counter() - start:.3f}"
         for i, path in enumerate(outputs):

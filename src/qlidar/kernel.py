@@ -22,13 +22,17 @@ XI_SATURATION_CAP = 700.0
 S_TOLERANCE = 1e-8
 
 _LOG2 = math.log(2.0)
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _S_EDGE = 1e-9
 
 
 def det(sqq, sqp, spp):
     """Determinant of the symmetric 2x2 matrix [[sqq, sqp], [sqp, spp]]."""
     return sqq * spp - sqp * sqp
+
+
+def _nu(cov):
+    """Symplectic eigenvalue max(1, sqrt(det sigma)); 1 exactly when the state is pure."""
+    return np.maximum(1.0, np.sqrt(det(*cov)))
 
 
 def probe(lam, n_tot, phase=0.0):
@@ -91,7 +95,8 @@ def log_fidelity(m0, m1):
     """ln F of two single-mode Gaussian states (Scutaru-type closed form)."""
     s = (m0[2] + m1[2], m0[3] + m1[3], m0[4] + m1[4])
     delta = det(*s)
-    lam = np.maximum(det(*m0[2:]) - 1.0, 0.0) * np.maximum(det(*m1[2:]) - 1.0, 0.0)
+    mixed = (_nu(m0[2:]) > 1.0) & (_nu(m1[2:]) > 1.0)
+    lam = np.where(mixed, (det(*m0[2:]) - 1.0) * (det(*m1[2:]) - 1.0), 0.0)
     quad = solve(m1[0] - m0[0], m1[1] - m0[1], *s)[2]
     # ln of sqrt(delta + lam) - sqrt(lam), rationalised for stability
     log_denom = np.log(delta) - np.log(np.sqrt(delta + lam) + np.sqrt(lam))
@@ -112,11 +117,12 @@ def _log_overlap_in_s(m0, m1):
     dq, dp = m1[0] - m0[0], m1[1] - m0[1]
     terms = []
     for cov in (m0[2:], m1[2:]):
-        nu = np.maximum(1.0, np.sqrt(det(*cov)))
+        nu = _nu(cov)
         terms.append((nu + 1.0, nu - 1.0, nu > 1.0, [x / nu for x in cov]))
 
     def power(plus, minus, mixed, s):
-        up, dn = np.power(plus, s), np.power(minus, s)
+        up = np.power(plus, s)
+        dn = np.power(minus, s, out=np.zeros_like(up), where=mixed)  # no 0**complex
         return (up + dn) / (up - dn), np.where(mixed, s * _LOG2 - np.log(up - dn), 0.0)
 
     def f(s):
@@ -128,31 +134,22 @@ def _log_overlap_in_s(m0, m1):
 
 
 def chernoff(m0, m1):
-    """(s_star, min over s of log_s_overlap) by golden section, each pair until
-    its bracket is at most ``S_TOLERANCE``.  Ties shrink a bracket from both ends,
-    which pins symmetric pairs to s = 1/2; s = 1/2 wins whenever it is lower."""
+    """(s_star, min over s of log_s_overlap).  ln Q_s is convex in s, so bisection on
+    the sign of its complex-step slope Im f(s + 1e-30 i) brackets s_star.  With a pure
+    state the minimum is the edge ln Tr[rho0 rho1] = log_fidelity, at s = 1 for a pure
+    rho1, 0 for a pure rho0, 1/2 for two.  Last, s = 1/2 wins whenever it is lower."""
     f = _log_overlap_in_s(m0, m1)
     a = np.full(np.broadcast(*m0, *m1).shape, _S_EDGE)
     b = np.full_like(a, 1.0 - _S_EDGE)
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    active = b - a > S_TOLERANCE
-    while active.any():
-        lo, hi = active & (fc < fd), active & (fc > fd)
-        new_c, new_d = active & ~hi, active & ~lo  # a tie moves both points
-        # hi: (a, c, fc) <- (c, d, fd); lo: (b, d, fd) <- (d, c, fc); a tie does
-        # both, and the points it copies in are recomputed below
-        (a, c, fc), (b, d, fd) = (np.where(new_d, (c, d, fd), (a, c, fc)),
-                                  np.where(new_c, (d, c, fc), (b, d, fd)))
-        step = _GOLDEN * (b - a)
-        c, d = np.where(new_c, b - step, c), np.where(new_d, a + step, d)
-        if new_c.any():
-            fc = np.where(new_c, f(c), fc)
-        if new_d.any():
-            fd = np.where(new_d, f(d), fd)
-        active = b - a > S_TOLERANCE
+    for _ in range(27):  # (1 - 2 _S_EDGE) / 2**27 < S_TOLERANCE
+        mid = 0.5 * (a + b)
+        rising = f(mid + 1e-30j).imag > 0.0
+        a, b = np.where(rising, a, mid), np.where(rising, mid, b)
     s_star = 0.5 * (a + b)
-    best, half = f(s_star), f(np.full_like(a, 0.5))
+    pure0, pure1 = _nu(m0[2:]) == 1.0, _nu(m1[2:]) == 1.0
+    best = np.where(pure0 | pure1, log_fidelity(m0, m1), f(s_star))
+    s_star = np.where(pure0 | pure1, np.where(pure0, 0.5 * pure1, 1.0), s_star)
+    half = f(np.full_like(a, 0.5))
     lower = half < best
     return np.where(lower, 0.5, s_star), np.where(lower, half, best)
 

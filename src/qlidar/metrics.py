@@ -72,12 +72,12 @@ def xi_qbb(state0: GaussianState, state1: GaussianState) -> float:
 
 
 def s_overlap_minimum(state0: GaussianState, state1: GaussianState) -> tuple[float, float]:
-    """Minimise ln Tr[rho0^s rho1^(1-s)] over s in [0, 1] by golden section.
+    """Minimise ln Tr[rho0^s rho1^(1-s)] over s in [0, 1].
 
-    Returns (s_star, log_overlap_min).  The overlap is convex in s, so the
-    search is reliable; it stops at a bracket of ``kernel.S_TOLERANCE``.  Ties
-    between probe points shrink the bracket from both ends, which pins s_star
-    to 1/2 for symmetric pairs.
+    Returns (s_star, log_overlap_min).  The log-overlap is convex in s, so
+    bisection on the sign of its slope brackets s_star within ``kernel.S_TOLERANCE``;
+    with a pure state it is the edge value ln Tr[rho0 rho1], at s_star = 1 for a
+    pure state1, 0 for a pure state0 and 1/2 for two pure states.
     """
     s_star, best = kernel.chernoff(*_checked(state0=state0, state1=state1))
     return float(s_star), float(best)

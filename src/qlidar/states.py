@@ -24,7 +24,6 @@ import numpy as np
 from . import kernel
 from .errors import InvalidParameterError, real
 
-LAMBDA_MAX_DEFAULT = 0.95
 DET_TOLERANCE = 1e-12
 
 
@@ -102,26 +101,21 @@ class ProbeBudget:
 
     ``lam`` is the squeezing fraction: N_sq = lam * n_tot photons go into the
     squeezed vacuum, N_disp = (1 - lam) * n_tot into the coherent
-    displacement.  ``displacement_phase`` orients the displacement in phase
-    space (0 aligns it with the squeezed quadrature).  ``lam_max`` caps the
-    admissible fraction; the default mirrors the usual cap used in allocation
-    searches.
+    displacement, with lam in [0, 1].  ``displacement_phase`` orients the
+    displacement in phase space (0 aligns it with the squeezed quadrature).
     """
 
     n_tot: float
     lam: float
     displacement_phase: float = 0.0
-    lam_max: float = LAMBDA_MAX_DEFAULT
 
     def __post_init__(self):
-        for name in ("n_tot", "lam", "displacement_phase", "lam_max"):
+        for name in ("n_tot", "lam", "displacement_phase"):
             object.__setattr__(self, name, real(name, getattr(self, name)))
         if self.n_tot < 0:
             raise InvalidParameterError(f"n_tot must be >= 0, got {self.n_tot}")
-        if not 0.0 <= self.lam_max <= 1.0:
-            raise InvalidParameterError(f"lam_max must be in [0, 1], got {self.lam_max}")
-        if not 0.0 <= self.lam <= self.lam_max:
-            raise InvalidParameterError(f"lam must be in [0, {self.lam_max}], got {self.lam}")
+        if not 0.0 <= self.lam <= 1.0:
+            raise InvalidParameterError(f"lam must be in [0, 1], got {self.lam}")
 
 
 def squeezed_vacuum(r: float) -> GaussianState:

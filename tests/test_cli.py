@@ -170,7 +170,7 @@ class TestBenchmark:
             assert result.returncode == 0, result.stderr
             rows = (out_dir / "benchmark.csv").read_text().splitlines()[1:]
             assert len(rows) == 200
-            probe = probe_from_budget(ProbeBudget(n_tot, lam, lam_max=1.0))
+            probe = probe_from_budget(ProbeBudget(n_tot, lam))
             for eta, line in zip(np.linspace(0.001, 1.0, 200), rows):
                 params = ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det, v_el=v_el)
                 n_eff = effective_noise(params)
@@ -291,6 +291,15 @@ class TestFading:
                               ndmin=2)
             assert 1 <= len(rows) <= 4000
             assert abs(float(np.sum((rows[:, 1] - rows[:, 0]) * rows[:, 2])) - 1.0) < 1e-9
+
+    def test_gamma_underflow_and_full_squeezing_run(self, tmp_path):
+        # both Gamma draws of one realization underflow to 0.0 at these shapes
+        for label, argv in (("small", ("--alpha", "0.01", "--beta", "0.01",
+                                       "--realizations", "3000")),
+                            ("lam", ("--lambda", "0.97", "--realizations", "10"))):
+            result = run_cli("fading", *argv, "--out", str(tmp_path / label))
+            assert result.returncode == 0, result.stderr
+            assert read_manifest(tmp_path / label / "fading_manifest.txt")["status"] == "ok"
 
     def test_seed_reproducibility(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
@@ -417,6 +426,17 @@ class TestErrorHandling:
         result = run_cli("benchmark", "--eta", "0.5", "--out", "/proc/nope")
         assert result.returncode == 3
 
+    def test_unhandled_exception_is_recorded_then_raised(self, monkeypatch, tmp_path):
+        def broken(p, out_dir, manifest):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "threshold", broken)
+        with pytest.raises(RuntimeError, match="^boom$"):
+            cli.main(["threshold", "--out", str(tmp_path)])
+        manifest = read_manifest(tmp_path / "threshold_manifest.txt")
+        assert manifest["status"] == "error"
+        assert manifest["error"] == "RuntimeError: boom"
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("n_tot = 7\nn_th = 1\n# comment\n\neta = 0.5\n")
@@ -488,6 +508,7 @@ class TestErrorHandling:
         ("heatmap", "--workers", "0"),
         ("parametric", "--workers", "0"),
         ("fading", "--workers", "-3"),
+        ("fading", "--alpha", "0.0005"),
     ])
     def test_out_of_domain_value_is_parameter_error(self, argv, tmp_path):
         result = run_cli(*argv, "--out", str(tmp_path))

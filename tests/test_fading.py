@@ -17,17 +17,21 @@ EDGE_INDICES = np.array([0, 1, 2, 4999, 2**31, 2**32 - 1])
 
 
 def _reference_draw(config, index):
-    """(eta, gamma pairs drawn) from a Philox stream built per index, the contract."""
+    """(eta, gamma pairs drawn, 0/0 pairs among them) from a Philox stream built
+    per index, the contract."""
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(int(index),))))
-    pairs = 0
+    pairs = zero_pairs = 0
     while True:
         x = rng.gamma(config.alpha)
         y = rng.gamma(config.beta)
         pairs += 1
+        if x == y == 0.0:
+            zero_pairs += 1
+            continue
         eta = x / (x + y)
         if 0.0 < eta < 1.0:
-            return float(eta), pairs
+            return float(eta), pairs, zero_pairs
 
 
 class TestSampleEta:
@@ -72,12 +76,20 @@ class TestSampleEta:
     def test_array_form_matches_per_index_streams(self, config):
         indices = np.arange(2000)
         reference = [_reference_draw(config, i) for i in indices]
-        expected = np.array([eta for eta, _ in reference])
+        expected = np.array([eta for eta, _, _ in reference])
         etas = fading.sample_eta(config, indices)
         assert np.array_equal(etas.view(np.uint64), expected.view(np.uint64))
         if config.alpha < 0.1:
             # the boundary redraw path is exercised, not just compiled
-            assert sum(pairs > 1 for _, pairs in reference) > 100
+            assert sum(pairs > 1 for _, pairs, _ in reference) > 100
+
+    def test_two_gamma_draws_that_underflow_are_redrawn(self):
+        # at the default seed, index 2150 draws X = Y = 0.0 before a valid pair
+        config = fading.FadingConfig(alpha=0.01, beta=0.01)
+        eta, _, zero_pairs = _reference_draw(config, 2150)
+        assert zero_pairs == 1
+        assert fading.sample_eta(config, 2150) == eta
+        assert fading.sample_eta(config, np.arange(2148, 2153))[2] == eta
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     def test_edge_seeds_and_indices_match_per_index_streams(self, seed):
@@ -260,6 +272,11 @@ class TestPostSelect:
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
         fading.FadingConfig(alpha=0.0)
+    with pytest.raises(InvalidParameterError, match="alpha must be >= 0.001"):
+        fading.FadingConfig(alpha=0.00099)
+    with pytest.raises(InvalidParameterError, match="beta must be >= 0.001"):
+        fading.FadingConfig(beta=1e-4)
+    assert fading.FadingConfig(alpha=1e-3, beta=1e-3).alpha == fading.MIN_SHAPE
     with pytest.raises(InvalidParameterError):
         fading.FadingConfig(beta=-1.0)
     with pytest.raises(InvalidParameterError):

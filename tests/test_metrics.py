@@ -215,8 +215,9 @@ class TestXiQcb:
             assert abs(closed - oracle) < 1e-6
         xi_cb = metrics.xi_qcb(VACUUM, THERMAL_2)
         assert xi_cb >= metrics.xi_qbb(VACUUM, THERMAL_2) - 1e-10
-        # the true minimum sits at the s -> 0 edge where Q -> 1/3
-        assert abs(xi_cb - math.log(3.0)) < 1e-6
+        # the vacuum is pure, so the minimum is the s -> 0 edge value Q = 1/3
+        assert abs(xi_cb - math.log(3.0)) < 1e-12
+        assert metrics.s_overlap_minimum(VACUUM, THERMAL_2)[0] == 0.0
 
 
 class TestHomodyneSnr:

@@ -67,8 +67,7 @@ class TestProbeFromBudget:
         assert_allclose(state.mu, [math.sqrt(20.0), 0.0], rtol=1e-15)
 
     def test_all_squeezing(self):
-        # lam = 1 needs the default cap lifted
-        state = probe_from_budget(ProbeBudget(10.0, 1.0, lam_max=1.0))
+        state = probe_from_budget(ProbeBudget(10.0, 1.0))
         assert_allclose(state.mu, 0.0)
         r = math.asinh(math.sqrt(10.0))
         assert abs(r - math.asinh(math.sqrt(10.0))) < 1e-15
@@ -120,8 +119,7 @@ class TestProbeFromBudget:
     @pytest.mark.parametrize("kwargs", [
         dict(n_tot=-1.0, lam=0.5),
         dict(n_tot=10.0, lam=-0.1),
-        dict(n_tot=10.0, lam=0.97),          # above the default cap
-        dict(n_tot=10.0, lam=0.5, lam_max=1.5),
+        dict(n_tot=10.0, lam=1.01),
         dict(n_tot=math.nan, lam=0.2),
         dict(n_tot=True, lam=0.2),
         dict(n_tot="10", lam=0.2),
