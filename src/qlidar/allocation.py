@@ -9,7 +9,6 @@ at vanishing squeezing fraction.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,7 +130,7 @@ def allocation_grid(
                       lambda eta: ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det))
     lambdas = _fractions(n_tot, default_lambda_grid() if lambda_grid is None else lambda_grid)
     eta_eff = etas[:, None] * eta_det
-    disp, bures = kernel.map_blocks(_w2_terms, eta_eff, workers, ThreadPoolExecutor,
+    disp, bures = kernel.map_blocks(_w2_terms, eta_eff, workers, "ThreadPoolExecutor",
                                      lambdas, n_tot, n_th)
     scores = disp + bures
     lambda_opt = lambdas[np.argmax(scores, axis=1)]

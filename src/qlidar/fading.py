@@ -14,7 +14,6 @@ per-realization statistics.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,7 +198,7 @@ def run_ensemble(config: FadingConfig, workers: int = 1) -> FadingEnsemble:
     """
     n = config.n_realizations
     workers = integer("workers", workers, 1)
-    etas, w2, xi = kernel.map_blocks(_eval_block, np.arange(n), workers, ProcessPoolExecutor,
+    etas, w2, xi = kernel.map_blocks(_eval_block, np.arange(n), workers, "ProcessPoolExecutor",
                                      config)
 
     saturated = int(np.sum(xi >= kernel.XI_SATURATION_CAP))

@@ -6,13 +6,22 @@ distribution, and evaluates fidelity and s-overlaps by dense linear algebra
 on those factors.  This is the independent check for the Gaussian closed
 forms in :mod:`qlidar.metrics`: nothing here shares code with those formulas
 beyond the (mu, sigma) parametrisation itself.  The Williamson split of sigma
-is this module's own 2x2 ``eigh``, and rho^s = U diag(p^s) U^dag is the
-functional calculus of any unitary U, not the Gaussian overlap formula.
+is this module's own closed-form 2x2 eigenpair, and rho^s = U diag(p^s) U^dag
+is the functional calculus of any unitary U, not the Gaussian overlap formula.
 
-U is a product of exponentials of truncated anti-Hermitian generators and
-diagonal phases, so it is unitary to rounding and the factors are the exact
-eigendecomposition of the truncated matrix as built: no density matrix is
-ever eigendecomposed, and no eigenvalue needs clipping.
+U is built in real arithmetic from the structure of its generators.  The
+displacement generator K_d = a^dag - a, and the squeeze generator
+K_sq = (a^2 - a^dag^2) / 2 restricted to the even and to the odd levels, are
+real, antisymmetric and tridiagonal, so each links only even positions to
+odd ones.  With the SVD M = P diag(sigma) Q^T of its odd x even block,
+exp(x K) is a set of plane rotations by the angles x sigma between the
+columns of Q (even positions) and of P (odd positions).  The squeeze keeps
+the level parity, so S and the phases are applied per parity block, and the
+real displacement multiplies each block's float64 view.  U is unitary to
+rounding and the factors are the exact eigendecomposition of the truncated
+matrix as built: no density matrix is ever eigendecomposed, and no
+eigenvalue needs clipping.  The overlap matrix W = U0^dag U1 is formed once
+per pair and read by both oracles.
 
 Operator calibration.  The quadrature operators are Q = a + a^dag and
 P = -i (a - a^dag), whose vacuum variances are 1, matching the covariance
@@ -36,14 +45,22 @@ from .states import GaussianState, validate
 TRACE_BUDGET_DEFAULT = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockDensity:
-    """rho = unitary diag(probs) unitary^dag in the number basis, with truncation info."""
+    """rho = unitary diag(probs) unitary^dag in the number basis, with truncation info.
+
+    Compared and hashed by identity.  ``unitary`` and ``probs`` are made
+    read-only, so the overlap matrix kept for the last pair cannot go stale.
+    """
 
     dim: int
     unitary: np.ndarray
     probs: np.ndarray
     trace_deficit: float
+
+    def __post_init__(self):
+        self.unitary.flags.writeable = False
+        self.probs.flags.writeable = False
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -57,36 +74,56 @@ def lowering_operator(dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _generator_spectra(cutoff: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Read-only ``eigh`` of i K for the unit squeeze and displacement generators.
+def _rotation_factors(cutoff: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Read-only (P, sigma, Q) of K_sq on the even levels, K_sq on the odd levels and K_d.
 
-    K_sq = (a^2 - a^dag^2) / 2 and K_d = a^dag - a, so exp(x K) = U diag(e^(-i x w)) U^dag.
-    Few entries suffice: a cutoff-convergence check alternates cutoffs c and 1.5c.
+    K_sq = (a^2 - a^dag^2) / 2 and K_d = a^dag - a.  Each of the three is real,
+    antisymmetric and tridiagonal, so its odd x even block M = P diag(sigma) Q^T
+    determines it.  Few entries suffice: a cutoff-convergence check alternates
+    cutoffs c and 1.5c.
     """
     a = lowering_operator(cutoff)
-    spectra = (np.linalg.eigh(0.5j * (a @ a - a.T @ a.T)), np.linalg.eigh(1j * (a.T - a)))
-    for array in (*spectra[0], *spectra[1]):
+    squeeze = 0.5 * (a @ a - a.T @ a.T)
+    factors = []
+    for generator in (squeeze[0::2, 0::2], squeeze[1::2, 1::2], a.T - a):
+        p, sigma, qt = np.linalg.svd(generator[1::2, 0::2], full_matrices=False)
+        factors.append((p, sigma, qt.T))
+    for array in (array for triple in factors for array in triple):
         array.flags.writeable = False
-    return spectra
+    return tuple(factors)
 
 
-def _exp_generator(spectrum: tuple[np.ndarray, np.ndarray], scale: float) -> np.ndarray:
-    """exp(scale K) for a real generator K, from the spectrum of i K."""
-    w, u = spectrum
-    return ((u * np.exp(-1j * scale * w)) @ u.conj().T).real
+def _exp_generator(factors: tuple[np.ndarray, np.ndarray, np.ndarray], x: float) -> np.ndarray:
+    """exp(x K) from the rotation factors (P, sigma, Q) of a tridiagonal generator K.
+
+    Column j of Q, on the even positions, turns by the angle x sigma_j towards
+    column j of P, on the odd positions; what Q and P do not span, the null
+    space that odd sizes have, stays fixed.  cos - 1 = -2 sin^2(x sigma / 2), so
+    x = 0 gives the identity exactly.
+    """
+    p, sigma, q = factors
+    out = np.eye(len(p) + len(q))
+    sin, cos_m1 = np.sin(x * sigma), -2.0 * np.sin(0.5 * x * sigma) ** 2
+    out[0::2, 0::2] += (q * cos_m1) @ q.T
+    out[1::2, 1::2] += (p * cos_m1) @ p.T
+    out[1::2, 0::2] = (p * sin) @ q.T
+    out[0::2, 1::2] = -out[1::2, 0::2].T
+    return out
 
 
 def _decompose(sigma: np.ndarray) -> tuple[float, float, float]:
     """Split sigma into thermal occupation, squeezing and rotation angle.
 
     sigma = (2 nbar + 1) R(phi) diag(e^-2r, e^2r) R(phi)^T with the minor axis
-    of the uncertainty ellipse at angle phi.
+    of the uncertainty ellipse at angle phi.  The major-axis variance is
+    (tr sigma) / 2 + hypot((sqq - spp) / 2, sqp) and the minor one det / major.
     """
-    w, v = np.linalg.eigh(sigma)
-    nu = max(1.0, math.sqrt(w[0] * w[1]))
-    nbar = 0.5 * (nu - 1.0)
-    r = 0.25 * math.log(w[1] / w[0])
-    phi = math.atan2(v[1, 0], v[0, 0])
+    sqq, sqp, spp = float(sigma[0, 0]), float(sigma[0, 1]), float(sigma[1, 1])
+    det = sqq * spp - sqp * sqp
+    major = 0.5 * (sqq + spp) + math.hypot(0.5 * (sqq - spp), sqp)
+    nbar = 0.5 * (max(1.0, math.sqrt(det)) - 1.0)
+    r = 0.25 * math.log(major * major / det)
+    phi = 0.5 * math.atan2(-2.0 * sqp, spp - sqq)
     return nbar, r, phi
 
 
@@ -94,12 +131,12 @@ def build_state(state: GaussianState, cutoff: int) -> FockDensity:
     """Factor rho = D P S rho_thermal S^dag P^dag D^dag in a truncated basis.
 
     Returns U = D(beta) P(phi) S(r) and the truncated thermal populations
-    p_n = nbar^n / (nbar + 1)^(n + 1).  The squeezing and displacement
-    operators are exponentials of the truncated generators r K_sq and
-    |beta| K_d, taken from the spectra of i K that :func:`_generator_spectra`
-    caches per cutoff.  The phase-space rotation and the direction arg(beta)
-    of the displacement are diagonal phases in the number basis:
-    P a P^dag = e^(-i theta) a for P = diag(e^(i theta n)).
+    p_n = nbar^n / (nbar + 1)^(n + 1).  S(r) = exp(r K_sq) is one rotation
+    per level parity.  The phase-space rotation and the direction arg(beta)
+    are diagonal phases: P a P^dag = e^(-i theta) a for P = diag(e^(i theta n)),
+    so D(beta) = T exp(|beta| K_d) T^dag with T = diag(e^(i arg(beta) n)), and
+    the real exp(|beta| K_d) multiplies each parity block of T^dag P S on
+    the block's float64 view.
     Raises :class:`CutoffTooSmallError`, before any matrix is formed, when the
     thermal tail beyond the cutoff, 1 - sum p = (nbar / (nbar + 1))^cutoff,
     exceeds ``TRACE_BUDGET_DEFAULT``.  U stays unitary under truncation, so it loses
@@ -115,26 +152,31 @@ def build_state(state: GaussianState, cutoff: int) -> FockDensity:
 
     levels = np.arange(cutoff)
     probs = ratio**levels / (nbar + 1.0)
-    squeeze_spectrum, displace_spectrum = _generator_spectra(cutoff)
-    phase = np.exp(1j * phi * levels)
-    if r != 0.0:
-        unitary = phase[:, None] * _exp_generator(squeeze_spectrum, r)
-    else:
-        unitary = np.diag(phase)
-
+    *squeeze, displace = _rotation_factors(cutoff)
     beta = (state.mu[0] + 1j * state.mu[1]) / math.sqrt(2.0)
-    if beta != 0.0:
-        turn = np.exp(1j * np.angle(beta) * levels)
-        shift = _exp_generator(displace_spectrum, abs(beta))
-        unitary = turn[:, None] * (shift @ (np.conj(turn)[:, None] * unitary))
+    turn = np.exp(1j * np.angle(beta) * levels)
+    shift = _exp_generator(displace, abs(beta))
+    phase = np.exp(1j * phi * levels) * np.conj(turn)
+    unitary = np.empty((cutoff, cutoff), dtype=complex)
+    for par, factors in zip((slice(0, None, 2), slice(1, None, 2)), squeeze):
+        block = phase[par, None] * _exp_generator(factors, r)
+        unitary[:, par] = (shift[:, par] @ block.view(np.float64)).view(np.complex128)
+    unitary *= turn[:, None]
     return FockDensity(dim=cutoff, unitary=unitary, probs=probs, trace_deficit=deficit)
 
 
+@lru_cache(maxsize=1)
 def _overlap_matrix(rho0: FockDensity, rho1: FockDensity) -> np.ndarray:
-    """W = U0^dag U1, the eigenvectors of rho1 in the eigenbasis of rho0."""
+    """W = U0^dag U1, the eigenvectors of rho1 in the eigenbasis of rho0.
+
+    Read-only and kept for the last pair, so the fidelity and the s-overlap
+    of one pair share one product.
+    """
     if rho0.dim != rho1.dim:
         raise InvalidParameterError(f"dimension mismatch: {rho0.dim} vs {rho1.dim}")
-    return rho0.unitary.conj().T @ rho1.unitary
+    overlap = rho0.unitary.conj().T @ rho1.unitary
+    overlap.flags.writeable = False
+    return overlap
 
 
 def oracle_fidelity(rho0: FockDensity, rho1: FockDensity) -> float:

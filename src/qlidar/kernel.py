@@ -22,6 +22,7 @@ XI_SATURATION_CAP = 700.0
 S_TOLERANCE = 1e-8
 
 _LOG2 = math.log(2.0)
+_EPS = float(np.finfo(float).eps)
 _S_EDGE = 1e-9
 
 
@@ -30,9 +31,18 @@ def det(sqq, sqp, spp):
     return sqq * spp - sqp * sqp
 
 
+def det_rounding(sqq, sqp, spp):
+    """4 eps (sqq spp + sqp^2), a bound on the rounding error of det(sqq, sqp, spp)
+    for a covariance whose entries are themselves rounded (rotated states included)."""
+    return 4.0 * _EPS * (sqq * spp + sqp * sqp)
+
+
 def _nu(cov):
-    """Symplectic eigenvalue max(1, sqrt(det sigma)); 1 exactly when the state is pure."""
-    return np.maximum(1.0, np.sqrt(det(*cov)))
+    """Symplectic eigenvalue max(1, sqrt(det sigma)), and exactly 1, pure, when
+    det sigma is within its rounding bound of 1."""
+    d = det(*cov)
+    pure = np.abs(d - 1.0) <= det_rounding(*cov)
+    return np.where(pure, 1.0, np.maximum(1.0, np.sqrt(d)))
 
 
 def probe(lam, n_tot, phase=0.0):
@@ -181,11 +191,14 @@ def report(h1, h0):
 def map_blocks(fn, items, workers, executor, *args):
     """Apply ``fn(block, *args)`` to contiguous blocks of ``items`` and join the
     tuples of arrays it returns in index order; one call if ``workers`` <= 1,
-    else the blocks go to a pool of the ``concurrent.futures`` class
-    ``executor``, with no more workers than blocks."""
+    else the blocks go to a pool of the ``concurrent.futures`` class named
+    ``executor``, with no more workers than blocks.  The pool module is
+    imported only then, so a serial run loads neither it nor multiprocessing."""
     if workers <= 1:
         return fn(items, *args)
+    from concurrent import futures
+
     blocks = [b for b in np.array_split(items, 4 * workers) if b.size]
-    with executor(max_workers=min(workers, len(blocks))) as pool:
+    with getattr(futures, executor)(max_workers=min(workers, len(blocks))) as pool:
         parts = list(pool.map(fn, blocks, *(repeat(a) for a in args)))
     return tuple(np.concatenate(cols) for cols in zip(*parts))

@@ -80,15 +80,17 @@ def validate(state: GaussianState, name: str = "state") -> None:
     sigma is positive definite with det(sigma) >= 1.
 
     The determinant bound is the single-mode uncertainty relation in the
-    vacuum-variance-1 convention; ``DET_TOLERANCE`` absorbs floating-point
-    undershoot from channel arithmetic.
+    vacuum-variance-1 convention.  Its slack is the larger of ``DET_TOLERANCE``,
+    for undershoot from channel arithmetic, and the rounding bound
+    :func:`qlidar.kernel.det_rounding` of the determinant itself, which
+    grows with the squeezing.
     """
     s = state.sigma
     det = kernel.det(s[0, 0], s[0, 1], s[1, 1])
     tr = s[0, 0] + s[1, 1]
     if not (det > 0.0 and tr > 0.0):
         reason = f"sigma is not positive definite (det={det:g}, tr={tr:g})"
-    elif det < 1.0 - DET_TOLERANCE:
+    elif det < 1.0 - max(DET_TOLERANCE, kernel.det_rounding(s[0, 0], s[0, 1], s[1, 1])):
         reason = f"det(sigma)={det:.15g} violates the uncertainty bound det >= 1"
     else:
         return

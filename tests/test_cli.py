@@ -559,6 +559,19 @@ def test_readme_flag_table_matches_parser():
         assert set(re.findall(r"`(--[a-z0-9-]+)`", row)) == {cli._FLAGS[k][0] for k in defaults}
 
 
+def test_serial_run_imports_no_pool(tmp_path):
+    # the pool module is imported only when --workers > 1 starts a pool
+    code = (
+        "import sys, qlidar.cli; "
+        "assert qlidar.cli.main(['benchmark', '--out', sys.argv[1]]) == 0; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 def test_imports_pull_in_no_scipy():
     code = (
         "import sys, qlidar, qlidar.cli, qlidar.fock; "

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import warnings
 
@@ -170,7 +171,7 @@ class TestRunEnsemble:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(fading, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         config = fading.FadingConfig(n_realizations=10, seed=99)
         pooled = fading.run_ensemble(config, workers=64)
         assert sizes == [10]

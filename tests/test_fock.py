@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from conftest import load_oracle_cases, random_physical_state, squeezed_thermal_state
 from qlidar import fock, kernel, metrics
 from qlidar.errors import CutoffTooSmallError, InvalidParameterError
-from qlidar.states import GaussianState, rotate, squeezed_vacuum, thermal_state
+from qlidar.states import GaussianState, rotate, rotation_matrix, squeezed_vacuum, thermal_state
 
 
 def extract_moments(rho: fock.FockDensity) -> tuple[np.ndarray, np.ndarray]:
@@ -124,10 +124,10 @@ class TestBuildState:
                 assert np.max(np.abs(rho - _dense_reference_rho(state, cutoff))) <= 1e-13
 
     def test_pair_takes_no_density_eigh(self, monkeypatch):
-        # both states squeezed and displaced, with the generator spectra of this cutoff cached;
+        # both states squeezed and displaced, with the rotation factors of this cutoff cached;
         # the densities come factorised, so only the fidelity's svd is cutoff-sized
         cutoff = 90
-        fock._generator_spectra(cutoff)
+        fock._rotation_factors(cutoff)
         s0 = GaussianState([0.7, -0.4], rotate(squeezed_vacuum(0.5), 0.3).sigma)
         s1 = GaussianState([-0.2, 0.9], 1.4 * rotate(squeezed_vacuum(0.3), 1.1).sigma)
         calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
@@ -149,8 +149,65 @@ class TestBuildState:
         fock.oracle_fidelity(rho0, rho1)
         fock.oracle_s_overlap(rho0, rho1, 0.5)
         assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 1}
-        squeeze, displace = fock._generator_spectra(cutoff)
-        assert not any(array.flags.writeable for array in (*squeeze, *displace))
+        factors = fock._rotation_factors(cutoff)
+        assert not any(array.flags.writeable for triple in factors for array in triple)
+
+    def test_pair_forms_one_overlap_matrix(self):
+        # W = U0^dag U1 is kept for the last pair: the fidelity forms it, the s-overlap reuses it
+        s0 = GaussianState([0.7, -0.4], rotate(squeezed_vacuum(0.5), 0.3).sigma)
+        s1 = GaussianState([-0.2, 0.9], 1.4 * rotate(squeezed_vacuum(0.3), 1.1).sigma)
+        rho0, rho1 = fock.build_state(s0, 60), fock.build_state(s1, 60)
+        fock._overlap_matrix.cache_clear()
+        fock.oracle_fidelity(rho0, rho1)
+        fock.oracle_s_overlap(rho0, rho1, 0.5)
+        info = fock._overlap_matrix.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        # keyed by identity, and nothing it is formed from or returns can be written to
+        assert not fock._overlap_matrix(rho0, rho1).flags.writeable
+        for array in (rho0.unitary, rho0.probs):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        fock.oracle_s_overlap(rho1, rho0, 0.5)
+        assert fock._overlap_matrix.cache_info().misses == 2
+
+
+def _generators(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K_sq on the even levels, K_sq on the odd levels and K_d, as dense matrices."""
+    a = fock.lowering_operator(cutoff)
+    squeeze = 0.5 * (a @ a - a.T @ a.T)
+    return squeeze[0::2, 0::2], squeeze[1::2, 1::2], a.T - a
+
+
+@pytest.mark.parametrize("cutoff", [60, 61, 90, 135])
+def test_rotations_match_dense_exponentials(cutoff):
+    # 61, 90 and 135 give generators of odd size, whose odd x even block has a null space
+    for generator, factors in zip(_generators(cutoff), fock._rotation_factors(cutoff)):
+        for x in (0.3, 1.5, -0.8):
+            rotation = fock._exp_generator(factors, x)
+            reference = _expm_antihermitian(x * generator).real
+            assert np.max(np.abs(rotation - reference)) <= 1e-13
+            assert np.max(np.abs(rotation.T @ rotation - np.eye(len(generator)))) <= 1e-13
+        assert np.array_equal(fock._exp_generator(factors, 0.0), np.eye(len(generator)))
+
+
+@pytest.mark.parametrize("sigma", [
+    np.eye(2),
+    2.2 * np.eye(2),
+    1.5 * np.diag([math.exp(0.6), math.exp(-0.6)]),
+    np.diag([math.exp(-0.8), math.exp(0.8)]),
+    1.6 * rotate(squeezed_vacuum(0.6), 0.4).sigma,
+    rotate(squeezed_vacuum(1.2), 2.5).sigma,
+    2.0 * rotate(squeezed_vacuum(0.7), -1.3).sigma,
+    1.3 * rotate(squeezed_vacuum(1e-9), 0.7).sigma,
+    3.0 * np.eye(2) + np.array([[2e-13, 1e-13], [1e-13, -1e-13]]),
+], ids=["vacuum", "thermal", "qq-above-pp", "qq-below-pp", "rotated-mixed", "rotated-pure",
+        "rotated-negative-angle", "near-isotropic-squeezed", "near-isotropic-thermal"])
+def test_decompose_rebuilds_sigma(sigma):
+    nbar, r, phi = fock._decompose(sigma)
+    rot = rotation_matrix(phi)
+    rebuilt = (2.0 * nbar + 1.0) * rot @ np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)]) @ rot.T
+    assert np.max(np.abs(rebuilt - sigma)) <= 1e-13
+    assert r >= 0.0
 
 
 def test_moment_round_trip_random():

@@ -18,6 +18,7 @@ from qlidar.states import (
 
 VACUUM = thermal_state(0.0)
 COHERENT_1 = GaussianState([math.sqrt(2.0), 0.0], np.eye(2))  # |alpha|^2 = 1
+THERMAL_1 = thermal_state(1.0)
 THERMAL_2 = thermal_state(2.0)
 
 
@@ -218,6 +219,23 @@ class TestXiQcb:
         # the vacuum is pure, so the minimum is the s -> 0 edge value Q = 1/3
         assert abs(xi_cb - math.log(3.0)) < 1e-12
         assert metrics.s_overlap_minimum(VACUUM, THERMAL_2)[0] == 0.0
+
+    def test_rotated_pure_states_take_the_pure_edge(self):
+        # the det of a rotated squeezed vacuum rounds off 1 by up to a few
+        # eps (sqq spp + sqp^2); within 4 of those the state is pure, so its
+        # minimum is ln F at s* = 1, not an interior value up to 12% off
+        rng = np.random.default_rng(29)
+        for _ in range(500):
+            sigma = rotate(squeezed_vacuum(rng.uniform(0.0, 4.0)), rng.uniform(0.0, 6.3)).sigma
+            state = GaussianState(rng.uniform(-2.0, 2.0, 2), sigma)
+            s_star, best = metrics.s_overlap_minimum(THERMAL_1, state)
+            assert s_star == 1.0
+            assert best == kernel.log_fidelity(THERMAL_1.moments, state.moments)
+
+    def test_near_pure_state_stays_mixed(self):
+        state = GaussianState([0.5, 0.0], np.diag([1.0 + 1e-10, 1.0]))
+        assert kernel._nu(state.moments[2:]) > 1.0
+        assert 0.0 < metrics.s_overlap_minimum(THERMAL_1, state)[0] < 1.0
 
 
 class TestHomodyneSnr:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qlidar import kernel
 from qlidar.errors import InvalidParameterError
 from qlidar.states import (
     GaussianState,
@@ -155,6 +156,17 @@ class TestValidate:
         # slight float undershoot of det = 1 must still validate
         state = GaussianState([0, 0], (1.0 - 1e-13) * np.eye(2))
         assert validate(state) is None
+        with pytest.raises(InvalidParameterError, match="uncertainty bound"):
+            validate(GaussianState([0, 0], np.diag([1.0 - 1e-10, 1.0])))
+
+    def test_rotated_squeezed_vacua_are_valid_and_pure(self):
+        # at r = 4 the rounding of sqq spp - sqp^2 reaches 1e-12, past DET_TOLERANCE;
+        # validate and the kernel's purity rule both allow it 4 eps (sqq spp + sqp^2)
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            state = rotate(squeezed_vacuum(rng.uniform(0.0, 4.0)), rng.uniform(0.0, 2 * math.pi))
+            assert validate(state) is None
+            assert kernel._nu(state.moments[2:]) == 1.0
 
 
 class TestGaussianState:
