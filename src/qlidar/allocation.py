@@ -28,11 +28,11 @@ def _grid(stop: float, step: float) -> np.ndarray:
     return np.linspace(0.0, stop, int(round(stop / step)) + 1)
 
 
-def default_eta_grid(step: float = 0.01) -> np.ndarray:
+def default_eta_grid(step: float) -> np.ndarray:
     return _grid(1.0, step)
 
 
-def default_lambda_grid(step: float = 0.01) -> np.ndarray:
+def default_lambda_grid(step: float) -> np.ndarray:
     return _grid(0.95, step)  # the usual cap of allocation searches
 
 
@@ -42,16 +42,15 @@ def _no_electronic_noise(params: ChannelParams) -> None:
                                     "n_th with effective_noise, or use eta_critical_effective")
 
 
-def w2_score(lam: float, n_tot: float, params: ChannelParams) -> metrics.MetricReport:
-    """Full metric report for the allocation (lam, n_tot) through the channel.
+def w2_score(probe: ProbeBudget, params: ChannelParams) -> metrics.MetricReport:
+    """Full metric report for the probe budget through the channel.
 
     Compares the channel output against the thermal background state, which
     is both the no-target hypothesis and the channel output at zero
     transmissivity.
     """
     _no_electronic_noise(params)
-    # scoring may probe any fraction up to 1, independent of the search cap
-    out = apply_loss(probe_from_budget(ProbeBudget(n_tot, lam)), params)
+    out = apply_loss(probe_from_budget(probe), params)
     return metrics.metric_report(out, thermal_state(params.n_th))
 
 
@@ -84,17 +83,15 @@ def _fractions(n_tot: float, lambdas) -> np.ndarray:
 def optimize_lambda(
     n_tot: float, params: ChannelParams, lambda_grid: np.ndarray
 ) -> tuple[float, float]:
-    """Exhaustive grid search of the squeezing fraction.
+    """Exhaustive grid search of the squeezing fraction, as the one-row
+    :func:`allocation_grid` at ``params.eta``.
 
     Ties break toward the smallest fraction (argmax returns the first
     maximiser of an ascending grid).
     """
     _no_electronic_noise(params)
-    grid = _fractions(n_tot, lambda_grid)
-    disp, bures = _w2_terms(params.eta_eff, grid, n_tot, params.n_th)
-    scores = disp + bures
-    idx = int(np.argmax(scores))
-    return float(grid[idx]), float(scores[idx])
+    grid = allocation_grid(n_tot, params.n_th, [params.eta], lambda_grid, eta_det=params.eta_det)
+    return float(grid.lambda_opt[0]), float(grid.scores[0].max())
 
 
 @dataclass(frozen=True)
@@ -112,8 +109,8 @@ class AllocationGrid:
 def allocation_grid(
     n_tot: float,
     n_th: float,
-    eta_grid: np.ndarray | None = None,
-    lambda_grid: np.ndarray | None = None,
+    eta_grid: np.ndarray,
+    lambda_grid: np.ndarray,
     eta_det: float = 1.0,
     workers: int = 1,
 ) -> AllocationGrid:
@@ -126,9 +123,9 @@ def allocation_grid(
     elementwise, so parallel and serial runs produce bit-identical arrays.
     """
     workers = integer("workers", workers, 1)
-    etas = _ascending(default_eta_grid() if eta_grid is None else eta_grid, "eta",
+    etas = _ascending(eta_grid, "eta",
                       lambda eta: ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det))
-    lambdas = _fractions(n_tot, default_lambda_grid() if lambda_grid is None else lambda_grid)
+    lambdas = _fractions(n_tot, lambda_grid)
     eta_eff = etas[:, None] * eta_det
     disp, bures = kernel.map_blocks(_w2_terms, eta_eff, workers, "ThreadPoolExecutor",
                                      lambdas, n_tot, n_th)

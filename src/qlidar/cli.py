@@ -14,12 +14,13 @@ key = value manifest next to them, also on failure once the command line
 has parsed; a command line the parser rejects (a flag the subcommand does
 not read, a value of the wrong type) exits 2 with a usage message and
 leaves no manifest.  Exit codes: 0 success, 2 parameter error, 3 I/O
-error, 4 numerical error.
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -27,28 +28,29 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, allocation, fading, kernel, metrics
-from .channel import ChannelParams, apply_loss, effective_noise
-from .errors import InvalidParameterError, NumericalError
-from .states import GaussianState, ProbeBudget, probe_from_budget, thermal_state
+from .channel import ChannelParams, effective_noise
+from .errors import InvalidParameterError
+from .states import GaussianState, ProbeBudget
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
 EXIT_IO = 3
-EXIT_NUMERICAL = 4
 
 PARAMETRIC_SCENARIOS = ((5.0, 0.1), (5.0, 2.0), (10.0, 0.1), (20.0, 0.1), (20.0, 2.0))
 # rows that _write_csv formats in one call; a chunk's text is a few hundred kB
 _CSV_CHUNK_ROWS = 4096
+# 12 significant digits, for CSV cells and for printed and manifest values alike
+_NUMBER = "%.12g"
 
 
 def _fmt(x) -> str:
-    return format(float(x), ".12g")
+    return _NUMBER % float(x)
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Equal-length ``columns`` as rows of values formatted as :func:`_fmt`
-    formats them; "%.12g" is that format, applied to a chunk in one call."""
-    line = ",".join(["%.12g"] * len(columns)) + "\n"
+    """Equal-length ``columns`` as rows of ``_NUMBER`` values; the format is
+    applied to a chunk in one call."""
+    line = ",".join([_NUMBER] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
@@ -138,6 +140,14 @@ def _grids(step: float):
     return allocation.default_eta_grid(step), allocation.default_lambda_grid(step)
 
 
+def _write_lambda_opt(path: Path, grid: allocation.AllocationGrid) -> str:
+    """Write the optimal-fraction curve of ``grid``; return its empirical
+    transition eta as the manifest records it."""
+    _write_csv(path, ["eta", "lambda_opt"], [grid.eta_grid, grid.lambda_opt])
+    found = allocation.transition_eta(grid)
+    return "none" if found is None else _fmt(found)
+
+
 def cmd_heatmap(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
     n_tot, n_th = p["n_tot"], p["n_th"]
     manifest.update(p)
@@ -150,11 +160,10 @@ def cmd_heatmap(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
     opt_path = out_dir / "heatmap_lambda_opt.csv"
     _write_csv(scores_path, ["eta", "lambda", "w2_sq"],
                [etas.ravel(), lams.ravel(), grid.scores.ravel()])
-    _write_csv(opt_path, ["eta", "lambda_opt"], [grid.eta_grid, grid.lambda_opt])
-
-    found = allocation.transition_eta(grid)
+    found = _write_lambda_opt(opt_path, grid)
+    # n_tot = 0 has no threshold: that error leaves the transition out of the manifest
     eta_c = allocation.eta_critical(n_tot, n_th)
-    manifest["transition_eta_empirical"] = "none" if found is None else _fmt(found)
+    manifest["transition_eta_empirical"] = found
     manifest["eta_critical_analytic"] = _fmt(eta_c)
     manifest["eta_critical_reachable"] = str(eta_c <= 1.0).lower()
     return [scores_path, opt_path]
@@ -173,11 +182,7 @@ def cmd_parametric(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
         grid = allocation.allocation_grid(n, t, eta_grid, lambda_grid,
                                           eta_det=p["eta_det"], workers=p["workers"])
         path = out_dir / f"parametric_ntot{_fmt(n)}_nth{_fmt(t)}.csv"
-        _write_csv(path, ["eta", "lambda_opt"], [grid.eta_grid, grid.lambda_opt])
-        found = allocation.transition_eta(grid)
-        manifest[f"transition_eta_ntot{_fmt(n)}_nth{_fmt(t)}"] = (
-            "none" if found is None else _fmt(found)
-        )
+        manifest[f"transition_eta_ntot{_fmt(n)}_nth{_fmt(t)}"] = _write_lambda_opt(path, grid)
         paths.append(path)
     return paths
 
@@ -237,6 +242,7 @@ def cmd_metrics(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
         state_h0 = _parse_state(p["state0"], "state0")
         state_h1 = _parse_state(p["state1"], "state1")
         manifest.update({"state0": p["state0"], "state1": p["state1"]})
+        rep = metrics.metric_report(state_h1, state_h0)
     elif p["budget"] is not None:
         parts = [part.strip() for part in p["budget"].split(",")]
         if len(parts) not in (2, 3):
@@ -248,18 +254,14 @@ def cmd_metrics(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
             raise InvalidParameterError(f"budget: {exc}") from None
         channel = {k: default if p[k] is None else p[k] for k, default in _BUDGET_CHANNEL.items()}
         n_eff = effective_noise(ChannelParams(**channel))
-        probe = probe_from_budget(ProbeBudget(n_tot, lam, displacement_phase=phase))
-        state_h1 = apply_loss(probe, ChannelParams(eta=channel["eta"], n_th=n_eff,
-                                                   eta_det=channel["eta_det"]))
-        state_h0 = thermal_state(n_eff)
+        rep = allocation.w2_score(ProbeBudget(n_tot, lam, displacement_phase=phase),
+                                  ChannelParams(eta=channel["eta"], n_th=n_eff,
+                                                eta_det=channel["eta_det"]))
         manifest.update(channel, budget_n_tot=n_tot, budget_lambda=lam, budget_phase=phase)
     else:
         raise InvalidParameterError("give either --state0/--state1 or --budget")
 
-    rep = metrics.metric_report(state_h1, state_h0)
-    for key in ("w2_sq", "displacement_term", "bures_sq", "fidelity",
-                "xi_qbb", "xi_qbb_proxy", "xi_qcb", "snr_sq_opt", "theta_opt"):
-        value = getattr(rep, key)
+    for key, value in dataclasses.asdict(rep).items():
         print(f"{key} = {_fmt(value)}")
         manifest[key] = _fmt(value)
     return []
@@ -385,10 +387,6 @@ def main(argv=None) -> int:
         manifest["error"] = str(exc)
         print(f"i/o error: {exc}", file=sys.stderr)
         code = EXIT_IO
-    except (NumericalError, FloatingPointError) as exc:
-        manifest["error"] = str(exc)
-        print(f"numerical error: {exc}", file=sys.stderr)
-        code = EXIT_NUMERICAL
     except Exception as exc:  # recorded, then raised unchanged
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         raise

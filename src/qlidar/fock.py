@@ -51,9 +51,9 @@ class FockDensity:
 
     Compared and hashed by identity.  ``unitary`` and ``probs`` are made
     read-only, so the overlap matrix kept for the last pair cannot go stale.
+    The truncation size is ``probs.size``.
     """
 
-    dim: int
     unitary: np.ndarray
     probs: np.ndarray
     trace_deficit: float
@@ -162,7 +162,7 @@ def build_state(state: GaussianState, cutoff: int) -> FockDensity:
         block = phase[par, None] * _exp_generator(factors, r)
         unitary[:, par] = (shift[:, par] @ block.view(np.float64)).view(np.complex128)
     unitary *= turn[:, None]
-    return FockDensity(dim=cutoff, unitary=unitary, probs=probs, trace_deficit=deficit)
+    return FockDensity(unitary=unitary, probs=probs, trace_deficit=deficit)
 
 
 @lru_cache(maxsize=1)
@@ -172,8 +172,8 @@ def _overlap_matrix(rho0: FockDensity, rho1: FockDensity) -> np.ndarray:
     Read-only and kept for the last pair, so the fidelity and the s-overlap
     of one pair share one product.
     """
-    if rho0.dim != rho1.dim:
-        raise InvalidParameterError(f"dimension mismatch: {rho0.dim} vs {rho1.dim}")
+    if rho0.probs.size != rho1.probs.size:
+        raise InvalidParameterError(f"dimension mismatch: {rho0.probs.size} vs {rho1.probs.size}")
     overlap = rho0.unitary.conj().T @ rho1.unitary
     overlap.flags.writeable = False
     return overlap

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, real
 from .kernel import XI_SATURATION_CAP  # noqa: F401  (re-exported)
 from .states import GaussianState, validate
 
@@ -94,6 +94,7 @@ def homodyne_snr(state_h1: GaussianState, state_h0: GaussianState, theta: float)
     SNR^2(theta) = |u_theta . (mu1 - mu0)|^2 / V_theta with the projected
     variance taken under the target-present hypothesis.
     """
+    theta = real("theta", theta)
     _checked(state_h1=state_h1, state_h0=state_h0)
     u = np.array([math.cos(theta), math.sin(theta)])
     return float(u @ (state_h1.mu - state_h0.mu)) ** 2 / float(u @ state_h1.sigma @ u)

@@ -146,6 +146,7 @@ def probe_from_budget(budget: ProbeBudget) -> GaussianState:
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
+    theta = real("theta", theta)
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
 

@@ -13,7 +13,7 @@ import numpy as np
 from conftest import load_oracle_cases, random_physical_state
 from qlidar import allocation, fading, fock, kernel, metrics
 from qlidar.channel import ChannelParams, apply_loss
-from qlidar.states import GaussianState
+from qlidar.states import GaussianState, ProbeBudget
 
 
 def _report(number: int, clauses: list[tuple[str, bool]]) -> None:
@@ -29,7 +29,8 @@ def test_criterion_01_energy_scaling_exactness():
     for n_tot in (5.0, 10.0, 17.3):
         worst = 0.0
         for eta in np.linspace(0.0, 1.0, 100):
-            rep = allocation.w2_score(0.0, n_tot, ChannelParams(eta=float(eta), n_th=0.0))
+            rep = allocation.w2_score(ProbeBudget(n_tot, 0.0),
+                                      ChannelParams(eta=float(eta), n_th=0.0))
             expected = 2.0 * float(eta) * n_tot
             worst = max(worst, abs(rep.w2_sq - expected) / max(1.0, expected))
         clauses.append((f"relative error {worst:.2e} at n_tot={n_tot}", worst <= 1e-12))
@@ -99,7 +100,7 @@ def test_criterion_05_benchmark_shape():
     n_tot, n_th, lam = 5.0, 2.0, 0.5
     etas = np.linspace(0.0, 1.0, 201)
     w2 = np.array([
-        allocation.w2_score(lam, n_tot, ChannelParams(eta=float(e), n_th=n_th)).w2_sq
+        allocation.w2_score(ProbeBudget(n_tot, lam), ChannelParams(eta=float(e), n_th=n_th)).w2_sq
         for e in etas
     ])
     monotone = bool(np.all(np.diff(w2) > 0))
@@ -111,7 +112,7 @@ def test_criterion_05_benchmark_shape():
 
     def at(eta):
         params = ChannelParams(eta=eta, n_th=n_th)
-        rep = allocation.w2_score(lam, n_tot, params)
+        rep = allocation.w2_score(ProbeBudget(n_tot, lam), params)
         return rep.w2_sq, rep.xi_qbb
 
     w01, x01 = at(0.1)
@@ -129,7 +130,8 @@ def test_criterion_05_benchmark_shape():
 
 
 def test_criterion_06_heatmap_regimes():
-    grid = allocation.allocation_grid(10.0, 0.1)
+    grid = allocation.allocation_grid(10.0, 0.1, allocation.default_eta_grid(0.01),
+                                      allocation.default_lambda_grid(0.01))
     lam_at = dict(zip(np.round(grid.eta_grid, 10), grid.lambda_opt))
     transition = allocation.transition_eta(grid)
     eta_c = allocation.eta_critical(10.0, 0.1)

@@ -6,6 +6,7 @@ import pytest
 from qlidar import allocation
 from qlidar.channel import ChannelParams
 from qlidar.errors import InvalidParameterError, UndefinedThresholdError
+from qlidar.states import ProbeBudget
 
 
 def straight_line_w2(lam, n_tot, eta, n_th):
@@ -22,18 +23,19 @@ def straight_line_w2(lam, n_tot, eta, n_th):
 class TestW2Score:
     def test_pure_displacement_exact(self):
         for eta in np.linspace(0.0, 1.0, 11):
-            rep = allocation.w2_score(0.0, 7.0, ChannelParams(eta=float(eta), n_th=0.0))
+            rep = allocation.w2_score(ProbeBudget(7.0, 0.0),
+                                      ChannelParams(eta=float(eta), n_th=0.0))
             assert abs(rep.w2_sq - 2.0 * eta * 7.0) <= 1e-12 * max(1.0, 2 * eta * 7)
             assert rep.bures_sq == 0.0
 
     def test_full_loss_is_zero(self):
         for lam in (0.0, 0.5, 0.95):
-            rep = allocation.w2_score(lam, 10.0, ChannelParams(eta=0.0, n_th=0.7))
+            rep = allocation.w2_score(ProbeBudget(10.0, lam), ChannelParams(eta=0.0, n_th=0.7))
             assert rep.w2_sq < 1e-12
 
     def test_frozen_independent_path(self):
         # value recorded from the straight-line reimplementation above
-        rep = allocation.w2_score(0.5, 10.0, ChannelParams(eta=0.4, n_th=0.1))
+        rep = allocation.w2_score(ProbeBudget(10.0, 0.5), ChannelParams(eta=0.4, n_th=0.1))
         assert abs(rep.w2_sq - 8.004183647811217) < 1e-12
         assert abs(rep.w2_sq - straight_line_w2(0.5, 10.0, 0.4, 0.1)) < 1e-12
 
@@ -44,25 +46,25 @@ class TestW2Score:
             n_tot = float(rng.uniform(0.1, 20))
             eta = float(rng.uniform(0, 1))
             n_th = float(rng.uniform(0, 2))
-            rep = allocation.w2_score(lam, n_tot, ChannelParams(eta=eta, n_th=n_th))
+            rep = allocation.w2_score(ProbeBudget(n_tot, lam), ChannelParams(eta=eta, n_th=n_th))
             assert abs(rep.w2_sq - straight_line_w2(lam, n_tot, eta, n_th)) < 1e-10
 
 
 class TestOptimizeLambda:
     def test_deep_loss_collapses_classical(self):
         lam_opt, _ = allocation.optimize_lambda(
-            10.0, ChannelParams(eta=0.05, n_th=0.1), allocation.default_lambda_grid()
+            10.0, ChannelParams(eta=0.05, n_th=0.1), allocation.default_lambda_grid(0.01)
         )
         assert lam_opt == 0.0
 
     def test_lossless_prefers_squeezing(self):
         lam_opt, _ = allocation.optimize_lambda(
-            10.0, ChannelParams(eta=1.0, n_th=0.1), allocation.default_lambda_grid()
+            10.0, ChannelParams(eta=1.0, n_th=0.1), allocation.default_lambda_grid(0.01)
         )
         assert lam_opt > 0.0
 
     def test_frozen_brute_force_case(self):
-        grid = allocation.default_lambda_grid()
+        grid = allocation.default_lambda_grid(0.01)
         lam_opt, score = allocation.optimize_lambda(10.0, ChannelParams(eta=0.3, n_th=0.1), grid)
         # brute-force oracle over the same grid, independent formulas
         scores = [straight_line_w2(float(l), 10.0, 0.3, 0.1) for l in grid]
@@ -71,7 +73,7 @@ class TestOptimizeLambda:
         assert abs(score - 6.514755572376544) < 1e-12
 
     def test_tie_break_determinism(self):
-        grid = allocation.default_lambda_grid()
+        grid = allocation.default_lambda_grid(0.01)
         params = ChannelParams(eta=0.2, n_th=0.5)
         results = {allocation.optimize_lambda(5.0, params, grid) for _ in range(3)}
         assert len(results) == 1
@@ -112,7 +114,8 @@ class TestAllocationGrid:
             for i, eta in enumerate(etas):
                 params = ChannelParams(eta=float(eta), n_th=n_th, eta_det=eta_det)
                 for j, lam in enumerate(lams):
-                    assert grid.scores[i, j] == allocation.w2_score(lam, n_tot, params).w2_sq
+                    score = allocation.w2_score(ProbeBudget(n_tot, lam), params).w2_sq
+                    assert grid.scores[i, j] == score
 
     def test_monotone_in_eta_at_lambda_zero(self):
         etas = np.linspace(0.0, 1.0, 100)
@@ -123,7 +126,7 @@ class TestAllocationGrid:
         # displacement component is exactly 2 eta (1 - lam) n_tot everywhere
         for eta in (0.1, 0.45, 0.9):
             for lam in (0.0, 0.3, 0.9):
-                rep = allocation.w2_score(lam, 12.0, ChannelParams(eta=eta, n_th=0.8))
+                rep = allocation.w2_score(ProbeBudget(12.0, lam), ChannelParams(eta=eta, n_th=0.8))
                 expected = 2.0 * eta * (1.0 - lam) * 12.0
                 assert abs(rep.displacement_term - expected) < 1e-12 * max(1.0, expected)
 
@@ -175,6 +178,7 @@ LAMS = allocation.default_lambda_grid(0.25)
     lambda: allocation.default_lambda_grid(NAN),
     lambda: allocation.default_lambda_grid(math.inf),
     lambda: allocation.eta_critical(10.0, NAN),
+    lambda: allocation.eta_critical(10.0, -0.1),
     lambda: allocation.eta_critical(10.0, "0.1"),
     lambda: allocation.default_eta_grid("0.1"),
     lambda: allocation.allocation_grid(10.0, 0.1, ETAS, LAMS, workers=0),
@@ -191,7 +195,7 @@ NOISY = ChannelParams(eta=0.5, n_th=0.1, v_el=0.2)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: allocation.w2_score(0.5, 10.0, NOISY),
+    lambda: allocation.w2_score(ProbeBudget(10.0, 0.5), NOISY),
     lambda: allocation.optimize_lambda(10.0, NOISY, LAMS),
     lambda: allocation.gradient_diagnostics(10.0, NOISY),
 ])

@@ -120,6 +120,8 @@ def _cases():
 
 
 CASES = _cases()
+# s values where (nu+1)^s - (nu-1)^s cancels (s -> 0) or nears a power of 0 (s -> 1)
+EDGE_S = (1e-8, 1e-6, 1e-4, 0.01, 0.05, 0.5, 0.95, 1 - 1e-6)
 
 
 @pytest.mark.parametrize("case", range(len(CASES)))
@@ -133,6 +135,19 @@ def test_minimum_matches_50_digit_reference(case):
             (pure0, pure1)]
     else:
         assert 0.0 < s_star < 1.0
+
+
+def test_log_s_overlap_matches_50_digit_reference_at_every_s():
+    # the cancellation in G_s is undone by the matching Lambda_s term of
+    # 1/2 ln det, so the closed form needs no rewrite near s = 0
+    rng = np.random.default_rng(20261)
+    for _ in range(60):
+        m0 = _mixed_state(rng, rng.uniform(0.05, 2.0)).moments
+        m1 = _mixed_state(rng, rng.uniform(0.05, 2.0)).moments
+        for s in EDGE_S:
+            got = float(kernel.log_s_overlap(m0, m1, s))
+            ref = mp_log_q(m0, m1, MP.mpf(s))
+            assert abs(got - ref) <= _bound(ref), (s, got, float(ref))
 
 
 def test_batched_equals_scalar_bit_for_bit():

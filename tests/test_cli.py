@@ -560,11 +560,13 @@ def test_readme_flag_table_matches_parser():
 
 
 def test_serial_run_imports_no_pool(tmp_path):
-    # the pool module is imported only when --workers > 1 starts a pool
+    # the pool module is imported only when --workers > 1 starts a pool, and
+    # the Fock oracle, whose cutoff error is the package's one NumericalError,
+    # never: no CLI run can end in a numerical error
     code = (
         "import sys, qlidar.cli; "
         "assert qlidar.cli.main(['benchmark', '--out', sys.argv[1]]) == 0; "
-        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        "print(sorted({'concurrent.futures', 'multiprocessing', 'qlidar.fock'} & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                             capture_output=True, text=True)

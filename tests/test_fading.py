@@ -200,6 +200,15 @@ class TestRunEnsemble:
             widths = np.diff(hist.edges)
             assert abs(float(np.sum(hist.density * widths)) - 1.0) < 1e-9
 
+    def test_zero_iqr_histogram_uses_sturges_bins(self):
+        # 80 of 100 values tie at 0, so the IQR is 0 and Freedman-Diaconis has
+        # no width: Sturges gives ceil(log2(100) + 1) = 8 bins
+        values = np.concatenate([np.zeros(80), np.arange(1.0, 21.0)])
+        hist = fading._histogram(values)
+        assert hist.density.size == 8
+        assert hist.edges[0] == 0.0 and hist.edges[-1] == 20.0
+        assert abs(float(np.sum(hist.density * np.diff(hist.edges))) - 1.0) < 1e-12
+
     def test_correlation_strongly_positive(self):
         ens = fading.run_ensemble(SMALL)
         assert ens.summary.pearson_w2_eta > 0.9

@@ -12,7 +12,7 @@ from qlidar.states import GaussianState, rotate, rotation_matrix, squeezed_vacuu
 
 def extract_moments(rho: fock.FockDensity) -> tuple[np.ndarray, np.ndarray]:
     """Read (mu, sigma) back from a density matrix via the calibrated operators."""
-    a = fock.lowering_operator(rho.dim)
+    a = fock.lowering_operator(rho.probs.size)
     q = a + a.T
     p = -1j * (a - a.T)
     m = rho.matrix
@@ -55,7 +55,7 @@ class TestBuildState:
         expected[0, 0] = 1.0
         assert_allclose(rho.matrix, expected, atol=1e-15)
         assert rho.trace_deficit == 0.0
-        assert fock.build_state(thermal_state(0.0), np.int64(10)).dim == 10
+        assert fock.build_state(thermal_state(0.0), np.int64(10)).probs.size == 10
 
     def test_squeezed_vacuum_moments(self):
         rho = fock.build_state(squeezed_vacuum(0.5), 60)
@@ -235,8 +235,8 @@ class TestOracleFidelity:
     def test_orthogonal_fock_states(self):
         dim = 10
         basis = np.eye(dim)
-        rho0 = fock.FockDensity(dim, basis.astype(complex), basis[0], 0.0)
-        rho1 = fock.FockDensity(dim, basis.astype(complex), basis[1], 0.0)
+        rho0 = fock.FockDensity(basis.astype(complex), basis[0], 0.0)
+        rho1 = fock.FockDensity(basis.astype(complex), basis[1], 0.0)
         assert fock.oracle_fidelity(rho0, rho1) < 1e-12
 
     def test_symmetry(self):

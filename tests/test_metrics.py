@@ -251,6 +251,12 @@ class TestHomodyneSnr:
         h1 = GaussianState([2.0, 0.0], np.diag([0.25, 4.0]))
         assert abs(metrics.homodyne_snr(h1, VACUUM, 0.0) - 16.0) < 1e-12
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, "0.5"])
+    def test_rejects_non_real_angle(self, bad):
+        h1 = GaussianState([2.0, 0.0], np.eye(2))
+        with pytest.raises(InvalidParameterError, match="^theta must be a finite real"):
+            metrics.homodyne_snr(h1, VACUUM, bad)
+
 
 class TestOptimalQuadrature:
     def test_aligned_case(self):

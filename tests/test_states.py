@@ -205,3 +205,9 @@ def test_rotate_preserves_validity_and_det():
         state = rotate(squeezed_vacuum(r), theta)
         assert validate(state) is None
         assert abs(np.linalg.det(state.sigma) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, "0.5"])
+def test_rotate_rejects_non_real_angle(bad):
+    with pytest.raises(InvalidParameterError, match="^theta must be a finite real"):
+        rotate(squeezed_vacuum(0.5), bad)
