@@ -13,7 +13,6 @@ from .allocation import (
     eta_critical,
     eta_critical_effective,
     gradient_diagnostics,
-    optimize_lambda,
     transition_eta,
     w2_score,
 )
@@ -35,12 +34,9 @@ from .fading import (
 )
 from .metrics import (
     MetricReport,
-    OptimalQuadrature,
     bures_sq,
     gaussian_fidelity,
-    homodyne_snr,
     metric_report,
-    optimal_quadrature,
     s_overlap_minimum,
     w2_sq,
     xi_qbb,
@@ -69,7 +65,6 @@ __all__ = [
     "InvalidParameterError",
     "MetricReport",
     "NumericalError",
-    "OptimalQuadrature",
     "ProbeBudget",
     "SelectionReport",
     "SingularityError",
@@ -82,10 +77,7 @@ __all__ = [
     "eta_critical_effective",
     "gaussian_fidelity",
     "gradient_diagnostics",
-    "homodyne_snr",
     "metric_report",
-    "optimal_quadrature",
-    "optimize_lambda",
     "post_select",
     "probe_from_budget",
     "rotate",

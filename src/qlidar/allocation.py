@@ -80,20 +80,6 @@ def _fractions(n_tot: float, lambdas) -> np.ndarray:
     return _ascending(lambdas, "lambda", lambda lam: ProbeBudget(n_tot, lam))
 
 
-def optimize_lambda(
-    n_tot: float, params: ChannelParams, lambda_grid: np.ndarray
-) -> tuple[float, float]:
-    """Exhaustive grid search of the squeezing fraction, as the one-row
-    :func:`allocation_grid` at ``params.eta``.
-
-    Ties break toward the smallest fraction (argmax returns the first
-    maximiser of an ascending grid).
-    """
-    _no_electronic_noise(params)
-    grid = allocation_grid(n_tot, params.n_th, [params.eta], lambda_grid, eta_det=params.eta_det)
-    return float(grid.lambda_opt[0]), float(grid.scores[0].max())
-
-
 @dataclass(frozen=True)
 class AllocationGrid:
     """Score map over (eta, lambda) with the per-eta optimal fraction."""

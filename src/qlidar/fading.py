@@ -147,10 +147,8 @@ class FadingSummary:
     mean_eta: float
     var_eta: float
     mean_w2_sq: float
-    var_w2_sq: float
     cv_w2_sq: float
     mean_xi_qbb: float
-    var_xi_qbb: float
     cv_xi_qbb: float
     pearson_w2_eta: float
     iqr_over_median_w2_sq: float
@@ -210,10 +208,8 @@ def run_ensemble(config: FadingConfig, workers: int = 1) -> FadingEnsemble:
         mean_eta=float(np.mean(etas)),
         var_eta=float(np.var(etas)),
         mean_w2_sq=float(np.mean(w2)),
-        var_w2_sq=float(np.var(w2)),
         cv_w2_sq=float(np.std(w2) / np.mean(w2)) if np.mean(w2) != 0 else math.nan,
         mean_xi_qbb=float(np.mean(xi)),
-        var_xi_qbb=float(np.var(xi)),
         cv_xi_qbb=float(np.std(xi) / np.mean(xi)) if np.mean(xi) != 0 else math.nan,
         pearson_w2_eta=pearson,
         iqr_over_median_w2_sq=_iqr_over_median(w2),

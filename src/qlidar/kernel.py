@@ -96,11 +96,6 @@ def solve(dq, dp, sqq, sqp, spp):
     return g0, g1, dq * g0 + dp * g1
 
 
-def homodyne(m1, m0):
-    """Optimal homodyne direction g = sigma1^-1 (mu1 - mu0) and its squared SNR d . g."""
-    return solve(m1[0] - m0[0], m1[1] - m0[1], *m1[2:])
-
-
 def log_fidelity(m0, m1):
     """ln F of two single-mode Gaussian states (Scutaru-type closed form)."""
     s = (m0[2] + m1[2], m0[3] + m1[3], m0[4] + m1[4])
@@ -171,10 +166,10 @@ def exponent(log_overlap):
 
 def report(h1, h0):
     """Every score of the pairs (H1, H0), keyed as the fields of MetricReport,
-    and the optimal homodyne direction g as ``direction``."""
+    and the optimal homodyne direction g = sigma1^-1 (mu1 - mu0) as ``direction``."""
     disp, b2 = w2_terms(h0, h1)
     log_f = log_fidelity(h0, h1)
-    g0, g1, snr = homodyne(h1, h0)
+    g0, g1, snr = solve(h1[0] - h0[0], h1[1] - h0[1], *h1[2:])
     return {
         "w2_sq": disp + b2,
         "displacement_term": disp,

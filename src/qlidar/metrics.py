@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import kernel
-from .errors import InvalidParameterError, real
+from .errors import InvalidParameterError
 from .kernel import XI_SATURATION_CAP  # noqa: F401  (re-exported)
 from .states import GaussianState, validate
 
@@ -88,42 +87,6 @@ def xi_qcb(state0: GaussianState, state1: GaussianState) -> float:
     return float(kernel.exponent(s_overlap_minimum(state0, state1)[1]))
 
 
-def homodyne_snr(state_h1: GaussianState, state_h0: GaussianState, theta: float) -> float:
-    """Squared deflection SNR of a homodyne measurement at LO angle theta.
-
-    SNR^2(theta) = |u_theta . (mu1 - mu0)|^2 / V_theta with the projected
-    variance taken under the target-present hypothesis.
-    """
-    theta = real("theta", theta)
-    _checked(state_h1=state_h1, state_h0=state_h0)
-    u = np.array([math.cos(theta), math.sin(theta)])
-    return float(u @ (state_h1.mu - state_h0.mu)) ** 2 / float(u @ state_h1.sigma @ u)
-
-
-class OptimalQuadrature(NamedTuple):
-    theta_opt: float
-    snr_sq_opt: float
-    degenerate: bool
-
-
-def optimal_quadrature(
-    state_h1: GaussianState, state_h0: GaussianState
-) -> OptimalQuadrature:
-    """Quadrature angle maximising the homodyne SNR, with its value.
-
-    By Cauchy-Schwarz the maximum of (u.d)^2 / (u.Sigma.u) over directions is
-    exactly d.Sigma^-1.d, reached at u ~ Sigma^-1 d; both come in closed form
-    with no numerical search.  With no displacement the problem degenerates
-    and the variance-minimising (minor) axis of Sigma_H1 is reported.
-    """
-    h1, h0 = _checked(state_h1=state_h1, state_h0=state_h0)
-    d = state_h1.mu - state_h0.mu
-    degenerate = float(d @ d) == 0.0
-    g0, g1, snr = kernel.homodyne(h1, h0)
-    theta = _angle(state_h1, g0, g1, degenerate)
-    return OptimalQuadrature(theta, 0.0 if degenerate else float(snr), degenerate)
-
-
 def _angle(state_h1: GaussianState, g0: float, g1: float, degenerate: bool) -> float:
     """Angle in [0, pi) of the line along (g0, g1), or along the minor axis of
     Sigma_H1 when ``degenerate``; -0 and pi both fold to 0."""
@@ -150,7 +113,12 @@ class MetricReport:
 
 
 def metric_report(state_h1: GaussianState, state_h0: GaussianState) -> MetricReport:
-    """Evaluate every metric between the target-present and noise states."""
+    """Evaluate every metric between the target-present and noise states.
+
+    The homodyne SNR (u.d)^2 / (u.Sigma_H1.u) peaks at d.Sigma_H1^-1.d, at the
+    LO angle theta_opt of u ~ Sigma_H1^-1 d (Cauchy-Schwarz), with no search.
+    With no displacement it is 0 and theta_opt is the minor axis of Sigma_H1.
+    """
     h0, h1 = _checked(state0=state_h0, state1=state_h1)
     scores = kernel.report(h1, h0)
     theta = _angle(state_h1, *scores.pop("direction"), scores["displacement_term"] == 0.0)

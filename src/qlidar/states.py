@@ -25,6 +25,7 @@ from . import kernel
 from .errors import InvalidParameterError, real
 
 DET_TOLERANCE = 1e-12
+N_TOT_MAX = 1e20  # largest n_tot of a ProbeBudget; its docstring gives the reason
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,12 @@ class ProbeBudget:
     squeezed vacuum, N_disp = (1 - lam) * n_tot into the coherent
     displacement, with lam in [0, 1].  ``displacement_phase`` orients the
     displacement in phase space (0 aligns it with the squeezed quadrature).
+
+    ``n_tot`` is at most ``N_TOT_MAX``.  Through a lossy channel the probe's
+    symplectic eigenvalue nu grows as sqrt(eta (1 - eta) (2 n_th + 1) lam n_tot),
+    and once (nu + 1)^s and (nu - 1)^s round to one float the overlap scores
+    divide by zero: from n_tot (2 n_th + 1) of about 2e29 on.  At the bound
+    every score of :func:`qlidar.allocation.w2_score` is finite for n_th up to 1e8.
     """
 
     n_tot: float
@@ -114,8 +121,8 @@ class ProbeBudget:
     def __post_init__(self):
         for name in ("n_tot", "lam", "displacement_phase"):
             object.__setattr__(self, name, real(name, getattr(self, name)))
-        if self.n_tot < 0:
-            raise InvalidParameterError(f"n_tot must be >= 0, got {self.n_tot}")
+        if not 0.0 <= self.n_tot <= N_TOT_MAX:
+            raise InvalidParameterError(f"n_tot must be in [0, {N_TOT_MAX:g}], got {self.n_tot}")
         if not 0.0 <= self.lam <= 1.0:
             raise InvalidParameterError(f"lam must be in [0, 1], got {self.lam}")
 

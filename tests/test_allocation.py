@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from qlidar import allocation
 from qlidar.channel import ChannelParams
 from qlidar.errors import InvalidParameterError, UndefinedThresholdError
-from qlidar.states import ProbeBudget
+from qlidar.states import N_TOT_MAX, ProbeBudget
 
 
 def straight_line_w2(lam, n_tot, eta, n_th):
@@ -49,23 +51,41 @@ class TestW2Score:
             rep = allocation.w2_score(ProbeBudget(n_tot, lam), ChannelParams(eta=eta, n_th=n_th))
             assert abs(rep.w2_sq - straight_line_w2(lam, n_tot, eta, n_th)) < 1e-10
 
+    def test_finite_at_the_budget_bound(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam, eta, phase, n_th in itertools.product(
+                    np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 6), (0.0, math.pi / 2),
+                    (0.0, 2.0, 1e8)):
+                rep = allocation.w2_score(ProbeBudget(N_TOT_MAX, lam, phase),
+                                          ChannelParams(eta=eta, n_th=n_th))
+                assert all(math.isfinite(v) for v in vars(rep).values())
+
+
+def row_optimum(n_tot, params, lambda_grid):
+    """(lambda_opt, score) of the one-eta-row allocation grid at ``params.eta``."""
+    grid = allocation.allocation_grid(n_tot, params.n_th, [params.eta], lambda_grid)
+    return float(grid.lambda_opt[0]), float(grid.scores[0].max())
+
 
 class TestOptimizeLambda:
+    """The optimal squeezing fraction of one eta row of ``allocation_grid``."""
+
     def test_deep_loss_collapses_classical(self):
-        lam_opt, _ = allocation.optimize_lambda(
+        lam_opt, _ = row_optimum(
             10.0, ChannelParams(eta=0.05, n_th=0.1), allocation.default_lambda_grid(0.01)
         )
         assert lam_opt == 0.0
 
     def test_lossless_prefers_squeezing(self):
-        lam_opt, _ = allocation.optimize_lambda(
+        lam_opt, _ = row_optimum(
             10.0, ChannelParams(eta=1.0, n_th=0.1), allocation.default_lambda_grid(0.01)
         )
         assert lam_opt > 0.0
 
     def test_frozen_brute_force_case(self):
         grid = allocation.default_lambda_grid(0.01)
-        lam_opt, score = allocation.optimize_lambda(10.0, ChannelParams(eta=0.3, n_th=0.1), grid)
+        lam_opt, score = row_optimum(10.0, ChannelParams(eta=0.3, n_th=0.1), grid)
         # brute-force oracle over the same grid, independent formulas
         scores = [straight_line_w2(float(l), 10.0, 0.3, 0.1) for l in grid]
         best = int(np.argmax(scores))
@@ -75,15 +95,8 @@ class TestOptimizeLambda:
     def test_tie_break_determinism(self):
         grid = allocation.default_lambda_grid(0.01)
         params = ChannelParams(eta=0.2, n_th=0.5)
-        results = {allocation.optimize_lambda(5.0, params, grid) for _ in range(3)}
+        results = {row_optimum(5.0, params, grid) for _ in range(3)}
         assert len(results) == 1
-
-    def test_rejects_bad_grid(self):
-        params = ChannelParams(eta=0.5, n_th=0.0)
-        with pytest.raises(InvalidParameterError):
-            allocation.optimize_lambda(5.0, params, np.array([]))
-        with pytest.raises(InvalidParameterError):
-            allocation.optimize_lambda(5.0, params, np.array([0.5, 0.2]))
 
 
 class TestAllocationGrid:
@@ -163,16 +176,16 @@ LAMS = allocation.default_lambda_grid(0.25)
     lambda: allocation.allocation_grid(10.0, -0.1, ETAS, LAMS),
     lambda: allocation.allocation_grid(10.0, 0.1, ETAS, LAMS, eta_det=0.0),
     lambda: allocation.allocation_grid(10.0, 0.1, ETAS, LAMS, eta_det=1.5),
-    lambda: allocation.optimize_lambda(5.0, ChannelParams(eta=0.5, n_th=0.1), np.array([1.2])),
-    lambda: allocation.optimize_lambda(5.0, ChannelParams(eta=0.5, n_th=0.1), np.array([NAN])),
-    lambda: allocation.optimize_lambda(-1.0, ChannelParams(eta=0.5, n_th=0.1), LAMS),
+    lambda: allocation.allocation_grid(2.0 * N_TOT_MAX, 0.1, ETAS, LAMS),
+    lambda: allocation.allocation_grid(math.inf, 0.1, ETAS, LAMS),
+    lambda: allocation.allocation_grid(10.0, NAN, ETAS, LAMS),
     lambda: allocation.allocation_grid(10.0, 0.1, ETAS, LAMS[::-1]),
     lambda: allocation.allocation_grid(10.0, 0.1, ETAS[::-1], LAMS),
     lambda: allocation.allocation_grid(10.0, 0.1, ETAS, np.array([])),
     lambda: allocation.allocation_grid(10.0, 0.1, np.array([]), LAMS),
     lambda: allocation.allocation_grid(10.0, 0.1, np.array([0.5, 0.5]), LAMS),
-    lambda: allocation.optimize_lambda(5.0, ChannelParams(eta=0.5, n_th=0.1), LAMS[::-1]),
-    lambda: allocation.optimize_lambda(5.0, ChannelParams(eta=0.5, n_th=0.1), np.array([])),
+    lambda: allocation.allocation_grid(10.0, 0.1, ETAS, LAMS, eta_det=NAN),
+    lambda: allocation.gradient_diagnostics(2.0 * N_TOT_MAX, ChannelParams(eta=0.5, n_th=0.1)),
     lambda: allocation.default_eta_grid(0.0),
     lambda: allocation.default_eta_grid(-0.1),
     lambda: allocation.default_lambda_grid(NAN),
@@ -196,7 +209,6 @@ NOISY = ChannelParams(eta=0.5, n_th=0.1, v_el=0.2)
 
 @pytest.mark.parametrize("call", [
     lambda: allocation.w2_score(ProbeBudget(10.0, 0.5), NOISY),
-    lambda: allocation.optimize_lambda(10.0, NOISY, LAMS),
     lambda: allocation.gradient_diagnostics(10.0, NOISY),
 ])
 def test_electronic_noise_is_rejected_not_ignored(call):

@@ -336,6 +336,14 @@ class TestMetricsCommand:
         assert abs(float(values["w2_sq"]) - float(row[1])) < 1e-10
         assert abs(float(values["xi_qbb"]) - float(row[2])) < 1e-10
 
+    def test_budget_above_bound_is_parameter_error(self, tmp_path):
+        result = run_cli("metrics", "--budget", "1e300,0.5", "--out", str(tmp_path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        manifest = read_manifest(tmp_path / "metrics_manifest.txt")
+        assert manifest["status"] == "error"
+        assert "n_tot" in manifest["error"]
+
     def test_parse_error_names_field(self, tmp_path):
         result = run_cli("metrics", "--state0", "0,0,1,x,1", "--state1", "0,0,1,0,1",
                          "--out", str(tmp_path))

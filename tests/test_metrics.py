@@ -22,6 +22,13 @@ THERMAL_1 = thermal_state(1.0)
 THERMAL_2 = thermal_state(2.0)
 
 
+def snr_at_angles(h1: GaussianState, h0: GaussianState, thetas) -> np.ndarray:
+    """Squared homodyne SNR (u.d)^2 / (u.sigma1.u) at each LO angle, u = (cos, sin)
+    and d = mu1 - mu0 (independent reference: a brute-force scan, no library calls)."""
+    u = np.stack([np.cos(thetas), np.sin(thetas)])
+    return ((h1.mu - h0.mu) @ u) ** 2 / np.einsum("ij,ik,kj->j", u, h1.sigma, u)
+
+
 def _bures_sq_eig(sigma0: np.ndarray, sigma1: np.ndarray) -> float:
     """Eigendecomposition route for the Bures distance (independent reference)."""
     w, v = np.linalg.eigh(sigma0)
@@ -66,8 +73,8 @@ def test_scalar_api_names_the_unphysical_state():
     bad = GaussianState([0, 0], np.diag([0.5, 0.5]))
     with pytest.raises(InvalidParameterError, match="^state1 is unphysical: det"):
         metrics.w2_sq(VACUUM, bad)
-    with pytest.raises(InvalidParameterError, match="^state_h0 is unphysical: det"):
-        metrics.homodyne_snr(VACUUM, bad, 0.0)
+    with pytest.raises(InvalidParameterError, match="^state0 is unphysical: det"):
+        metrics.metric_report(VACUUM, bad)
 
 
 class TestW2:
@@ -239,71 +246,69 @@ class TestXiQcb:
 
 
 class TestHomodyneSnr:
+    """The test-local scan at fixed angles against ``metric_report``'s optimum."""
+
     def test_aligned(self):
         h1 = GaussianState([2.0, 0.0], np.eye(2))
-        assert abs(metrics.homodyne_snr(h1, VACUUM, 0.0) - 4.0) < 1e-12
+        rep = metrics.metric_report(h1, VACUUM)
+        assert abs(snr_at_angles(h1, VACUUM, [0.0])[0] - 4.0) < 1e-12
+        assert abs(rep.snr_sq_opt - 4.0) < 1e-12 and rep.theta_opt == 0.0
 
     def test_orthogonal(self):
         h1 = GaussianState([2.0, 0.0], np.eye(2))
-        assert metrics.homodyne_snr(h1, VACUUM, math.pi / 2) < 1e-12
+        rep = metrics.metric_report(h1, VACUUM)
+        assert snr_at_angles(h1, VACUUM, [rep.theta_opt + math.pi / 2])[0] < 1e-12
 
     def test_squeezing_boost(self):
         h1 = GaussianState([2.0, 0.0], np.diag([0.25, 4.0]))
-        assert abs(metrics.homodyne_snr(h1, VACUUM, 0.0) - 16.0) < 1e-12
-
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, "0.5"])
-    def test_rejects_non_real_angle(self, bad):
-        h1 = GaussianState([2.0, 0.0], np.eye(2))
-        with pytest.raises(InvalidParameterError, match="^theta must be a finite real"):
-            metrics.homodyne_snr(h1, VACUUM, bad)
+        rep = metrics.metric_report(h1, VACUUM)
+        assert abs(snr_at_angles(h1, VACUUM, [0.0])[0] - 16.0) < 1e-12
+        assert abs(rep.snr_sq_opt - 16.0) < 1e-12 and rep.theta_opt == 0.0
 
 
-class TestOptimalQuadrature:
+class TestOptimalAngle:
     def test_aligned_case(self):
         # a tiny negative mu_p puts atan2 just below 0, which mod pi rounds to pi
         for mu, variances, snr in (([2.0, 0.0], [0.25, 4.0], 16.0),
                                    ([1.0, -1e-20], [2.0, 3.0], 0.5),
                                    ([1.0, 1e-20], [2.0, 3.0], 0.5)):
-            quad = metrics.optimal_quadrature(GaussianState(mu, np.diag(variances)), VACUUM)
-            assert 0.0 <= quad.theta_opt < math.pi
-            assert abs(quad.theta_opt - 0.0) < 1e-15
-            assert abs(quad.snr_sq_opt - snr) < 1e-9
-            assert not quad.degenerate
+            rep = metrics.metric_report(GaussianState(mu, np.diag(variances)), VACUUM)
+            assert 0.0 <= rep.theta_opt < math.pi
+            assert abs(rep.theta_opt - 0.0) < 1e-15
+            assert abs(rep.snr_sq_opt - snr) < 1e-9
+            assert rep.displacement_term > 0.0
 
     def test_no_displacement_degenerate(self):
         tilted = [GaussianState([0.0, 0.0], [[1.0, b], [b, 4.0]]) for b in (-1e-12, 1e-12)]
         for h1 in [squeezed_vacuum(0.7), *tilted]:
-            quad = metrics.optimal_quadrature(h1, VACUUM)
-            assert quad.degenerate
-            assert quad.snr_sq_opt == 0.0
-            assert 0.0 <= quad.theta_opt < math.pi
+            rep = metrics.metric_report(h1, VACUUM)
+            assert rep.displacement_term == 0.0
+            assert rep.snr_sq_opt == 0.0
+            assert 0.0 <= rep.theta_opt < math.pi
             # variance-minimising direction is the squeezed (first) axis
-            assert min(quad.theta_opt, math.pi - quad.theta_opt) < 1e-9
+            assert min(rep.theta_opt, math.pi - rep.theta_opt) < 1e-9
 
     def test_rotated_vs_grid(self):
         from qlidar.states import rotation_matrix
 
         rot = rotation_matrix(math.pi / 6)
         h1 = GaussianState([2.0, 0.0], rot @ np.diag([0.25, 4.0]) @ rot.T)
-        quad = metrics.optimal_quadrature(h1, VACUUM)
+        rep = metrics.metric_report(h1, VACUUM)
         thetas = np.linspace(0.0, math.pi, 100_000, endpoint=False)
-        u = np.stack([np.cos(thetas), np.sin(thetas)])
-        num = (h1.mu @ u) ** 2
-        var = np.einsum("ij,ik,kj->j", u, h1.sigma, u)
-        grid_max = float(np.max(num / var))
-        assert quad.snr_sq_opt >= grid_max - 1e-6 * grid_max
-        assert abs(quad.snr_sq_opt - grid_max) < 1e-6 * grid_max
+        grid_max = float(np.max(snr_at_angles(h1, VACUUM, thetas)))
+        assert rep.snr_sq_opt >= grid_max - 1e-6 * grid_max
+        assert abs(rep.snr_sq_opt - grid_max) < 1e-6 * grid_max
 
     def test_dominates_sampled_angles(self):
         rng = np.random.default_rng(59)
+        thetas = np.linspace(0, math.pi, 360, endpoint=False)
         for _ in range(20):
             h1 = random_physical_state(rng)
             h0 = random_physical_state(rng)
-            quad = metrics.optimal_quadrature(h1, h0)
-            at_opt = metrics.homodyne_snr(h1, h0, quad.theta_opt)
-            assert abs(at_opt - quad.snr_sq_opt) <= 1e-12 * quad.snr_sq_opt
-            for theta in np.linspace(0, math.pi, 360, endpoint=False):
-                assert quad.snr_sq_opt >= metrics.homodyne_snr(h1, h0, float(theta)) - 1e-9
+            rep = metrics.metric_report(h1, h0)
+            at_opt = snr_at_angles(h1, h0, [rep.theta_opt])[0]
+            assert abs(at_opt - rep.snr_sq_opt) <= 1e-12 * rep.snr_sq_opt
+            assert np.all(rep.snr_sq_opt >= snr_at_angles(h1, h0, thetas) - 1e-9)
 
 
 class TestRotationInvariance:
@@ -339,4 +344,3 @@ def test_metric_report_consistency():
     assert 0.0 <= rep.fidelity <= 1.0 + 1e-12
     assert abs(rep.w2_sq - metrics.w2_sq(env, out)[0]) < 1e-12
     assert abs(rep.xi_qbb - metrics.xi_qbb(env, out)) < 1e-12
-    assert abs(rep.snr_sq_opt - metrics.optimal_quadrature(out, env).snr_sq_opt) < 1e-12

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from qlidar import kernel
 from qlidar.errors import InvalidParameterError
 from qlidar.states import (
+    N_TOT_MAX,
     GaussianState,
     ProbeBudget,
     probe_from_budget,
@@ -129,6 +130,11 @@ class TestProbeFromBudget:
     def test_budget_rejects(self, kwargs):
         with pytest.raises(InvalidParameterError):
             ProbeBudget(**kwargs)
+
+    def test_budget_bound(self):
+        assert ProbeBudget(N_TOT_MAX, 0.5).n_tot == N_TOT_MAX
+        with pytest.raises(InvalidParameterError, match="^n_tot must be in"):
+            ProbeBudget(np.nextafter(N_TOT_MAX, math.inf), 0.5)
 
     def test_budget_stores_numpy_scalars_as_floats(self):
         budget = ProbeBudget(np.int64(10), np.float32(0.5))
