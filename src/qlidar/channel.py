@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import kernel
 from .errors import InvalidParameterError, SingularityError, real
-from .states import GaussianState, validate
+from .states import GaussianState, _occupation, validate
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class ChannelParams:
             raise InvalidParameterError(f"eta must be in [0, 1], got {self.eta}")
         if not 0.0 < self.eta_det <= 1.0:
             raise InvalidParameterError(f"eta_det must be in (0, 1], got {self.eta_det}")
-        if self.n_th < 0:
-            raise InvalidParameterError(f"n_th must be >= 0, got {self.n_th}")
+        _occupation("n_th", self.n_th)
         if self.v_el < 0:
             raise InvalidParameterError(f"v_el must be >= 0, got {self.v_el}")
 
@@ -60,7 +59,9 @@ def effective_noise(params: ChannelParams) -> float:
     n_eff = n_th + v_el / (2 * (1 - eta_eff)).  Equals n_th exactly when
     v_el = 0.  A lossless channel with v_el > 0 has no finite equivalent and
     raises :class:`SingularityError`; that case has to be treated on its own.
+    n_eff is bounded by ``N_TH_MAX`` like any thermal occupation.
     """
     if params.v_el > 0.0 and params.eta_eff >= 1.0:
         raise SingularityError("effective noise diverges at unit transmissivity with v_el > 0")
-    return kernel.effective_noise(params.n_th, params.v_el, params.eta_eff)
+    return _occupation("n_th with v_el folded in",
+                       kernel.effective_noise(params.n_th, params.v_el, params.eta_eff))

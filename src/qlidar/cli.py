@@ -8,13 +8,22 @@ threshold (quantum-advantage threshold evaluation).
 
 Each subcommand declares its parameters and their defaults once, in
 ``_SUBCOMMANDS``; its parser takes only those flags.  Every run resolves
-them as flags > config file > built-in defaults, writes UTF-8 CSV files
-with LF line endings and 12 significant digits, and leaves a flat
-key = value manifest next to them, also on failure once the command line
-has parsed; a command line the parser rejects (a flag the subcommand does
-not read, a value of the wrong type) exits 2 with a usage message and
-leaves no manifest.  Exit codes: 0 success, 2 parameter error, 3 I/O
-error.
+them as flags > config file > built-in defaults.  A subcommand computes
+and returns its tables, ``{csv file name: (header, columns)}``, and writes
+nothing; ``main`` then writes them as UTF-8 CSV files with LF line endings
+and 12 significant digits, and leaves a flat key = value manifest next to
+them, also on failure once the command line has parsed.  Three rules
+follow:
+
+* a run that exits non-zero writes no CSV, unless an I/O error strikes
+  while writing: the files before it stay and are listed;
+* the manifest lists exactly the files written, as ``output_<i>``;
+* its parameter section is every resolved value that is not unset, and a
+  subcommand adds only what it derives.
+
+A command line the parser rejects (a flag the subcommand does not read, a
+value of the wrong type) exits 2 with a usage message and leaves no
+manifest.  Exit codes: 0 success, 2 parameter error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -115,14 +124,14 @@ def _parse_state(text: str, name: str) -> GaussianState:
     return GaussianState.from_moments(values)
 
 
-def cmd_benchmark(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
+def cmd_benchmark(p: dict, manifest: dict) -> dict:
     n_tot, n_th, lam, eta_det, v_el = p["n_tot"], p["n_th"], p["lam"], p["eta_det"], p["v_el"]
     etas = np.linspace(0.001, 1.0, 200) if p["eta"] is None else np.array([p["eta"]])
-    manifest.update({k: v for k, v in p.items() if v is not None})
     manifest["eta_sweep"] = "single" if p["eta"] is not None else "0.001:1:200"
 
     # validate once at the largest eta, which also raises the SingularityError
-    # of v_el > 0 at unit eta_eff, then score every eta in one kernel call
+    # of v_el > 0 at unit eta_eff and bounds the folded noise where it is largest,
+    # then score every eta in one kernel call
     effective_noise(ChannelParams(eta=etas.max(), n_th=n_th, eta_det=eta_det, v_el=v_el))
     ProbeBudget(n_tot, lam)
     eta_eff = etas * eta_det
@@ -130,109 +139,79 @@ def cmd_benchmark(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
     h1 = kernel.channel(kernel.probe(lam, n_tot), eta_eff, n_eff)
     scores = kernel.report(h1, kernel.thermal(n_eff))
     columns = ("w2_sq", "xi_qbb", "xi_qbb_proxy", "xi_qcb", "snr_sq_opt")
-    path = out_dir / "benchmark.csv"
-    _write_csv(path, ["eta", "w2_sq", "xi_qbb_overlap", "xi_qbb_proxy", "xi_qcb", "snr_sq_opt"],
-               [etas, *(scores[c] for c in columns)])
-    return [path]
+    return {"benchmark.csv": (
+        ["eta", "w2_sq", "xi_qbb_overlap", "xi_qbb_proxy", "xi_qcb", "snr_sq_opt"],
+        [etas, *(scores[c] for c in columns)])}
 
 
 def _grids(step: float):
     return allocation.default_eta_grid(step), allocation.default_lambda_grid(step)
 
 
-def _write_lambda_opt(path: Path, grid: allocation.AllocationGrid) -> str:
-    """Write the optimal-fraction curve of ``grid``; return its empirical
-    transition eta as the manifest records it."""
-    _write_csv(path, ["eta", "lambda_opt"], [grid.eta_grid, grid.lambda_opt])
+def _lambda_opt(grid: allocation.AllocationGrid) -> tuple:
+    """The optimal-fraction table of ``grid``, and its empirical transition
+    eta as the manifest records it."""
     found = allocation.transition_eta(grid)
-    return "none" if found is None else _fmt(found)
+    table = (["eta", "lambda_opt"], [grid.eta_grid, grid.lambda_opt])
+    return table, "none" if found is None else _fmt(found)
 
 
-def cmd_heatmap(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
+def cmd_heatmap(p: dict, manifest: dict) -> dict:
     n_tot, n_th = p["n_tot"], p["n_th"]
-    manifest.update(p)
-
     eta_grid, lambda_grid = _grids(p["grid_step"])
     grid = allocation.allocation_grid(n_tot, n_th, eta_grid, lambda_grid,
                                       eta_det=p["eta_det"], workers=p["workers"])
-    etas, lams = np.meshgrid(grid.eta_grid, grid.lambda_grid, indexing="ij")
-    scores_path = out_dir / "heatmap_scores.csv"
-    opt_path = out_dir / "heatmap_lambda_opt.csv"
-    _write_csv(scores_path, ["eta", "lambda", "w2_sq"],
-               [etas.ravel(), lams.ravel(), grid.scores.ravel()])
-    found = _write_lambda_opt(opt_path, grid)
     # n_tot = 0 has no threshold: that error leaves the transition out of the manifest
     eta_c = allocation.eta_critical(n_tot, n_th)
-    manifest["transition_eta_empirical"] = found
+    opt, manifest["transition_eta_empirical"] = _lambda_opt(grid)
     manifest["eta_critical_analytic"] = _fmt(eta_c)
     manifest["eta_critical_reachable"] = str(eta_c <= 1.0).lower()
-    return [scores_path, opt_path]
+    etas, lams = np.meshgrid(grid.eta_grid, grid.lambda_grid, indexing="ij")
+    return {"heatmap_scores.csv": (["eta", "lambda", "w2_sq"],
+                                   [etas.ravel(), lams.ravel(), grid.scores.ravel()]),
+            "heatmap_lambda_opt.csv": opt}
 
 
-def cmd_parametric(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
+def cmd_parametric(p: dict, manifest: dict) -> dict:
     if (p["n_tot"] is None) != (p["n_th"] is None):
         raise InvalidParameterError("give both --n-tot and --n-th to select one scenario")
     scenarios = PARAMETRIC_SCENARIOS if p["n_tot"] is None else ((p["n_tot"], p["n_th"]),)
-    manifest.update({k: p[k] for k in ("eta_det", "grid_step", "workers")})
     manifest["scenarios"] = ";".join(f"{_fmt(n)}:{_fmt(t)}" for n, t in scenarios)
 
     eta_grid, lambda_grid = _grids(p["grid_step"])
-    paths = []
+    tables = {}
     for n, t in scenarios:
         grid = allocation.allocation_grid(n, t, eta_grid, lambda_grid,
                                           eta_det=p["eta_det"], workers=p["workers"])
-        path = out_dir / f"parametric_ntot{_fmt(n)}_nth{_fmt(t)}.csv"
-        manifest[f"transition_eta_ntot{_fmt(n)}_nth{_fmt(t)}"] = _write_lambda_opt(path, grid)
-        paths.append(path)
-    return paths
+        name = f"ntot{_fmt(n)}_nth{_fmt(t)}"
+        tables[f"parametric_{name}.csv"], manifest[f"transition_eta_{name}"] = _lambda_opt(grid)
+    return tables
 
 
-def cmd_fading(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
-    manifest.update(p)
+def cmd_fading(p: dict, manifest: dict) -> dict:
     config = fading.FadingConfig(alpha=p["alpha"], beta=p["beta"], n_realizations=p["realizations"],
                                  seed=p["seed"], probe=ProbeBudget(p["n_tot"], p["lam"]),
                                  n_th=p["n_th"])
     ensemble = fading.run_ensemble(config, workers=p["workers"])
-    real_path = out_dir / "fading_realizations.csv"
-    _write_csv(real_path, ["realization", "eta", "w2_sq", "xi_qbb"],
-               [np.arange(ensemble.etas.size), ensemble.etas, ensemble.w2_sq, ensemble.xi_qbb])
-    paths = [real_path]
-    for key in ("eta", "w2_sq", "xi_qbb"):
-        hist = ensemble.histograms[key]
-        path = out_dir / f"fading_hist_{key}.csv"
-        _write_csv(path, ["bin_left", "bin_right", "density"],
-                   [hist.edges[:-1], hist.edges[1:], hist.density])
-        paths.append(path)
-
-    s = ensemble.summary
-    if s.iqr_over_median_xi_qbb > 0.0:
-        contrast = s.iqr_over_median_w2_sq / s.iqr_over_median_xi_qbb
-    else:
-        contrast = float("nan")
-    manifest.update({
-        "mean_eta": _fmt(s.mean_eta),
-        "var_eta": _fmt(s.var_eta),
-        "mean_w2_sq": _fmt(s.mean_w2_sq),
-        "mean_xi_qbb": _fmt(s.mean_xi_qbb),
-        "cv_w2_sq": _fmt(s.cv_w2_sq),
-        "cv_xi_qbb": _fmt(s.cv_xi_qbb),
-        "pearson_w2_eta": _fmt(s.pearson_w2_eta),
-        "iqr_over_median_w2_sq": _fmt(s.iqr_over_median_w2_sq),
-        "iqr_over_median_xi_qbb": _fmt(s.iqr_over_median_xi_qbb),
-        "contrast_iqr_median": _fmt(contrast),
-        "saturated_count": s.saturated_count,
-    })
+    manifest.update({k: _fmt(v) for k, v in dataclasses.asdict(ensemble.summary).items()})
     sel = fading.post_select(ensemble, metric="w2", quantile=0.9)
     manifest["postselect_w2_q90_mean_eta"] = _fmt(sel.mean_eta_selected)
     manifest["postselect_w2_q90_efficiency"] = _fmt(sel.efficiency)
-    return paths
+
+    tables = {"fading_realizations.csv": (
+        ["realization", "eta", "w2_sq", "xi_qbb"],
+        [np.arange(ensemble.etas.size), ensemble.etas, ensemble.w2_sq, ensemble.xi_qbb])}
+    for key, hist in ensemble.histograms.items():
+        tables[f"fading_hist_{key}.csv"] = (["bin_left", "bin_right", "density"],
+                                            [hist.edges[:-1], hist.edges[1:], hist.density])
+    return tables
 
 
 # channel of the metrics --budget shorthand; unused with an explicit state pair
 _BUDGET_CHANNEL = {"eta": 1.0, "n_th": 0.0, "eta_det": 1.0, "v_el": 0.0}
 
 
-def cmd_metrics(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
+def cmd_metrics(p: dict, manifest: dict) -> dict:
     if p["state0"] is not None or p["state1"] is not None:
         if p["state0"] is None or p["state1"] is None:
             raise InvalidParameterError("give both --state0 and --state1")
@@ -240,9 +219,7 @@ def cmd_metrics(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
         if unused:
             raise InvalidParameterError(f"{', '.join(unused)} apply only with --budget")
         state_h0 = _parse_state(p["state0"], "state0")
-        state_h1 = _parse_state(p["state1"], "state1")
-        manifest.update({"state0": p["state0"], "state1": p["state1"]})
-        rep = metrics.metric_report(state_h1, state_h0)
+        rep = metrics.metric_report(_parse_state(p["state1"], "state1"), state_h0)
     elif p["budget"] is not None:
         parts = [part.strip() for part in p["budget"].split(",")]
         if len(parts) not in (2, 3):
@@ -264,10 +241,10 @@ def cmd_metrics(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
     for key, value in dataclasses.asdict(rep).items():
         print(f"{key} = {_fmt(value)}")
         manifest[key] = _fmt(value)
-    return []
+    return {}
 
 
-def cmd_threshold(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
+def cmd_threshold(p: dict, manifest: dict) -> dict:
     n_tot, n_th = p["n_tot"], p["n_th"]
     # checked before any output; eta = 1 stands in where --eta is not read
     params = ChannelParams(eta=1.0 if p["eta"] is None else p["eta"], n_th=n_th,
@@ -275,9 +252,9 @@ def cmd_threshold(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
     imperfect = params.v_el > 0.0 or params.eta_det < 1.0
     if (p["eta"] is not None) != imperfect:
         raise InvalidParameterError("--eta is needed with --eta-det < 1 or --v-el > 0, and only then")
-    manifest.update({k: v for k, v in p.items() if v is not None})
 
     eta_c = allocation.eta_critical(n_tot, n_th)
+    eta_c_eff = allocation.eta_critical_effective(n_tot, params) if imperfect else None
     reachable = eta_c <= 1.0
     print(f"eta_critical = {_fmt(eta_c)}")
     print(f"reachable = {str(reachable).lower()}")
@@ -287,12 +264,11 @@ def cmd_threshold(p: dict, out_dir: Path, manifest: dict) -> list[Path]:
         print("no quantum regime at any transmissivity")
 
     if imperfect:
-        eta_c_eff = allocation.eta_critical_effective(n_tot, params)
         print(f"eta_critical_effective = {_fmt(eta_c_eff)}")
         print(f"eta_effective = {_fmt(params.eta_eff)}")
         manifest["eta_critical_effective"] = _fmt(eta_c_eff)
         manifest["eta_effective"] = _fmt(params.eta_eff)
-    return []
+    return {}
 
 
 # key -> (flag, type, help); the key doubles as config-file and manifest key
@@ -377,7 +353,11 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
         params = _resolve(args, _SUBCOMMANDS[command][1])
-        outputs = _COMMANDS[command](params, out_dir, manifest)
+        manifest.update({k: v for k, v in params.items() if v is not None})
+        tables = _COMMANDS[command](params, manifest)
+        for name, (header, columns) in tables.items():
+            _write_csv(out_dir / name, header, columns)
+            outputs.append(out_dir / name)
         manifest["status"] = "ok"
     except InvalidParameterError as exc:
         manifest["error"] = str(exc)

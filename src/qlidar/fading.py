@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernel
 from .errors import InvalidParameterError, integer, real
-from .states import ProbeBudget
+from .states import ProbeBudget, _occupation
 
 DEFAULT_SEED = 20250614
 MIN_SHAPE = 1e-3  # redraws grow steeply below: 1e4 draws take 0.2 s here, 12 s at 1e-4
@@ -45,8 +45,7 @@ class FadingConfig:
         for name in ("alpha", "beta"):
             if (value := getattr(self, name)) < MIN_SHAPE:
                 raise InvalidParameterError(f"{name} must be >= {MIN_SHAPE:g}, got {value}")
-        if self.n_th < 0:
-            raise InvalidParameterError(f"n_th must be >= 0, got {self.n_th}")
+        _occupation("n_th", self.n_th)
 
 
 # numpy SeedSequence constants: hashmix multiplier chain A, generate_state chain B
@@ -147,12 +146,13 @@ class FadingSummary:
     mean_eta: float
     var_eta: float
     mean_w2_sq: float
-    cv_w2_sq: float
     mean_xi_qbb: float
+    cv_w2_sq: float
     cv_xi_qbb: float
     pearson_w2_eta: float
     iqr_over_median_w2_sq: float
     iqr_over_median_xi_qbb: float
+    contrast_iqr_median: float  # W2 over xi IQR/median; NaN unless the xi one is > 0
     saturated_count: int
 
 
@@ -204,16 +204,18 @@ def run_ensemble(config: FadingConfig, workers: int = 1) -> FadingEnsemble:
         pearson = float(np.corrcoef(w2, etas)[0, 1])
     else:
         pearson = math.nan
+    iqr_w2, iqr_xi = _iqr_over_median(w2), _iqr_over_median(xi)
     summary = FadingSummary(
         mean_eta=float(np.mean(etas)),
         var_eta=float(np.var(etas)),
         mean_w2_sq=float(np.mean(w2)),
-        cv_w2_sq=float(np.std(w2) / np.mean(w2)) if np.mean(w2) != 0 else math.nan,
         mean_xi_qbb=float(np.mean(xi)),
+        cv_w2_sq=float(np.std(w2) / np.mean(w2)) if np.mean(w2) != 0 else math.nan,
         cv_xi_qbb=float(np.std(xi) / np.mean(xi)) if np.mean(xi) != 0 else math.nan,
         pearson_w2_eta=pearson,
-        iqr_over_median_w2_sq=_iqr_over_median(w2),
-        iqr_over_median_xi_qbb=_iqr_over_median(xi),
+        iqr_over_median_w2_sq=iqr_w2,
+        iqr_over_median_xi_qbb=iqr_xi,
+        contrast_iqr_median=iqr_w2 / iqr_xi if iqr_xi > 0.0 else math.nan,
         saturated_count=saturated,
     )
     histograms = {

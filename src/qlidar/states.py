@@ -26,6 +26,17 @@ from .errors import InvalidParameterError, real
 
 DET_TOLERANCE = 1e-12
 N_TOT_MAX = 1e20  # largest n_tot of a ProbeBudget; its docstring gives the reason
+# Largest thermal occupation: nu = 2 n_th + 1 enters the s-overlap as (nu + 1)^s -
+# (nu - 1)^s, which cancels as nu grows (a unit-budget probe's xi_qbb is 7% off at
+# n_th = 1e14 and divides by zero at 1e15); every w2_score is checked finite up to 1e8.
+N_TH_MAX = 1e8
+
+
+def _occupation(name: str, value) -> float:
+    """``value`` as a float if it is a real thermal occupation in [0, ``N_TH_MAX``]."""
+    if not 0.0 <= (value := real(name, value)) <= N_TH_MAX:
+        raise InvalidParameterError(f"{name} must be in [0, {N_TH_MAX:g}], got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -136,9 +147,7 @@ def squeezed_vacuum(r: float) -> GaussianState:
 
 def thermal_state(n_th: float) -> GaussianState:
     """Thermal state with sigma = (2*n_th + 1) * I and zero mean."""
-    if (n_th := real("thermal occupation", n_th)) < 0:
-        raise InvalidParameterError(f"thermal occupation must be >= 0, got {n_th}")
-    return GaussianState.from_moments(kernel.thermal(n_th))
+    return GaussianState.from_moments(kernel.thermal(_occupation("thermal occupation", n_th)))
 
 
 def probe_from_budget(budget: ProbeBudget) -> GaussianState:

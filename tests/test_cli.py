@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 import re
 import shlex
@@ -92,6 +93,45 @@ class TestCsvWriter:
             (tmp_path / "cells.csv").read_bytes()
 
 
+class TestOutputContract:
+    """What a run writes is decided in ``main``: the manifest lists exactly the
+    CSV files on disk, and a run that exits non-zero writes none."""
+
+    @pytest.mark.parametrize("argv", [
+        ("benchmark",),
+        ("heatmap", "--grid-step", "0.25"),
+        ("parametric", "--grid-step", "0.25"),
+        ("fading", "--realizations", "40"),
+        ("metrics", "--budget", "5,0.5"),
+        ("threshold",),
+    ])
+    def test_manifest_lists_exactly_the_files_written(self, argv, tmp_path):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        manifest = read_manifest(tmp_path / f"{argv[0]}_manifest.txt")
+        listed = [v for k, v in manifest.items() if k.startswith("output_")]
+        assert sorted(listed) == sorted(str(p) for p in tmp_path.glob("*.csv"))
+        assert len(listed) == {"benchmark": 1, "heatmap": 2, "fading": 4,
+                               "parametric": len(cli.PARAMETRIC_SCENARIOS)}.get(argv[0], 0)
+
+    def test_failing_run_writes_no_csv(self, tmp_path):
+        # the heatmap grid computes, then n_tot = 0 has no threshold
+        assert cli.main(["heatmap", "--n-tot", "0", "--out", str(tmp_path)]) == 2
+        manifest = read_manifest(tmp_path / "heatmap_manifest.txt")
+        assert manifest["status"] == "error"
+        assert not list(tmp_path.glob("*.csv"))
+        assert not [k for k in manifest if k.startswith("output_")]
+        assert "transition_eta_empirical" not in manifest
+
+    def test_fading_summary_section_is_the_summary_type(self, tmp_path):
+        argv = ["fading", "--realizations", "40"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        keys = list(read_manifest(tmp_path / "fading_manifest.txt"))
+        last_parameter = list(cli._SUBCOMMANDS["fading"][1])[-1]
+        section = keys[keys.index(last_parameter) + 1:keys.index("duration_s")]
+        assert [k for k in section if not k.startswith("postselect_")] == \
+            [f.name for f in dataclasses.fields(fading.FadingSummary)]
+
+
 class ProcessPoolStarted(RuntimeError):
     pass
 
@@ -178,6 +218,14 @@ class TestBenchmark:
                 rep = metrics.metric_report(out, thermal_state(n_eff))
                 values = (eta, rep.w2_sq, rep.xi_qbb, rep.xi_qbb_proxy, rep.xi_qcb, rep.snr_sq_opt)
                 assert line == ",".join(format(float(v), ".12g") for v in values)
+
+    def test_folded_noise_above_bound_is_parameter_error(self, tmp_path):
+        # n_eff = n_th + v_el / (2 (1 - eta_eff)) is about 5e9 at the sweep's last eta
+        result = run_cli("benchmark", "--eta-det", "0.9999999999", "--v-el", "1",
+                         "--out", str(tmp_path))
+        assert result.returncode == 2
+        assert "n_th" in read_manifest(tmp_path / "benchmark_manifest.txt")["error"]
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_deterministic_rerun(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
@@ -344,6 +392,14 @@ class TestMetricsCommand:
         assert manifest["status"] == "error"
         assert "n_tot" in manifest["error"]
 
+    def test_thermal_occupation_above_bound_is_parameter_error(self, tmp_path):
+        # at n_th = 1e15 the overlap scores divide by zero; the bound stops it first
+        result = run_cli("metrics", "--budget", "1,0.5", "--eta", "0.5", "--n-th", "1e15",
+                         "--out", str(tmp_path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "n_th" in read_manifest(tmp_path / "metrics_manifest.txt")["error"]
+
     def test_parse_error_names_field(self, tmp_path):
         result = run_cli("metrics", "--state0", "0,0,1,x,1", "--state1", "0,0,1,0,1",
                          "--out", str(tmp_path))
@@ -414,6 +470,8 @@ class TestThreshold:
     @pytest.mark.parametrize("argv,named", [
         (("--eta-det", "1.5", "--eta", "0.3"), "eta_det must be in (0, 1]"),
         (("--v-el", "0.1"), "--eta is needed"),
+        (("--v-el", "0.1", "--eta", "1"), "diverges at unit transmissivity"),
+        (("--v-el", "1e9", "--eta", "0.5"), "n_th with v_el folded in must be in"),
     ])
     def test_channel_is_checked_before_any_output(self, argv, named, tmp_path):
         result = run_cli("threshold", *argv, "--out", str(tmp_path))
@@ -435,7 +493,7 @@ class TestErrorHandling:
         assert result.returncode == 3
 
     def test_unhandled_exception_is_recorded_then_raised(self, monkeypatch, tmp_path):
-        def broken(p, out_dir, manifest):
+        def broken(p, manifest):
             raise RuntimeError("boom")
 
         monkeypatch.setitem(cli._COMMANDS, "threshold", broken)

@@ -192,6 +192,7 @@ class TestRunEnsemble:
         assert abs(s.pearson_w2_eta - 0.9952927569034875) < 1e-12
         assert abs(s.iqr_over_median_w2_sq - 0.9537498113764454) < 1e-12
         assert abs(s.iqr_over_median_xi_qbb - 1.044657936383426) < 1e-12
+        assert s.contrast_iqr_median == s.iqr_over_median_w2_sq / s.iqr_over_median_xi_qbb
         assert s.saturated_count == 0
 
     def test_histograms_normalized(self):

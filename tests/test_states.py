@@ -5,8 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qlidar import kernel
+from qlidar.channel import ChannelParams
 from qlidar.errors import InvalidParameterError
+from qlidar.fading import FadingConfig
 from qlidar.states import (
+    N_TH_MAX,
     N_TOT_MAX,
     GaussianState,
     ProbeBudget,
@@ -60,6 +63,17 @@ class TestThermalState:
     def test_rejects_non_real(self, bad):
         with pytest.raises(InvalidParameterError, match="must be a finite real"):
             thermal_state(bad)
+
+    @pytest.mark.parametrize("build,name", [
+        (thermal_state, "thermal occupation"),
+        (lambda n_th: ChannelParams(eta=0.5, n_th=n_th).n_th, "n_th"),
+        (lambda n_th: FadingConfig(n_th=n_th).n_th, "n_th"),
+    ])
+    def test_one_occupation_bound(self, build, name):
+        # every holder of a thermal occupation takes N_TH_MAX and rejects the next float
+        build(N_TH_MAX)
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be in \\[0, 1e\\+08\\]"):
+            build(np.nextafter(N_TH_MAX, math.inf))
 
 
 class TestProbeFromBudget:

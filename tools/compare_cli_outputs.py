@@ -1,0 +1,98 @@
+"""Run the CLI from two source trees and report every difference in what it writes.
+
+Each command line of ``COMMANDS`` runs in a fresh interpreter, once with
+``PYTHONPATH`` set to SRC_A and once with SRC_B (directories from which
+``import qlidar`` resolves, such as a checkout's ``src``).  The exit codes,
+stdout, the set of files written and every CSV are compared byte for byte;
+manifests only have to exist on both sides, since they hold the run time.
+Each difference is printed, and the exit code is 1 if there is any:
+
+    python tools/compare_cli_outputs.py /path/to/other/checkout/src src
+"""
+
+import argparse
+import difflib
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = (
+    "benchmark",
+    "benchmark --eta 0.5",
+    "benchmark --eta-det 0.8 --v-el 0.1",
+    "heatmap",
+    "heatmap --workers 2",
+    "parametric --workers 2",
+    "parametric --n-tot 7 --n-th 0.4",
+    "parametric --n-tot 0 --n-th 0.1",
+    "fading",
+    "fading --workers 2",
+    "metrics --budget 5,0.5 --eta 0.6 --n-th 1",
+    "metrics --state0 0,0,1,0,1 --state1 1.41,0,1,0,1",
+    "threshold",
+    "threshold --eta 0.5 --eta-det 0.8 --v-el 0.1",
+    "benchmark --eta 1.5",
+)
+
+
+def run(src: Path, line: str, out: Path) -> tuple[int, str, dict[str, bytes]]:
+    """Exit code, stdout and {relative path: bytes} of every file written to ``out``."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    out.parent.mkdir(parents=True, exist_ok=True)
+    result = subprocess.run([sys.executable, "-m", "qlidar", *shlex.split(line), "--out", str(out)],
+                            capture_output=True, text=True, env=env, cwd=out.parent)
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    return result.returncode, result.stdout, files
+
+
+def differences(a, b) -> list[str]:
+    (code_a, stdout_a, files_a), (code_b, stdout_b, files_b) = a, b
+    found = []
+    if code_a != code_b:
+        found.append(f"exit code {code_a} (A) != {code_b} (B)")
+    if stdout_a != stdout_b:
+        diff = difflib.unified_diff(stdout_a.splitlines(), stdout_b.splitlines(), "A", "B",
+                                    lineterm="", n=0)
+        found.append("stdout differs:\n    " + "\n    ".join(list(diff)[:20]))
+    if set(files_a) != set(files_b):
+        found.append(f"files written only by A: {sorted(set(files_a) - set(files_b))}, "
+                     f"only by B: {sorted(set(files_b) - set(files_a))}")
+    for name in sorted(set(files_a) & set(files_b)):
+        if name.endswith(".csv") and files_a[name] != files_b[name]:
+            lines_a, lines_b = files_a[name].splitlines(), files_b[name].splitlines()
+            first = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
+                         min(len(lines_a), len(lines_b)))
+            found.append(f"{name} differs from line {first + 1} "
+                         f"({len(lines_a)} lines in A, {len(lines_b)} in B)")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src_a", type=Path, help="directory holding one tree's qlidar package")
+    parser.add_argument("src_b", type=Path, help="directory holding the other tree's qlidar package")
+    args = parser.parse_args(argv)
+    for src in (args.src_a, args.src_b):
+        if not (src / "qlidar" / "__init__.py").is_file():
+            parser.error(f"{src} holds no qlidar package")
+
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, line in enumerate(COMMANDS):
+            runs = [run(src.resolve(), line, Path(tmp) / side / str(i))
+                    for side, src in (("a", args.src_a), ("b", args.src_b))]
+            found = differences(*runs)
+            print(f"{'DIFF' if found else 'same'}: qlidar {line} (exit {runs[0][0]})")
+            for text in found:
+                print(f"  {text}")
+            failed += bool(found)
+    print(f"{len(COMMANDS)} command lines, {failed} with differences")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
