@@ -7,8 +7,9 @@ boundaries never change a result; :func:`map_blocks` spreads such blocks over
 threads (the grids, whose ufuncs release the GIL) or processes (the fading
 draws), as its caller chooses.  Nothing is validated here.  2x2 products are
 spelled out by component and transcendentals are numpy ufuncs (only the
-probe's squeezing comes from :mod:`math`), so scalar and array calls agree
-bit for bit.
+probe's squeezing comes from :mod:`math`), so real scalar and array calls agree
+bit for bit.  Complex arithmetic on 0-d arrays rounds apart from numpy's array
+loops, so :func:`chernoff`, whose search takes complex steps, runs on 1-d arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from itertools import repeat
 import numpy as np
 
 XI_SATURATION_CAP = 700.0
-S_TOLERANCE = 1e-8
 
 _LOG2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -139,24 +139,49 @@ def _log_overlap_in_s(m0, m1):
 
 
 def chernoff(m0, m1):
-    """(s_star, min over s of log_s_overlap).  ln Q_s is convex in s, so bisection on
-    the sign of its complex-step slope Im f(s + 1e-30 i) brackets s_star.  With a pure
-    state the minimum is the edge ln Tr[rho0 rho1] = log_fidelity, at s = 1 for a pure
-    rho1, 0 for a pure rho0, 1/2 for two.  Last, s = 1/2 wins whenever it is lower."""
+    """(s_star, min over s of log_s_overlap).  ln Q_s is convex in s, so its
+    complex-step slope g(s) = Im f(s + 1e-30 i) brackets s_star: 12 bisections of
+    [_S_EDGE, 1 - _S_EDGE] keep g at both ends, then two secant steps
+    c = (a g_b - b g_a) / (g_b - g_a), clipped to [a, b] (the midpoint when
+    g_b <= g_a), the first of which narrows the bracket.  That is 16 evaluations of
+    ln Q_s.  On the 28 mixed pairs of the 50-digit reference test (near-pure, far
+    displaced and s_star near 0.1 and 0.9 among them) the minimum is at most
+    8e-16 max(1, |ln Q|) above ln Q_s at the reference argmin.  With a pure state
+    the minimum is the edge ln Tr[rho0 rho1] = log_fidelity, at s = 1 for a pure
+    rho1, 0 for a pure rho0, 1/2 for two.  Last, s = 1/2 wins whenever it is lower.
+    The search runs on 1-d arrays: numpy's 0-d complex arithmetic rounds apart
+    from its loops."""
+    shape = np.broadcast(*m0, *m1).shape
+    flat = [np.ravel(x) for x in np.broadcast_arrays(*m0, *m1)]
+    m0, m1 = flat[:5], flat[5:]
     f = _log_overlap_in_s(m0, m1)
-    a = np.full(np.broadcast(*m0, *m1).shape, _S_EDGE)
+
+    def slope(s):
+        return f(s + 1e-30j).imag
+
+    def secant(a, b, ga, gb):
+        up = gb > ga
+        c = (a * gb - b * ga) / np.where(up, gb - ga, 1.0)
+        return np.where(up, np.minimum(np.maximum(c, a), b), 0.5 * (a + b))
+
+    def narrow(a, b, ga, gb, c):
+        g = slope(c)
+        rising = g > 0.0
+        return (np.where(rising, a, c), np.where(rising, c, b),
+                np.where(rising, ga, g), np.where(rising, g, gb))
+
+    a = np.full(flat[0].shape, _S_EDGE)
     b = np.full_like(a, 1.0 - _S_EDGE)
-    for _ in range(27):  # (1 - 2 _S_EDGE) / 2**27 < S_TOLERANCE
-        mid = 0.5 * (a + b)
-        rising = f(mid + 1e-30j).imag > 0.0
-        a, b = np.where(rising, a, mid), np.where(rising, mid, b)
-    s_star = 0.5 * (a + b)
+    ga, gb = slope(np.stack((a, b)))
+    for _ in range(12):
+        a, b, ga, gb = narrow(a, b, ga, gb, 0.5 * (a + b))
+    s_star = secant(*narrow(a, b, ga, gb, secant(a, b, ga, gb)))
     pure0, pure1 = _nu(m0[2:]) == 1.0, _nu(m1[2:]) == 1.0
     best = np.where(pure0 | pure1, log_fidelity(m0, m1), f(s_star))
     s_star = np.where(pure0 | pure1, np.where(pure0, 0.5 * pure1, 1.0), s_star)
     half = f(np.full_like(a, 0.5))
     lower = half < best
-    return np.where(lower, 0.5, s_star), np.where(lower, half, best)
+    return np.where(lower, 0.5, s_star).reshape(shape), np.where(lower, half, best).reshape(shape)
 
 
 def exponent(log_overlap):

@@ -66,12 +66,14 @@ def mp_log_q(m0, m1, s, pure0=False, pure1=False):
 
 
 def mp_chernoff(m0, m1, pure0=False, pure1=False):
-    """min over s in (0, 1) of ln Q_s at 50 digits."""
+    """(min over s in (0, 1) of ln Q_s, its argmin) at 50 digits; with a pure state
+    the edge value and the kernel's edge s."""
     if pure0 or pure1:
         a, b = _mp(m0), _mp(m1)
         ssum = [x + y for x, y in zip(a[2:], b[2:])]
         d = (b[0] - a[0], b[1] - a[1])
-        return MP.log(2) - MP.log(_det(*ssum)) / 2 - _quad(d, ssum)
+        edge = 0.5 if pure0 and pure1 else float(pure1)
+        return MP.log(2) - MP.log(_det(*ssum)) / 2 - _quad(d, ssum), edge
     f = lambda s: mp_log_q(m0, m1, s)
     a, b = MP.mpf("1e-30"), 1 - MP.mpf("1e-30")
     c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
@@ -85,7 +87,7 @@ def mp_chernoff(m0, m1, pure0=False, pure1=False):
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
             fd = f(d)
-    return min(fc, fd)
+    return (fc, c) if fc < fd else (fd, d)
 
 
 def _mixed_state(rng, nbar):
@@ -116,10 +118,42 @@ def _cases():
         a = _probe(rng.uniform(0.0, 1.0), rng.uniform(0.1, 5.0), rng.uniform(0.0, 6.3))
         b = _probe(rng.uniform(0.0, 1.0), rng.uniform(0.1, 5.0), rng.uniform(0.0, 6.3))
         cases.append((a, b, True, True))
+    # two commuting thermal states, with s_star near 0.1 and near 0.9
+    cold, hot = (GaussianState.from_moments(kernel.thermal(n)) for n in (1e-7, 50.0))
+    cases += [(cold, hot, False, False), (hot, cold, False, False)]
+    same = _mixed_state(rng, 0.7)  # identical: ln Q_s = 0, its float slope is rounding noise
+    cases.append((same, same, False, False))
+    # far displaced: ln Q near -126
+    cases.append((squeezed_thermal_state(0.05, 0.4, 0.7, [0.0, 0.0]),
+                  squeezed_thermal_state(3.0, 0.2, 2.0, [37.2, -18.6]), False, False))
     return cases
 
 
+def _near_pure_cases():
+    """Mixed states with nbar 1e-5 to 1e-7 against mixed ones, in both orders."""
+    rng = np.random.default_rng(20262)
+    cases = []
+    for nbar in (1e-5, 1e-6, 1e-7):
+        near, other = _mixed_state(rng, nbar), _mixed_state(rng, rng.uniform(0.1, 2.0))
+        cases += [(near, other, False, False), (other, near, False, False)]
+    return cases
+
+
+def _ulp_move(m0, m1, s):
+    """Largest move of the 50-digit ln Q_s when one of the ten float moments moves by 1 ulp."""
+    m = [float(x) for x in (*m0, *m1)]
+    base, moves = mp_log_q(m[:5], m[5:], s), []
+    for k, x in enumerate(m):
+        for toward in (-math.inf, math.inf):
+            moved = m[:k] + [math.nextafter(x, toward)] + m[k + 1:]
+            moves.append(abs(mp_log_q(moved[:5], moved[5:], s) - base))
+    return max(moves)
+
+
 CASES = _cases()
+# near a pure state ln Q_s is ill-conditioned in the moments: at nbar = 1e-7 a 1-ulp
+# move of one input moves it by 6e-12 here (4e-11 in other draws), beyond the 1e-12 bound
+NEAR_PURE = _near_pure_cases()
 # s values where (nu+1)^s - (nu-1)^s cancels (s -> 0) or nears a power of 0 (s -> 1)
 EDGE_S = (1e-8, 1e-6, 1e-4, 0.01, 0.05, 0.5, 0.95, 1 - 1e-6)
 
@@ -128,13 +162,39 @@ EDGE_S = (1e-8, 1e-6, 1e-4, 0.01, 0.05, 0.5, 0.95, 1 - 1e-6)
 def test_minimum_matches_50_digit_reference(case):
     state0, state1, pure0, pure1 = CASES[case]
     s_star, log_q = metrics.s_overlap_minimum(state0, state1)
-    ref = mp_chernoff(state0.moments, state1.moments, pure0, pure1)
+    ref, s_ref = mp_chernoff(state0.moments, state1.moments, pure0, pure1)
     assert abs(log_q - ref) <= _bound(ref), (log_q, float(ref))
     if pure0 or pure1:
-        assert s_star == {(True, False): 0.0, (False, True): 1.0, (True, True): 0.5}[
-            (pure0, pure1)]
+        assert s_star == s_ref
     else:
         assert 0.0 < s_star < 1.0
+
+
+@pytest.mark.parametrize("case", range(len(NEAR_PURE)))
+def test_near_pure_minimum_within_input_conditioning(case):
+    # the kernel is backward stable there: within the 1e-12 bound plus c = 2 times the
+    # largest move of ln Q_s at the reference argmin under a 1-ulp input change (the
+    # worst measured ratio of error to that move is 1.4, at nbar = 1e-7)
+    state0, state1, _, _ = NEAR_PURE[case]
+    s_star, log_q = metrics.s_overlap_minimum(state0, state1)
+    ref, s_ref = mp_chernoff(state0.moments, state1.moments)
+    bound = _bound(ref) + 2.0 * _ulp_move(state0.moments, state1.moments, s_ref)
+    assert abs(log_q - ref) <= bound, (log_q, float(ref), float(bound))
+    assert 0.0 < s_star < 1.0
+
+
+MIXED = [c for c in CASES + NEAR_PURE if not (c[2] or c[3])]
+
+
+@pytest.mark.parametrize("case", range(len(MIXED)))
+def test_search_reaches_the_float_value_at_the_reference_argmin(case):
+    # both sides evaluate the same float closure, so this measures the search alone,
+    # not the conditioning of ln Q_s in its inputs
+    state0, state1, _, _ = MIXED[case]
+    ref, s_ref = mp_chernoff(state0.moments, state1.moments)
+    log_q = metrics.s_overlap_minimum(state0, state1)[1]
+    at_ref = float(kernel.log_s_overlap(state0.moments, state1.moments, float(s_ref)))
+    assert log_q <= at_ref + 1e-14 * max(1.0, abs(float(ref))), (log_q, at_ref, float(s_ref))
 
 
 def test_log_s_overlap_matches_50_digit_reference_at_every_s():
@@ -151,9 +211,10 @@ def test_log_s_overlap_matches_50_digit_reference_at_every_s():
 
 
 def test_batched_equals_scalar_bit_for_bit():
-    stacked = [np.array(col) for col in zip(*(s0.moments + s1.moments for s0, s1, _, _ in CASES))]
+    cases = CASES + NEAR_PURE
+    stacked = [np.array(col) for col in zip(*(s0.moments + s1.moments for s0, s1, _, _ in cases))]
     s_batch, q_batch = kernel.chernoff(stacked[:5], stacked[5:])
-    scalar = np.array([metrics.s_overlap_minimum(s0, s1) for s0, s1, _, _ in CASES])
+    scalar = np.array([metrics.s_overlap_minimum(s0, s1) for s0, s1, _, _ in cases])
     assert np.array_equal(s_batch, scalar[:, 0]) and np.array_equal(q_batch, scalar[:, 1])
 
 
@@ -177,13 +238,13 @@ def test_unit_transmissivity_lambda_grid_is_the_pure_edge_value():
     s_star, log_q = kernel.chernoff(h0, h1)
     assert np.all(s_star == 1.0)
     for i, lam in enumerate(lams):
-        ref = mp_chernoff(h0, [x[i] for x in h1], pure1=True)
+        ref = mp_chernoff(h0, [x[i] for x in h1], pure1=True)[0]
         assert abs(log_q[i] - ref) <= _bound(ref), (lam, log_q[i], float(ref))
 
 
 def test_default_unit_transmissivity_row():
     h1 = kernel.channel(kernel.probe(LAM, N_TOT), 1.0, N_TH)
     xi = float(kernel.exponent(kernel.chernoff(kernel.thermal(N_TH), h1)[1]))
-    ref = -mp_chernoff(kernel.thermal(N_TH), h1, pure1=True)
+    ref = -mp_chernoff(kernel.thermal(N_TH), h1, pure1=True)[0]
     assert abs(xi - ref) <= _bound(ref)
     assert format(xi, ".12g") == "2.51751947821"

@@ -239,6 +239,25 @@ class TestXiQcb:
             assert s_star == 1.0
             assert best == kernel.log_fidelity(THERMAL_1.moments, state.moments)
 
+    def test_chernoff_takes_16_overlap_evaluations(self, monkeypatch):
+        # one stacked slope call at both ends, 12 bisections, one secant slope, then
+        # ln Q_s at s_star and at s = 1/2
+        calls = []
+        closure = kernel._log_overlap_in_s
+
+        def counted(m0, m1):
+            f = closure(m0, m1)
+
+            def wrapper(s):
+                calls.append(np.shape(s))
+                return f(s)
+
+            return wrapper
+
+        monkeypatch.setattr(kernel, "_log_overlap_in_s", counted)
+        metrics.s_overlap_minimum(THERMAL_1, GaussianState([0.5, -0.3], np.diag([2.0, 4.0])))
+        assert calls == [(2, 1)] + [(1,)] * 15
+
     def test_near_pure_state_stays_mixed(self):
         state = GaussianState([0.5, 0.0], np.diag([1.0 + 1e-10, 1.0]))
         assert kernel._nu(state.moments[2:]) > 1.0

@@ -30,3 +30,19 @@ def test_metric_report_equals_batched_kernel_report(seed):
             assert getattr(rep, key) == values[i], key
         degenerate = batched["displacement_term"][i] == 0.0
         assert rep.theta_opt == metrics._angle(h1, g0[i], g1[i], degenerate)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 17))
+def test_chernoff_batches_equal_per_pair_calls(seed, length):
+    # every batch length up to 17 covers the SIMD loops' remainder paths; the slope
+    # values feed the secant steps, so one ulp apart would move the minimum
+    rng = np.random.default_rng(seed)
+    pairs = [(random_physical_state(rng).moments, random_physical_state(rng).moments)
+             for _ in range(length)]
+    stacked = [tuple(np.array(col) for col in zip(*side)) for side in zip(*pairs)]
+    s_batch, q_batch = kernel.chernoff(*stacked)
+    for i, (m0, m1) in enumerate(pairs):
+        s_star, best = kernel.chernoff(m0, m1)
+        assert s_star.shape == best.shape == ()
+        assert s_star == s_batch[i] and best == q_batch[i]

@@ -5,13 +5,17 @@ Each command line of ``COMMANDS`` runs in a fresh interpreter, once with
 ``import qlidar`` resolves, such as a checkout's ``src``).  The exit codes,
 stdout, the set of files written and every CSV are compared byte for byte;
 manifests only have to exist on both sides, since they hold the run time.
-Each difference is printed, and the exit code is 1 if there is any:
+Each difference is printed, a differing CSV with every moved column, its
+moved-cell count and its worst relative change, and the exit code is 1 if
+there is any:
 
     python tools/compare_cli_outputs.py /path/to/other/checkout/src src
 """
 
 import argparse
+import csv
 import difflib
+import math
 import os
 import shlex
 import subprocess
@@ -67,8 +71,37 @@ def differences(a, b) -> list[str]:
             first = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
                          min(len(lines_a), len(lines_b)))
             found.append(f"{name} differs from line {first + 1} "
-                         f"({len(lines_a)} lines in A, {len(lines_b)} in B)")
+                         f"({len(lines_a)} lines in A, {len(lines_b)} in B)"
+                         + "".join(f"\n    {line}" for line in moved_columns(lines_a, lines_b)))
     return found
+
+
+def moved_columns(lines_a, lines_b) -> list[str]:
+    """One line per column whose cells differ: the moved-cell count and the worst
+    relative change |b - a| / |a| of a numeric cell (absolute where a = 0).  Tables
+    whose headers or row counts differ are not compared cell by cell."""
+    rows_a = list(csv.reader(line.decode() for line in lines_a))
+    rows_b = list(csv.reader(line.decode() for line in lines_b))
+    if len(rows_a) != len(rows_b) or not rows_a or rows_a[0] != rows_b[0]:
+        return ["headers or row counts differ"]
+    report = []
+    for j, column in enumerate(rows_a[0]):
+        moved, worst = 0, 0.0
+        for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+            x, y = row_a[j:j + 1], row_b[j:j + 1]
+            if x == y:
+                continue
+            moved += 1
+            try:
+                a, b = float(x[0]), float(y[0])
+            except (IndexError, ValueError):
+                worst = math.inf
+                continue
+            worst = max(worst, abs(b - a) / abs(a) if a else abs(b))
+        if moved:
+            report.append(f"column {column}: {moved} of {len(rows_a) - 1} cells moved, "
+                          f"worst relative change {worst:.3g}")
+    return report
 
 
 def main(argv=None) -> int:
