@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, metrics
-from .channel import ChannelParams, apply_loss, effective_noise
+from .channel import ChannelParams, _no_electronic_noise, effective_noise
 from .errors import InvalidParameterError, UndefinedThresholdError, integer, real
-from .states import ProbeBudget, probe_from_budget, thermal_state
+from .states import GaussianState, ProbeBudget
 
 FD_STEP = 1e-6
 EMPIRICAL_GRID_STEP = 0.02
@@ -36,29 +36,22 @@ def default_lambda_grid(step: float) -> np.ndarray:
     return _grid(0.95, step)  # the usual cap of allocation searches
 
 
-def _no_electronic_noise(params: ChannelParams) -> None:
-    if params.v_el > 0.0:  # rejected, not dropped: the scores model an ideal detector
-        raise InvalidParameterError(f"v_el = {params.v_el} is not modelled here; fold it into "
-                                    "n_th with effective_noise, or use eta_critical_effective")
-
-
 def w2_score(probe: ProbeBudget, params: ChannelParams) -> metrics.MetricReport:
     """Full metric report for the probe budget through the channel.
 
     Compares the channel output against the thermal background state, which
     is both the no-target hypothesis and the channel output at zero
-    transmissivity.
+    transmissivity; v_el is folded into both once ``effective_noise`` checks it.
     """
-    _no_electronic_noise(params)
-    out = apply_loss(probe_from_budget(probe), params)
-    return metrics.metric_report(out, thermal_state(params.n_th))
+    effective_noise(params)
+    pair = kernel.lidar_pair(probe.lam, probe.n_tot, params.eta_eff, params.n_th,
+                             params.v_el, probe.displacement_phase)
+    return metrics.metric_report(*map(GaussianState.from_moments, pair))
 
 
 def _w2_terms(eta_eff, lambdas, n_tot: float, n_th: float):
-    """(displacement, Bures) terms of W2^2 between the channel output of the
-    probes ``lambdas`` and the thermal background; arguments broadcast."""
-    out = kernel.channel(kernel.probe(lambdas, n_tot), eta_eff, n_th)
-    return kernel.w2_terms(kernel.thermal(n_th), out)
+    """(displacement, Bures) terms of W2^2 of the lidar pair; arguments broadcast."""
+    return kernel.w2_terms(*kernel.lidar_pair(lambdas, n_tot, eta_eff, n_th)[::-1])
 
 
 def _ascending(values, name: str, check) -> np.ndarray:

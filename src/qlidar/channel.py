@@ -7,9 +7,9 @@ environment, expressed directly on the first and second moments:
     sigma_out = eta_eff * sigma_in + (1 - eta_eff) * (2*n_th + 1) * I
 
 with eta_eff = eta * eta_det folding the detector efficiency into the line
-transmissivity.  Electronic noise of a realistic homodyne detector is not
-injected into the map; it is exposed separately through
-:func:`effective_noise` so that ideal-detector runs stay exact.
+transmissivity.  Electronic noise v_el of a homodyne detector is extra thermal
+noise of the scored pair, folded in by :func:`effective_noise`; :func:`apply_loss`,
+a single-state map with no detector, rejects v_el > 0.
 """
 
 from __future__ import annotations
@@ -47,8 +47,15 @@ class ChannelParams:
         return self.eta * self.eta_det
 
 
+def _no_electronic_noise(params: ChannelParams) -> None:
+    if params.v_el > 0.0:  # rejected, not dropped: there is no detector here
+        raise InvalidParameterError(f"v_el = {params.v_el} is not modelled here; fold it into "
+                                    "n_th with effective_noise, or use eta_critical_effective")
+
+
 def apply_loss(state: GaussianState, params: ChannelParams) -> GaussianState:
-    """Propagate a state through the lossy thermal channel."""
+    """Propagate a state through the lossy thermal channel (no detector: v_el > 0 is rejected)."""
+    _no_electronic_noise(params)
     validate(state, "input state")
     return GaussianState.from_moments(kernel.channel(state.moments, params.eta_eff, params.n_th))
 

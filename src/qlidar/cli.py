@@ -129,15 +129,11 @@ def cmd_benchmark(p: dict, manifest: dict) -> dict:
     etas = np.linspace(0.001, 1.0, 200) if p["eta"] is None else np.array([p["eta"]])
     manifest["eta_sweep"] = "single" if p["eta"] is not None else "0.001:1:200"
 
-    # validate once at the largest eta, which also raises the SingularityError
-    # of v_el > 0 at unit eta_eff and bounds the folded noise where it is largest,
-    # then score every eta in one kernel call
+    # checked once at the largest eta, where the folded noise is largest and v_el > 0
+    # at unit eta_eff is a SingularityError; then one kernel call scores every eta
     effective_noise(ChannelParams(eta=etas.max(), n_th=n_th, eta_det=eta_det, v_el=v_el))
     ProbeBudget(n_tot, lam)
-    eta_eff = etas * eta_det
-    n_eff = kernel.effective_noise(n_th, v_el, eta_eff)
-    h1 = kernel.channel(kernel.probe(lam, n_tot), eta_eff, n_eff)
-    scores = kernel.report(h1, kernel.thermal(n_eff))
+    scores = kernel.report(*kernel.lidar_pair(lam, n_tot, etas * eta_det, n_th, v_el))
     columns = ("w2_sq", "xi_qbb", "xi_qbb_proxy", "xi_qcb", "snr_sq_opt")
     return {"benchmark.csv": (
         ["eta", "w2_sq", "xi_qbb_overlap", "xi_qbb_proxy", "xi_qcb", "snr_sq_opt"],
@@ -230,10 +226,7 @@ def cmd_metrics(p: dict, manifest: dict) -> dict:
         except ValueError as exc:
             raise InvalidParameterError(f"budget: {exc}") from None
         channel = {k: default if p[k] is None else p[k] for k, default in _BUDGET_CHANNEL.items()}
-        n_eff = effective_noise(ChannelParams(**channel))
-        rep = allocation.w2_score(ProbeBudget(n_tot, lam, displacement_phase=phase),
-                                  ChannelParams(eta=channel["eta"], n_th=n_eff,
-                                                eta_det=channel["eta_det"]))
+        rep = allocation.w2_score(ProbeBudget(n_tot, lam, phase), ChannelParams(**channel))
         manifest.update(channel, budget_n_tot=n_tot, budget_lambda=lam, budget_phase=phase)
     else:
         raise InvalidParameterError("give either --state0/--state1 or --budget")

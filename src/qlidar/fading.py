@@ -171,10 +171,9 @@ class FadingEnsemble:
 def _eval_block(indices, config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     etas = sample_eta(config, indices)
     p = config.probe
-    out = kernel.channel(kernel.probe(p.lam, p.n_tot, p.displacement_phase), etas, config.n_th)
-    background = kernel.thermal(config.n_th)
-    disp, bures = kernel.w2_terms(background, out)
-    xi = kernel.exponent(kernel.log_s_overlap(background, out, 0.5))
+    h1, h0 = kernel.lidar_pair(p.lam, p.n_tot, etas, config.n_th, phase=p.displacement_phase)
+    disp, bures = kernel.w2_terms(h0, h1)
+    xi = kernel.exponent(kernel.log_s_overlap(h0, h1, 0.5))
     return etas, disp + bures, xi
 
 

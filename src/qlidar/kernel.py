@@ -2,14 +2,15 @@
 
 Moments are tuples of broadcastable components ``(mu_q, mu_p, sigma_qq,
 sigma_qp, sigma_pp)``; a covariance alone is the last three.  Every form is
-elementwise, so one call scores one pair or a whole map, and block
-boundaries never change a result; :func:`map_blocks` spreads such blocks over
-threads (the grids, whose ufuncs release the GIL) or processes (the fading
-draws), as its caller chooses.  Nothing is validated here.  2x2 products are
-spelled out by component and transcendentals are numpy ufuncs (only the
-probe's squeezing comes from :mod:`math`), so real scalar and array calls agree
-bit for bit.  Complex arithmetic on 0-d arrays rounds apart from numpy's array
-loops, so :func:`chernoff`, whose search takes complex steps, runs on 1-d arrays.
+elementwise, so one call scores one pair, such as the :func:`lidar_pair` of
+every driver, or a whole map, and block boundaries never change a result;
+:func:`map_blocks` spreads such blocks over threads (the grids, whose ufuncs
+release the GIL) or processes (the fading draws), as its caller chooses.
+Nothing is validated here.  2x2 products are spelled out by component and
+transcendentals are numpy ufuncs (only the probe's squeezing comes from
+:mod:`math`), so real scalar and array calls agree bit for bit.  Complex
+arithmetic on 0-d arrays rounds apart from numpy's array loops, so
+:func:`chernoff`, whose search takes complex steps, runs on 1-d arrays.
 """
 
 from __future__ import annotations
@@ -72,6 +73,12 @@ def channel(m, eta_eff, n_th):
 def effective_noise(n_th, v_el, eta_eff):
     """n_th + v_el / (2 (1 - eta_eff)), exactly n_th when v_el = 0."""
     return n_th if v_el == 0.0 else n_th + v_el / (2.0 * (1.0 - eta_eff))
+
+
+def lidar_pair(lam, n_tot, eta_eff, n_th, v_el=0.0, phase=0.0):
+    """(H1, H0): the probe after the channel and the thermal background, v_el folded into n_th."""
+    n_eff = effective_noise(n_th, v_el, eta_eff)
+    return channel(probe(lam, n_tot, phase), eta_eff, n_eff), thermal(n_eff)
 
 
 def bures(s0, s1):

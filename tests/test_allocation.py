@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from qlidar import allocation
-from qlidar.channel import ChannelParams
-from qlidar.errors import InvalidParameterError, UndefinedThresholdError
-from qlidar.states import N_TOT_MAX, ProbeBudget
+from qlidar.channel import ChannelParams, apply_loss, effective_noise
+from qlidar.errors import InvalidParameterError, SingularityError, UndefinedThresholdError
+from qlidar.states import N_TOT_MAX, ProbeBudget, thermal_state
 
 
 def straight_line_w2(lam, n_tot, eta, n_th):
@@ -60,6 +60,25 @@ class TestW2Score:
                 rep = allocation.w2_score(ProbeBudget(N_TOT_MAX, lam, phase),
                                           ChannelParams(eta=eta, n_th=n_th))
                 assert all(math.isfinite(v) for v in vars(rep).values())
+
+    def test_folds_electronic_noise(self):
+        # v_el is scored as the channel with n_th -> n_eff, every field bit for bit
+        rng = np.random.default_rng(907)
+        for _ in range(8):
+            budget = ProbeBudget(float(10.0 ** rng.uniform(-2, 4)), float(rng.uniform(0, 1)),
+                                 float(rng.uniform(0.1, 2.0 * math.pi)))
+            params = ChannelParams(eta=float(rng.uniform(0, 1)), n_th=float(rng.uniform(0, 3)),
+                                   eta_det=float(rng.uniform(0.3, 1)),
+                                   v_el=float(rng.uniform(0.01, 1)))
+            folded = ChannelParams(eta=params.eta, n_th=effective_noise(params),
+                                   eta_det=params.eta_det)
+            want = vars(allocation.w2_score(budget, folded))
+            for key, value in vars(allocation.w2_score(budget, params)).items():
+                assert value == want[key], key
+
+    def test_electronic_noise_at_unit_transmissivity_is_singular(self):
+        with pytest.raises(SingularityError):
+            allocation.w2_score(ProbeBudget(10.0, 0.5), ChannelParams(eta=1.0, n_th=0.1, v_el=0.2))
 
 
 def row_optimum(n_tot, params, lambda_grid):
@@ -208,11 +227,11 @@ NOISY = ChannelParams(eta=0.5, n_th=0.1, v_el=0.2)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: allocation.w2_score(ProbeBudget(10.0, 0.5), NOISY),
+    lambda: apply_loss(thermal_state(0.1), NOISY),
     lambda: allocation.gradient_diagnostics(10.0, NOISY),
 ])
 def test_electronic_noise_is_rejected_not_ignored(call):
-    # the allocation scores model an ideal detector
+    # a single-state map has no detector, and the analytic slopes are in n_th
     with pytest.raises(InvalidParameterError, match="effective_noise"):
         call()
 

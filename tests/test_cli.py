@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qlidar import allocation, cli, fading, metrics
-from qlidar.channel import ChannelParams, apply_loss, effective_noise
+from qlidar.channel import ChannelParams, apply_loss
 from qlidar.states import ProbeBudget, probe_from_budget, thermal_state
 
 # full single-row output, frozen: schema and values must stay put
@@ -197,7 +197,7 @@ class TestBenchmark:
         assert abs(float(row[2]) - rep.xi_qbb) < 1e-11
         assert abs(float(row[4]) - rep.xi_qcb) < 1e-11
 
-        # every row of a batched sweep prints exactly what the scalar report gives
+        # every row of a batched sweep prints exactly what the library score gives
         rng = np.random.default_rng(71)
         for k in range(3):
             n_tot, n_th = float(rng.uniform(0.5, 40.0)), float(rng.uniform(0.05, 3.0))
@@ -210,12 +210,9 @@ class TestBenchmark:
             assert result.returncode == 0, result.stderr
             rows = (out_dir / "benchmark.csv").read_text().splitlines()[1:]
             assert len(rows) == 200
-            probe = probe_from_budget(ProbeBudget(n_tot, lam))
             for eta, line in zip(np.linspace(0.001, 1.0, 200), rows):
-                params = ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det, v_el=v_el)
-                n_eff = effective_noise(params)
-                out = apply_loss(probe, ChannelParams(eta=eta, n_th=n_eff, eta_det=eta_det))
-                rep = metrics.metric_report(out, thermal_state(n_eff))
+                rep = allocation.w2_score(ProbeBudget(n_tot, lam), ChannelParams(
+                    eta=eta, n_th=n_th, eta_det=eta_det, v_el=v_el))
                 values = (eta, rep.w2_sq, rep.xi_qbb, rep.xi_qbb_proxy, rep.xi_qcb, rep.snr_sq_opt)
                 assert line == ",".join(format(float(v), ".12g") for v in values)
 

@@ -46,3 +46,22 @@ def test_chernoff_batches_equal_per_pair_calls(seed, length):
         s_star, best = kernel.chernoff(m0, m1)
         assert s_star.shape == best.shape == ()
         assert s_star == s_batch[i] and best == q_batch[i]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 17))
+def test_lidar_pair_batches_equal_per_element_calls(seed, length):
+    # the drivers' stacked pairs are the per-element pairs bit for bit, and with no
+    # electronic noise the background is the thermal state itself
+    rng = np.random.default_rng(seed)
+    n_tot, phase = 10.0 ** rng.uniform(-2, 4), rng.choice([0.0, rng.uniform(0, 2 * np.pi)])
+    v_el = rng.choice([0.0, rng.uniform(0, 1)])
+    lam, eta_eff, n_th = (rng.uniform(0, top, length) for top in (1.0, 1.0, 3.0))
+    batched = kernel.lidar_pair(lam, n_tot, eta_eff, n_th, v_el, phase)
+    for i in range(length):
+        single = kernel.lidar_pair(lam[i], n_tot, eta_eff[i], n_th[i], v_el, phase)
+        for stacked, state in zip(batched, single):
+            for column, value in zip(stacked, state):
+                assert np.shape(value) == () and np.broadcast_to(column, (length,))[i] == value
+    h0 = kernel.lidar_pair(lam, n_tot, eta_eff, n_th)[1]
+    assert all(np.array_equal(a, b) for a, b in zip(h0, kernel.thermal(n_th)))

@@ -35,6 +35,7 @@ COMMANDS = (
     "fading",
     "fading --workers 2",
     "metrics --budget 5,0.5 --eta 0.6 --n-th 1",
+    "metrics --budget 5,0.5,0.3 --eta 0.6 --n-th 1 --eta-det 0.8 --v-el 0.1",
     "metrics --state0 0,0,1,0,1 --state1 1.41,0,1,0,1",
     "threshold",
     "threshold --eta 0.5 --eta-det 0.8 --v-el 0.1",
