@@ -19,7 +19,6 @@ from .errors import InvalidParameterError, UndefinedThresholdError, integer, rea
 from .states import GaussianState, ProbeBudget
 
 FD_STEP = 1e-6
-EMPIRICAL_GRID_STEP = 0.02
 
 
 def _grid(stop: float, step: float) -> np.ndarray:
@@ -77,8 +76,6 @@ def _fractions(n_tot: float, lambdas) -> np.ndarray:
 class AllocationGrid:
     """Score map over (eta, lambda) with the per-eta optimal fraction."""
 
-    n_tot: float
-    n_th: float
     eta_grid: np.ndarray
     lambda_grid: np.ndarray
     scores: np.ndarray
@@ -110,7 +107,7 @@ def allocation_grid(
                                      lambdas, n_tot, n_th)
     scores = disp + bures
     lambda_opt = lambdas[np.argmax(scores, axis=1)]
-    return AllocationGrid(n_tot, n_th, etas, lambdas, scores, lambda_opt)
+    return AllocationGrid(etas, lambdas, scores, lambda_opt)
 
 
 def transition_eta(grid: AllocationGrid) -> float | None:
@@ -166,8 +163,6 @@ class GradientDiagnostics:
     d_cov_dlambda_paper: float
     d_disp_fd: float
     d_cov_fd: float
-    eta_c_analytic: float
-    eta_c_empirical: float
 
     @property
     def cov_ratio(self) -> float:
@@ -187,8 +182,9 @@ def _richardson_forward(f0: float, f1: float, f2: float) -> float:
 def gradient_diagnostics(n_tot: float, params: ChannelParams) -> GradientDiagnostics:
     """Gradient diagnostics of the score split at vanishing squeezing fraction.
 
-    The finite differences step by ``FD_STEP``; the empirical transition is
-    read off an allocation grid of step ``EMPIRICAL_GRID_STEP`` in eta and lambda.
+    The finite differences step by ``FD_STEP``.  The transition these slopes
+    locate is :func:`eta_critical` analytically and :func:`transition_eta` of an
+    :func:`allocation_grid` empirically.
     """
     _no_electronic_noise(params)
     if (n_tot := real("n_tot", n_tot)) <= 0:
@@ -201,14 +197,9 @@ def gradient_diagnostics(n_tot: float, params: ChannelParams) -> GradientDiagnos
     # one channel + metric evaluation per point feeds both slopes
     fractions = _fractions(n_tot, [0.0, FD_STEP, 2.0 * FD_STEP])
     disp, cov = _w2_terms(eta, fractions, n_tot, params.n_th)
-    grid = allocation_grid(n_tot, params.n_th, default_eta_grid(EMPIRICAL_GRID_STEP),
-                           default_lambda_grid(EMPIRICAL_GRID_STEP), eta_det=params.eta_det)
-    found = transition_eta(grid)
     return GradientDiagnostics(
         d_disp_dlambda=d_disp,
         d_cov_dlambda_paper=d_cov_paper,
         d_disp_fd=_richardson_forward(*disp.tolist()),
         d_cov_fd=_richardson_forward(*cov.tolist()),
-        eta_c_analytic=eta_critical(n_tot, params.n_th),
-        eta_c_empirical=math.nan if found is None else found,
     )

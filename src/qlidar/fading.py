@@ -160,7 +160,6 @@ class FadingSummary:
 class FadingEnsemble:
     """Per-realization samples plus summary statistics and histograms."""
 
-    config: FadingConfig
     etas: np.ndarray
     w2_sq: np.ndarray
     xi_qbb: np.ndarray
@@ -223,8 +222,7 @@ def run_ensemble(config: FadingConfig, workers: int = 1) -> FadingEnsemble:
         "xi_qbb": _histogram(xi),
     }
     return FadingEnsemble(
-        config=config, etas=etas, w2_sq=w2, xi_qbb=xi,
-        summary=summary, histograms=histograms,
+        etas=etas, w2_sq=w2, xi_qbb=xi, summary=summary, histograms=histograms,
     )
 
 
@@ -232,8 +230,6 @@ def run_ensemble(config: FadingConfig, workers: int = 1) -> FadingEnsemble:
 class SelectionReport:
     """Outcome of metric-thresholded post-selection (lucky imaging)."""
 
-    metric: str
-    quantile: float
     threshold: float
     n_selected: int
     efficiency: float
@@ -263,8 +259,6 @@ def post_select(
     mask = values >= threshold
     n_sel = int(np.sum(mask))
     return SelectionReport(
-        metric=metric,
-        quantile=quantile,
         threshold=threshold,
         n_selected=n_sel,
         efficiency=n_sel / values.size,

@@ -197,11 +197,16 @@ def exponent(log_overlap):
 
 
 def report(h1, h0):
-    """Every score of the pairs (H1, H0), keyed as the fields of MetricReport,
-    and the optimal homodyne direction g = sigma1^-1 (mu1 - mu0) as ``direction``."""
+    """Every score of the pairs (H1, H0), keyed and ordered as the fields of
+    MetricReport.  The LO angle theta_opt is that of g = sigma1^-1 (mu1 - mu0) or,
+    with no displacement, of the minor axis of sigma1 in closed form,
+    0.5 arctan2(-2 sigma_qp, sigma_pp - sigma_qq); either is taken mod pi, pi folded to 0."""
     disp, b2 = w2_terms(h0, h1)
     log_f = log_fidelity(h0, h1)
     g0, g1, snr = solve(h1[0] - h0[0], h1[1] - h0[1], *h1[2:])
+    still = disp == 0.0
+    minor_axis = 0.5 * np.arctan2(-2.0 * h1[3], h1[4] - h1[2])
+    theta = np.where(still, minor_axis, np.arctan2(g1, g0)) % np.pi
     return {
         "w2_sq": disp + b2,
         "displacement_term": disp,
@@ -210,8 +215,8 @@ def report(h1, h0):
         "xi_qbb": exponent(log_s_overlap(h0, h1, 0.5)),
         "xi_qbb_proxy": exponent(0.5 * log_f),
         "xi_qcb": exponent(chernoff(h0, h1)[1]),
-        "snr_sq_opt": np.where(disp == 0.0, 0.0, snr),
-        "direction": (g0, g1),
+        "snr_sq_opt": np.where(still, 0.0, snr),
+        "theta_opt": np.where(theta == np.pi, 0.0, theta),
     }
 
 

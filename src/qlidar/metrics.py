@@ -7,7 +7,6 @@ numerical check of the overlap-based ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,16 +87,6 @@ def xi_qcb(state0: GaussianState, state1: GaussianState) -> float:
     return float(kernel.exponent(s_overlap_minimum(state0, state1)[1]))
 
 
-def _angle(state_h1: GaussianState, g0: float, g1: float, degenerate: bool) -> float:
-    """Angle in [0, pi) of the line along (g0, g1), or along the minor axis of
-    Sigma_H1 when ``degenerate``; -0 and pi both fold to 0."""
-    if degenerate:
-        _, v = np.linalg.eigh(state_h1.sigma)
-        g0, g1 = v[0, 0], v[1, 0]
-    theta = math.atan2(g1, g0) % math.pi
-    return 0.0 if theta == math.pi else theta
-
-
 @dataclass(frozen=True)
 class MetricReport:
     """All distinguishability scores for one ordered state pair (H1, H0)."""
@@ -118,9 +107,8 @@ def metric_report(state_h1: GaussianState, state_h0: GaussianState) -> MetricRep
 
     The homodyne SNR (u.d)^2 / (u.Sigma_H1.u) peaks at d.Sigma_H1^-1.d, at the
     LO angle theta_opt of u ~ Sigma_H1^-1 d (Cauchy-Schwarz), with no search.
-    With no displacement it is 0 and theta_opt is the minor axis of Sigma_H1.
+    With no displacement it is 0 and theta_opt, in [0, pi), is the minor axis of
+    Sigma_H1 in closed form (:func:`qlidar.kernel.report`).
     """
     h0, h1 = _checked(state0=state_h0, state1=state_h1)
-    scores = kernel.report(h1, h0)
-    theta = _angle(state_h1, *scores.pop("direction"), scores["displacement_term"] == 0.0)
-    return MetricReport(**{key: float(value) for key, value in scores.items()}, theta_opt=theta)
+    return MetricReport(**{key: float(value) for key, value in kernel.report(h1, h0).items()})

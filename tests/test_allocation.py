@@ -299,6 +299,6 @@ class TestGradientDiagnostics:
             assert abs(d.d_disp_fd - d.d_disp_dlambda) < 1e-8 * abs(d.d_disp_dlambda)
 
     def test_empirical_transition_present(self):
-        d = allocation.gradient_diagnostics(10.0, ChannelParams(eta=0.5, n_th=0.1))
-        assert abs(d.eta_c_analytic - allocation.eta_critical(10.0, 0.1)) < 1e-15
-        assert 0.1 < d.eta_c_empirical < 0.5
+        grid = allocation.allocation_grid(10.0, 0.1, allocation.default_eta_grid(0.02),
+                                          allocation.default_lambda_grid(0.02))
+        assert 0.1 < allocation.transition_eta(grid) < 0.5

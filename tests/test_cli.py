@@ -397,6 +397,16 @@ class TestMetricsCommand:
         assert result.stdout == ""
         assert "n_th" in read_manifest(tmp_path / "metrics_manifest.txt")["error"]
 
+    @pytest.mark.parametrize("channel", [("--eta", "1.5"), ("--eta", "1", "--v-el", "0.1")])
+    def test_budget_is_checked_before_the_channel(self, channel, tmp_path):
+        # both the fraction and the channel are invalid: the budget's error is the one reported
+        result = run_cli("metrics", "--budget", "5,2", *channel, "--out", str(tmp_path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        named = "lam must be in [0, 1], got 2.0"
+        assert named in result.stderr
+        assert read_manifest(tmp_path / "metrics_manifest.txt")["error"] == named
+
     def test_parse_error_names_field(self, tmp_path):
         result = run_cli("metrics", "--state0", "0,0,1,x,1", "--state1", "0,0,1,0,1",
                          "--out", str(tmp_path))

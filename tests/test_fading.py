@@ -259,7 +259,6 @@ class TestPostSelect:
     def test_degenerate_all_equal(self):
         ens = fading.run_ensemble(fading.FadingConfig(n_realizations=5, seed=3))
         flat = fading.FadingEnsemble(
-            config=ens.config,
             etas=ens.etas,
             w2_sq=np.ones(5),
             xi_qbb=ens.xi_qbb,

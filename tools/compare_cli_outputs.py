@@ -3,11 +3,12 @@
 Each command line of ``COMMANDS`` runs in a fresh interpreter, once with
 ``PYTHONPATH`` set to SRC_A and once with SRC_B (directories from which
 ``import qlidar`` resolves, such as a checkout's ``src``).  The exit codes,
-stdout, the set of files written and every CSV are compared byte for byte;
-manifests only have to exist on both sides, since they hold the run time.
-Each difference is printed, a differing CSV with every moved column, its
-moved-cell count and its worst relative change, and the exit code is 1 if
-there is any:
+stdout, the set of files written and every CSV are compared byte for byte,
+and every manifest line by line once its ``duration_s`` line is dropped and
+the run's ``--out`` directory is replaced by ``<out>``.  Each difference is
+printed, a differing CSV with every moved column, its moved-cell count and
+its worst relative change, a differing manifest with its moved lines, and
+the exit code is 1 if there is any:
 
     python tools/compare_cli_outputs.py /path/to/other/checkout/src src
 """
@@ -37,6 +38,8 @@ COMMANDS = (
     "metrics --budget 5,0.5 --eta 0.6 --n-th 1",
     "metrics --budget 5,0.5,0.3 --eta 0.6 --n-th 1 --eta-det 0.8 --v-el 0.1",
     "metrics --state0 0,0,1,0,1 --state1 1.41,0,1,0,1",
+    "metrics --budget 5,1 --eta 0.6 --n-th 1",
+    "metrics --state0 0,0,1,0,1 --state1 0,0,0.5,0.2,3",
     "threshold",
     "threshold --eta 0.5 --eta-det 0.8 --v-el 0.1",
     "benchmark --eta 1.5",
@@ -44,14 +47,24 @@ COMMANDS = (
 
 
 def run(src: Path, line: str, out: Path) -> tuple[int, str, dict[str, bytes]]:
-    """Exit code, stdout and {relative path: bytes} of every file written to ``out``."""
+    """Exit code, stdout and {relative path: bytes} of every file written to ``out``,
+    each manifest without its run time and with ``out`` as ``<out>``."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     out.parent.mkdir(parents=True, exist_ok=True)
     result = subprocess.run([sys.executable, "-m", "qlidar", *shlex.split(line), "--out", str(out)],
                             capture_output=True, text=True, env=env, cwd=out.parent)
     files = {p.relative_to(out).as_posix(): p.read_bytes()
              for p in sorted(out.rglob("*")) if p.is_file()}
+    for name, data in files.items():
+        if name.endswith("_manifest.txt"):
+            lines = data.decode().replace(str(out), "<out>").splitlines(keepends=True)
+            files[name] = "".join(x for x in lines if not x.startswith("duration_s =")).encode()
     return result.returncode, result.stdout, files
+
+
+def line_diff(what: str, lines_a: list[str], lines_b: list[str]) -> str:
+    diff = difflib.unified_diff(lines_a, lines_b, "A", "B", lineterm="", n=0)
+    return f"{what} differs:\n    " + "\n    ".join(list(diff)[:20])
 
 
 def differences(a, b) -> list[str]:
@@ -60,20 +73,23 @@ def differences(a, b) -> list[str]:
     if code_a != code_b:
         found.append(f"exit code {code_a} (A) != {code_b} (B)")
     if stdout_a != stdout_b:
-        diff = difflib.unified_diff(stdout_a.splitlines(), stdout_b.splitlines(), "A", "B",
-                                    lineterm="", n=0)
-        found.append("stdout differs:\n    " + "\n    ".join(list(diff)[:20]))
+        found.append(line_diff("stdout", stdout_a.splitlines(), stdout_b.splitlines()))
     if set(files_a) != set(files_b):
         found.append(f"files written only by A: {sorted(set(files_a) - set(files_b))}, "
                      f"only by B: {sorted(set(files_b) - set(files_a))}")
     for name in sorted(set(files_a) & set(files_b)):
-        if name.endswith(".csv") and files_a[name] != files_b[name]:
-            lines_a, lines_b = files_a[name].splitlines(), files_b[name].splitlines()
-            first = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
-                         min(len(lines_a), len(lines_b)))
-            found.append(f"{name} differs from line {first + 1} "
-                         f"({len(lines_a)} lines in A, {len(lines_b)} in B)"
-                         + "".join(f"\n    {line}" for line in moved_columns(lines_a, lines_b)))
+        if files_a[name] == files_b[name]:
+            continue
+        if not name.endswith(".csv"):
+            found.append(line_diff(name, files_a[name].decode().splitlines(),
+                                   files_b[name].decode().splitlines()))
+            continue
+        lines_a, lines_b = files_a[name].splitlines(), files_b[name].splitlines()
+        first = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
+                     min(len(lines_a), len(lines_b)))
+        found.append(f"{name} differs from line {first + 1} "
+                     f"({len(lines_a)} lines in A, {len(lines_b)} in B)"
+                     + "".join(f"\n    {line}" for line in moved_columns(lines_a, lines_b)))
     return found
 
 
