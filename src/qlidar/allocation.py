@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernel, metrics
 from .channel import ChannelParams, _no_electronic_noise, effective_noise
-from .errors import InvalidParameterError, UndefinedThresholdError, integer, real
+from .errors import InvalidParameterError, UndefinedThresholdError, real
 from .states import GaussianState, ProbeBudget
 
 FD_STEP = 1e-6
@@ -88,23 +88,17 @@ def allocation_grid(
     eta_grid: np.ndarray,
     lambda_grid: np.ndarray,
     eta_det: float = 1.0,
-    workers: int = 1,
 ) -> AllocationGrid:
     """Evaluate the Wasserstein score on the full (eta, lambda) grid.
 
-    The parameters are validated once; each block of eta rows is then
-    scored in one array call of the closed-form kernel.  With ``workers`` > 1
-    contiguous row blocks go to a thread pool, since the kernel's ufuncs
-    release the GIL, and are joined in index order; every cell is computed
-    elementwise, so parallel and serial runs produce bit-identical arrays.
+    The parameters are validated once; the whole grid is then scored in one
+    serial array call of the closed-form kernel, elementwise, so every cell
+    is bit-identical to the scalar :func:`w2_score` of its allocation.
     """
-    workers = integer("workers", workers, 1)
     etas = _ascending(eta_grid, "eta",
                       lambda eta: ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det))
     lambdas = _fractions(n_tot, lambda_grid)
-    eta_eff = etas[:, None] * eta_det
-    disp, bures = kernel.map_blocks(_w2_terms, eta_eff, workers, "ThreadPoolExecutor",
-                                     lambdas, n_tot, n_th)
+    disp, bures = _w2_terms(etas[:, None] * eta_det, lambdas, n_tot, n_th)
     scores = disp + bures
     lambda_opt = lambdas[np.argmax(scores, axis=1)]
     return AllocationGrid(etas, lambdas, scores, lambda_opt)

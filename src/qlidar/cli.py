@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__, allocation, fading, kernel, metrics
 from .channel import ChannelParams, effective_noise
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, integer
 from .states import GaussianState, ProbeBudget
 
 EXIT_OK = 0
@@ -58,10 +58,20 @@ def _fmt(x) -> str:
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Equal-length ``columns`` as rows of ``_NUMBER`` values; the format is
-    applied to a chunk in one call."""
-    line = ",".join([_NUMBER] * len(columns)) + "\n"
+    applied to a chunk in one call.  Columns ``(row_axis, col_axis, values)``
+    with a 2-d ``values`` are the product table of the two axes, row-major:
+    each axis value is formatted once, into one template per row that a single
+    ``%`` fills with that row's values (``_NUMBER`` output never contains ``%``)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
+        if np.ndim(columns[-1]) == 2:
+            row_axis, col_axis, values = columns
+            tail = [f",{_fmt(x)},{_NUMBER}\n" for x in col_axis]
+            for x, row in zip(row_axis, values):
+                head = _fmt(x)
+                fh.write((head + head.join(tail)) % tuple(row.tolist()))
+            return
+        line = ",".join([_NUMBER] * len(columns)) + "\n"
         for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
             block = np.column_stack([c[start:start + _CSV_CHUNK_ROWS] for c in columns])
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
@@ -155,16 +165,16 @@ def _lambda_opt(grid: allocation.AllocationGrid) -> tuple:
 def cmd_heatmap(p: dict, manifest: dict) -> dict:
     n_tot, n_th = p["n_tot"], p["n_th"]
     eta_grid, lambda_grid = _grids(p["grid_step"])
-    grid = allocation.allocation_grid(n_tot, n_th, eta_grid, lambda_grid,
-                                      eta_det=p["eta_det"], workers=p["workers"])
+    # checked as fading checks it, though a grid is one serial call for any value
+    integer("workers", p["workers"], 1)
+    grid = allocation.allocation_grid(n_tot, n_th, eta_grid, lambda_grid, eta_det=p["eta_det"])
     # n_tot = 0 has no threshold: that error leaves the transition out of the manifest
     eta_c = allocation.eta_critical(n_tot, n_th)
     opt, manifest["transition_eta_empirical"] = _lambda_opt(grid)
     manifest["eta_critical_analytic"] = _fmt(eta_c)
     manifest["eta_critical_reachable"] = str(eta_c <= 1.0).lower()
-    etas, lams = np.meshgrid(grid.eta_grid, grid.lambda_grid, indexing="ij")
     return {"heatmap_scores.csv": (["eta", "lambda", "w2_sq"],
-                                   [etas.ravel(), lams.ravel(), grid.scores.ravel()]),
+                                   [grid.eta_grid, grid.lambda_grid, grid.scores]),
             "heatmap_lambda_opt.csv": opt}
 
 
@@ -175,10 +185,10 @@ def cmd_parametric(p: dict, manifest: dict) -> dict:
     manifest["scenarios"] = ";".join(f"{_fmt(n)}:{_fmt(t)}" for n, t in scenarios)
 
     eta_grid, lambda_grid = _grids(p["grid_step"])
+    integer("workers", p["workers"], 1)
     tables = {}
     for n, t in scenarios:
-        grid = allocation.allocation_grid(n, t, eta_grid, lambda_grid,
-                                          eta_det=p["eta_det"], workers=p["workers"])
+        grid = allocation.allocation_grid(n, t, eta_grid, lambda_grid, eta_det=p["eta_det"])
         name = f"ntot{_fmt(n)}_nth{_fmt(t)}"
         tables[f"parametric_{name}.csv"], manifest[f"transition_eta_{name}"] = _lambda_opt(grid)
     return tables
@@ -276,8 +286,8 @@ _FLAGS = {
     "grid_step": ("--grid-step", float, "grid step for eta and lambda sweeps"),
     "realizations": ("--realizations", int, "number of Monte-Carlo realizations"),
     "workers": ("--workers", int,
-                "parallel workers: threads for heatmap/parametric, processes for fading "
-                "(output is byte-identical for any N)"),
+                "worker processes for fading (output is byte-identical for any N); "
+                "heatmap/parametric accept it but always run serially"),
     "alpha": ("--alpha", float, "Beta shape alpha"),
     "beta": ("--beta", float, "Beta shape beta"),
     "state0": ("--state0", str, "H0 state as mu_q,mu_p,sigma_qq,sigma_qp,sigma_pp"),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -176,6 +177,22 @@ def _eval_block(indices, config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return etas, disp + bures, xi
 
 
+def _map_blocks(config: FadingConfig, workers: int):
+    """:func:`_eval_block` of every realization index, joined in index order:
+    one call if ``workers`` is 1, else contiguous index blocks over a process
+    pool with no more workers than blocks.  The pool module is imported only
+    then, so a serial run loads neither it nor multiprocessing."""
+    indices = np.arange(config.n_realizations)
+    if workers == 1:
+        return _eval_block(indices, config)
+    from concurrent import futures
+
+    blocks = [b for b in np.array_split(indices, 4 * workers) if b.size]
+    with futures.ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+        parts = list(pool.map(_eval_block, blocks, repeat(config)))
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
 def _iqr_over_median(values: np.ndarray) -> float:
     q25, q50, q75 = np.percentile(values, [25.0, 50.0, 75.0])
     return float((q75 - q25) / q50) if q50 != 0 else math.nan
@@ -194,8 +211,7 @@ def run_ensemble(config: FadingConfig, workers: int = 1) -> FadingEnsemble:
     """
     n = config.n_realizations
     workers = integer("workers", workers, 1)
-    etas, w2, xi = kernel.map_blocks(_eval_block, np.arange(n), workers, "ProcessPoolExecutor",
-                                     config)
+    etas, w2, xi = _map_blocks(config, workers)
 
     saturated = int(np.sum(xi >= kernel.XI_SATURATION_CAP))
     if n > 1 and np.std(w2) > 0 and np.std(etas) > 0:

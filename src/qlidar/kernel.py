@@ -3,20 +3,19 @@
 Moments are tuples of broadcastable components ``(mu_q, mu_p, sigma_qq,
 sigma_qp, sigma_pp)``; a covariance alone is the last three.  Every form is
 elementwise, so one call scores one pair, such as the :func:`lidar_pair` of
-every driver, or a whole map, and block boundaries never change a result;
-:func:`map_blocks` spreads such blocks over threads (the grids, whose ufuncs
-release the GIL) or processes (the fading draws), as its caller chooses.
-Nothing is validated here.  2x2 products are spelled out by component and
-transcendentals are numpy ufuncs (only the probe's squeezing comes from
-:mod:`math`), so real scalar and array calls agree bit for bit.  Complex
-arithmetic on 0-d arrays rounds apart from numpy's array loops, so
-:func:`chernoff`, whose search takes complex steps, runs on 1-d arrays.
+every driver, or a whole map, and block boundaries never change a result:
+the grids score their map in one serial call, and fading may spread its draws
+over processes in blocks.  Nothing is validated here.  2x2 products are
+spelled out by component and transcendentals are numpy ufuncs (only the
+probe's squeezing comes from :mod:`math`), so real scalar and array calls
+agree bit for bit.  Complex arithmetic on 0-d arrays rounds apart from
+numpy's array loops, so :func:`chernoff`, whose search takes complex steps,
+runs on 1-d arrays.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 import numpy as np
 
@@ -218,19 +217,3 @@ def report(h1, h0):
         "snr_sq_opt": np.where(still, 0.0, snr),
         "theta_opt": np.where(theta == np.pi, 0.0, theta),
     }
-
-
-def map_blocks(fn, items, workers, executor, *args):
-    """Apply ``fn(block, *args)`` to contiguous blocks of ``items`` and join the
-    tuples of arrays it returns in index order; one call if ``workers`` <= 1,
-    else the blocks go to a pool of the ``concurrent.futures`` class named
-    ``executor``, with no more workers than blocks.  The pool module is
-    imported only then, so a serial run loads neither it nor multiprocessing."""
-    if workers <= 1:
-        return fn(items, *args)
-    from concurrent import futures
-
-    blocks = [b for b in np.array_split(items, 4 * workers) if b.size]
-    with getattr(futures, executor)(max_workers=min(workers, len(blocks))) as pool:
-        parts = list(pool.map(fn, blocks, *(repeat(a) for a in args)))
-    return tuple(np.concatenate(cols) for cols in zip(*parts))

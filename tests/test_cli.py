@@ -44,10 +44,19 @@ def write_csv_per_value(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(format(float(v), ".12g") for v in row) + "\n")
 
 
+def row_major(columns):
+    """The rows of a table as ``cli._write_csv`` lays them out: a 2-d last column
+    is the product of the two axis columns before it, expanded row-major."""
+    if np.ndim(columns[-1]) != 2:
+        return zip(*columns)
+    row_axis, col_axis, values = columns
+    return ((r, c, values[i, j]) for i, r in enumerate(row_axis) for j, c in enumerate(col_axis))
+
+
 def assert_writers_agree(tmp_path: Path, columns) -> None:
     header = [f"c{i}" for i in range(len(columns))]
     cli._write_csv(tmp_path / "chunked.csv", header, columns)
-    write_csv_per_value(tmp_path / "per_value.csv", header, zip(*columns))
+    write_csv_per_value(tmp_path / "per_value.csv", header, row_major(columns))
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "per_value.csv").read_bytes()
 
 
@@ -65,6 +74,15 @@ class TestCsvWriter:
         edge = np.resize(self.EDGE_VALUES, rows)
         assert_writers_agree(tmp_path, [np.arange(rows), *raw, scaled, edge, edge[::-1]])
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, len(EDGE_VALUES)), (len(EDGE_VALUES), 1),
+                                       (101, 96)])
+    def test_product_table_is_its_row_major_expansion(self, shape, tmp_path):
+        rng = np.random.default_rng(shape)
+        # every edge value on an axis long enough to hold them all
+        row_axis, col_axis = (np.resize(rng.permutation(self.EDGE_VALUES), n) for n in shape)
+        values = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+        assert_writers_agree(tmp_path, [row_axis, col_axis, values])
+
     def test_every_subcommand_writes_what_the_per_value_writer_writes(self, monkeypatch,
                                                                          tmp_path):
         written = []
@@ -73,7 +91,7 @@ class TestCsvWriter:
         def both(path, header, columns):
             chunked(path, header, columns)
             reference = path.with_suffix(".reference")
-            write_csv_per_value(reference, header, zip(*columns))
+            write_csv_per_value(reference, header, row_major(columns))
             written.append((path, reference))
 
         monkeypatch.setattr(cli, "_write_csv", both)
@@ -132,31 +150,28 @@ class TestOutputContract:
             [f.name for f in dataclasses.fields(fading.FadingSummary)]
 
 
-class ProcessPoolStarted(RuntimeError):
+class PoolStarted(RuntimeError):
     pass
 
 
 def test_grids_start_no_process_and_fading_does(monkeypatch, tmp_path):
     def refuse(self, *args, **kwargs):
-        raise ProcessPoolStarted("a process pool was started")
+        raise PoolStarted(f"a {type(self).__name__} was started")
 
-    # patching the class itself catches every name it is imported under
-    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse)
-    etas, lams = allocation.default_eta_grid(0.05), allocation.default_lambda_grid(0.05)
-    serial = allocation.allocation_grid(10.0, 0.1, etas, lams, workers=1)
-    threaded = allocation.allocation_grid(10.0, 0.1, etas, lams, workers=2)
-    assert np.array_equal(serial.scores, threaded.scores)
-    assert np.array_equal(serial.lambda_opt, threaded.lambda_opt)
+    # patching the classes themselves catches every name they are imported under
+    for executor in (concurrent.futures.ProcessPoolExecutor, concurrent.futures.ThreadPoolExecutor):
+        monkeypatch.setattr(executor, "__init__", refuse)
+    for command, files in (("heatmap", 2), ("parametric", len(cli.PARAMETRIC_SCENARIOS))):
+        for workers in ("1", "2"):
+            argv = [command, "--workers", workers, "--out", str(tmp_path / command / workers)]
+            assert cli.main(argv) == 0
+        serial, pooled = tmp_path / command / "1", tmp_path / command / "2"
+        names = sorted(p.name for p in serial.glob("*.csv"))
+        assert len(names) == files
+        for name in names:
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes()
 
-    for workers in ("1", "2"):
-        argv = ["parametric", "--workers", workers, "--out", str(tmp_path / workers)]
-        assert cli.main(argv) == 0
-    names = sorted(p.name for p in (tmp_path / "1").glob("*.csv"))
-    assert len(names) == len(cli.PARAMETRIC_SCENARIOS)
-    for name in names:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
-
-    with pytest.raises(ProcessPoolStarted):
+    with pytest.raises(PoolStarted, match="ProcessPoolExecutor"):
         cli.main(["fading", "--realizations", "50", "--workers", "2",
                   "--out", str(tmp_path / "fading")])
 
@@ -633,12 +648,14 @@ def test_readme_flag_table_matches_parser():
 
 
 def test_serial_run_imports_no_pool(tmp_path):
-    # the pool module is imported only when --workers > 1 starts a pool, and
-    # the Fock oracle, whose cutoff error is the package's one NumericalError,
-    # never: no CLI run can end in a numerical error
+    # the pool module is imported only when fading's --workers > 1 starts a
+    # pool (a grid runs serially at any --workers), and the Fock oracle, whose
+    # cutoff error is the package's one NumericalError, never: no CLI run can
+    # end in a numerical error
     code = (
         "import sys, qlidar.cli; "
         "assert qlidar.cli.main(['benchmark', '--out', sys.argv[1]]) == 0; "
+        "assert qlidar.cli.main(['heatmap', '--workers', '2', '--out', sys.argv[1]]) == 0; "
         "print(sorted({'concurrent.futures', 'multiprocessing', 'qlidar.fock'} & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-c", code, str(tmp_path)],

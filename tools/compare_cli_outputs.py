@@ -30,6 +30,7 @@ COMMANDS = (
     "benchmark --eta-det 0.8 --v-el 0.1",
     "heatmap",
     "heatmap --workers 2",
+    "heatmap --n-tot 3.3 --n-th 0.7 --grid-step 0.003",
     "parametric --workers 2",
     "parametric --n-tot 7 --n-th 0.4",
     "parametric --n-tot 0 --n-th 0.1",
