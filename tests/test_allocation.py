@@ -209,6 +209,8 @@ LAMS = allocation.default_lambda_grid(0.25)
     lambda: allocation.eta_critical(10.0, -0.1),
     lambda: allocation.eta_critical(10.0, "0.1"),
     lambda: allocation.default_eta_grid("0.1"),
+    lambda: allocation.allocation_grid(10.0, 0.1, ETAS, np.array([0.5, 0.5])),
+    lambda: allocation.allocation_grid(10.0, "0.1", ETAS, LAMS),
     lambda: allocation.gradient_diagnostics(0.0, ChannelParams(eta=0.5, n_th=0.1)),
 ])
 def test_array_inputs_are_validated(call):
