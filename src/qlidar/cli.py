@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 from pathlib import Path
@@ -322,7 +323,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built at the first call and shared by later ones: building it
+    costs more than a short run, and ``parse_args`` returns a fresh namespace
+    each time, so no run sees another's values."""
     parser = argparse.ArgumentParser(prog="qlidar", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qlidar {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -337,8 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     command = args.command
 
     start = time.perf_counter()

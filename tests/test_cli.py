@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import dataclasses
 import math
@@ -174,6 +175,58 @@ def test_grids_start_no_process_and_fading_does(monkeypatch, tmp_path):
     with pytest.raises(PoolStarted, match="ProcessPoolExecutor"):
         cli.main(["fading", "--realizations", "50", "--workers", "2",
                   "--out", str(tmp_path / "fading")])
+
+
+def test_parser_is_built_once_per_process(monkeypatch, tmp_path):
+    built = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    counts = []
+    for _ in range(3):
+        assert cli.main(["threshold", "--out", str(tmp_path)]) == 0
+        counts.append(built)
+    # the program parser and one per subcommand, all in the first run
+    assert counts == [1 + len(cli._SUBCOMMANDS)] * 3
+
+
+def test_a_reused_parser_keeps_no_state(tmp_path, capsys):
+    runs = (["fading", "--seed", "3", "--realizations", "40"],
+            ["fading", "--realizations", "40"],
+            ["threshold", "--eta", "0.3"])
+
+    def run(argv, out):
+        """Exit code and manifest lines, without the run time and with ``out`` as ``<out>``."""
+        code = cli.main([*argv, "--out", str(out)])
+        text = (out / f"{argv[0]}_manifest.txt").read_text(encoding="utf-8")
+        return code, [line for line in text.replace(str(out), "<out>").splitlines()
+                      if not line.startswith("duration_s =")]
+
+    fresh = []
+    for i, argv in enumerate(runs):
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv, tmp_path / "fresh" / str(i)))
+
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as rejected:
+        cli.main(["fading", "--seed", "x", "--out", str(tmp_path / "rejected")])
+    assert rejected.value.code == 2
+    assert not (tmp_path / "rejected").exists()
+    with pytest.raises(SystemExit) as version:
+        cli.main(["--version"])
+    assert version.value.code == 0
+    assert capsys.readouterr().out == f"qlidar {cli.__version__}\n"
+    reused = [run(argv, tmp_path / "reused" / str(i)) for i, argv in enumerate(runs)]
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 0, 2]
+    assert "seed = 3" in reused[0][1]
+    assert f"seed = {fading.DEFAULT_SEED}" in reused[1][1]
 
 
 class TestBenchmark:

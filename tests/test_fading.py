@@ -73,6 +73,9 @@ class TestSampleEta:
     @pytest.mark.parametrize("config", [
         fading.FadingConfig(alpha=0.02, beta=0.02, seed=5),
         fading.FadingConfig(),
+        # numpy's Gamma branches: shape < 1, = 1 (exponential) and > 1
+        fading.FadingConfig(alpha=1.0, beta=1.0, seed=31),
+        fading.FadingConfig(alpha=0.5, beta=4.5, seed=2**40 + 3),
     ])
     def test_array_form_matches_per_index_streams(self, config):
         indices = np.arange(2000)

@@ -36,6 +36,7 @@ COMMANDS = (
     "parametric --n-tot 0 --n-th 0.1",
     "fading",
     "fading --workers 2",
+    "fading --alpha 0.5 --beta 1 --realizations 3000 --seed 11",
     "metrics --budget 5,0.5 --eta 0.6 --n-th 1",
     "metrics --budget 5,0.5,0.3 --eta 0.6 --n-th 1 --eta-det 0.8 --v-el 0.1",
     "metrics --state0 0,0,1,0,1 --state1 1.41,0,1,0,1",
