@@ -130,7 +130,7 @@ class TestAllocationGrid:
             j = np.where(grid.lambda_grid == grid.lambda_opt[i])[0][0]
             assert grid.scores[i, j] == row_max
 
-    def test_parallel_matches_serial(self):
+    def test_cells_match_scalar_score(self):
         etas = allocation.default_eta_grid(0.1)
         lams = allocation.default_lambda_grid(0.1)
         # every batched cell is bit-identical to the scalar score of its allocation
