@@ -26,9 +26,9 @@ from .errors import InvalidParameterError, real
 
 DET_TOLERANCE = 1e-12
 N_TOT_MAX = 1e20  # largest n_tot of a ProbeBudget; its docstring gives the reason
-# Largest thermal occupation: nu = 2 n_th + 1 enters the s-overlap as (nu + 1)^s -
-# (nu - 1)^s, which cancels as nu grows (a unit-budget probe's xi_qbb is 7% off at
-# n_th = 1e14 and divides by zero at 1e15); every w2_score is checked finite up to 1e8.
+# Largest thermal occupation, the range on which every w2_score is checked finite.  It is
+# not a numerical edge: the overlap scores, taken in the thermal exponent, stay finite up
+# to n_th of about 1e76; at 1e77 the Bures term's det sigma0 det sigma1 overflows first.
 N_TH_MAX = 1e8
 
 
@@ -118,11 +118,11 @@ class ProbeBudget:
     displacement, with lam in [0, 1].  ``displacement_phase`` orients the
     displacement in phase space (0 aligns it with the squeezed quadrature).
 
-    ``n_tot`` is at most ``N_TOT_MAX``.  Through a lossy channel the probe's
-    symplectic eigenvalue nu grows as sqrt(eta (1 - eta) (2 n_th + 1) lam n_tot),
-    and once (nu + 1)^s and (nu - 1)^s round to one float the overlap scores
-    divide by zero: from n_tot (2 n_th + 1) of about 2e29 on.  At the bound
-    every score of :func:`qlidar.allocation.w2_score` is finite for n_th up to 1e8.
+    ``n_tot`` is at most ``N_TOT_MAX``, where every score of
+    :func:`qlidar.allocation.w2_score` is checked finite for n_th up to 1e8 and the
+    overlap against 50 digits.  It is not a numerical edge: the scores stay finite
+    up to n_tot of about 1e153; at 1e154 the homodyne SNR d.sigma^-1 d of an
+    undamped probe (eta = 1) overflows first.
     """
 
     n_tot: float

@@ -212,6 +212,37 @@ def test_log_s_overlap_matches_50_digit_reference_at_every_s():
             assert abs(got - ref) <= _bound(ref), (s, got, float(ref))
 
 
+@pytest.mark.parametrize("n_tot", [1e4, 1e8, 1e12, 1e16, 1e20])
+def test_log_s_overlap_matches_50_digit_reference_at_large_nu(n_tot):
+    # a lambda = 1 probe at eta = 0.5 has nu of about 1.1 sqrt(n_tot), up to 1.1e10;
+    # (nu + 1)^s - (nu - 1)^s cancelled there (2.8e-8 at n_tot = 1e20), its thermal
+    # exponent form does not (at most 3e-16 on these cases)
+    h1, h0 = kernel.channel(kernel.probe(1.0, n_tot), 0.5, 0.1), kernel.thermal(0.1)
+    for s in (0.5, 0.1, 0.01):
+        got = float(kernel.log_s_overlap(h0, h1, s))
+        ref = mp_log_q(h0, h1, MP.mpf(s))
+        assert abs(got - ref) <= _bound(ref), (s, got, float(ref))
+
+
+# s from 1e-6 to 1 - 1e-6; the slope's terms near 1/s and 1/(1 - s) cancel, so at
+# s = 1e-8 its absolute rounding reaches 4e-8, and the search needs only its sign there
+SLOPE_S = (1e-6, 1e-4, 0.01, 0.05, 0.3, 0.5, 0.7, 0.95, 1 - 1e-4, 1 - 1e-6)
+DISTINCT = [c for c in MIXED if c[0] is not c[1]]
+
+
+@pytest.mark.parametrize("case", range(len(DISTINCT)))
+def test_closed_form_slope_matches_50_digit_derivative(case):
+    # twice the worst error, 5.9e-10 max(1, |slope|) at s = 1 - 1e-6, over these
+    # 27 pairs and 10 values of s
+    state0, state1, _, _ = DISTINCT[case]
+    m0, m1 = state0.moments, state1.moments
+    slope = kernel._log_overlap_in_s(m0, m1)[1]
+    for s in SLOPE_S:
+        ref = MP.diff(lambda x: mp_log_q(m0, m1, x), MP.mpf(s))
+        got = float(slope(s))
+        assert abs(got - ref) <= 1.2e-9 * max(1.0, abs(float(ref))), (s, got, float(ref))
+
+
 def test_batched_equals_scalar_bit_for_bit():
     cases = CASES + NEAR_PURE
     stacked = [np.array(col) for col in zip(*(s0.moments + s1.moments for s0, s1, _, _ in cases))]

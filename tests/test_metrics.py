@@ -241,22 +241,23 @@ class TestXiQcb:
 
     def test_chernoff_takes_16_overlap_evaluations(self, monkeypatch):
         # one stacked slope call at both ends, 12 bisections, one secant slope, then
-        # ln Q_s at s_star and at s = 1/2
+        # ln Q_s at s_star and at s = 1/2, each after the first on the pair's own shape
         calls = []
-        closure = kernel._log_overlap_in_s
+        closures = kernel._log_overlap_in_s
 
         def counted(m0, m1):
-            f = closure(m0, m1)
+            def wrap(name, f):
+                def wrapper(s):
+                    calls.append((name, np.shape(s)))
+                    return f(s)
+                return wrapper
 
-            def wrapper(s):
-                calls.append(np.shape(s))
-                return f(s)
-
-            return wrapper
+            value, slope = closures(m0, m1)
+            return wrap("value", value), wrap("slope", slope)
 
         monkeypatch.setattr(kernel, "_log_overlap_in_s", counted)
         metrics.s_overlap_minimum(THERMAL_1, GaussianState([0.5, -0.3], np.diag([2.0, 4.0])))
-        assert calls == [(2, 1)] + [(1,)] * 15
+        assert calls == [("slope", (2,))] + [("slope", ())] * 13 + [("value", ())] * 2
 
     def test_near_pure_state_stays_mixed(self):
         state = GaussianState([0.5, 0.0], np.diag([1.0 + 1e-10, 1.0]))

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_physical_state
 from qlidar import kernel, metrics
+from qlidar.states import rotate
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -16,13 +17,19 @@ PAIRS_PER_SEED = 8
 # exp gives 0 below this
 LOG_UNDERFLOW = math.log(math.ulp(0.0))
 # ln F and ln Q_1/2 of a state against itself come out above 0 by rounding: over the
-# pairs of 15000 seeds, F exceeded 1 by up to 8.9e-16 and Q_1/2 by up to 4.4e-15.
-# Each bound is twice that
+# pairs of 15000 seeds, F exceeded 1 by up to 8.9e-16 and Q_1/2 by up to 4.4e-15
+# (3.6e-15 since ln Q_s is taken in the thermal exponent). Each bound is twice that
 F_ABOVE_ONE = 1.8e-15
 Q_ABOVE_ONE = 8.9e-15
 # ln Q_1/2 is not symmetric bit for bit: the worst swap difference over the same
 # pairs is 8.9e-16 * max(1, |ln Q_1/2|), and this bound twice that
 Q_SWAP = 1.8e-15
+# rotating both states by one angle moves the scores by rounding and by the input
+# conditioning of near-pure states: over the pairs of 15000 seeds, at most 5.7e-14
+# (w2_sq, Bures rounding of a self-pair), 3.2e-12 (xi_qbb) and 3.1e-10 (xi_qcb, at
+# det sigma - 1 = 5e-9, where a 1-ulp input move shifts ln Q by 5e-10), each times
+# max(1, |score|). Each bound is twice that
+ROTATION = {"w2_sq": 1.2e-13, "xi_qbb": 6.4e-12, "xi_qcb": 6.2e-10}
 
 
 def _pairs_with_self_pairs(seed):
@@ -115,3 +122,17 @@ def test_half_overlap_is_in_unit_interval(seed):
         overlap = math.exp(log_q)
         assert overlap <= 1.0 + Q_ABOVE_ONE
         assert overlap > 0.0 or log_q < LOG_UNDERFLOW
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_scores_are_rotation_invariant(seed):
+    # a phase-space rotation of both states is a unitary on both, and W2 is
+    # invariant under a common symplectic orthogonal map
+    theta = np.random.default_rng([seed, 7]).uniform(0.0, 2.0 * math.pi)
+    for h0, h1 in _pairs_with_self_pairs(seed):
+        rep = metrics.metric_report(h1, h0)
+        turned = metrics.metric_report(rotate(h1, theta), rotate(h0, theta))
+        for key, bound in ROTATION.items():
+            score, moved = getattr(rep, key), getattr(turned, key)
+            assert abs(moved - score) <= bound * max(1.0, abs(score)), (key, score, moved)

@@ -42,6 +42,7 @@ COMMANDS = (
     "metrics --state0 0,0,1,0,1 --state1 1.41,0,1,0,1",
     "metrics --budget 5,1 --eta 0.6 --n-th 1",
     "metrics --state0 0,0,1,0,1 --state1 0,0,0.5,0.2,3",
+    "metrics --budget 1e16,1 --eta 0.5 --n-th 0.1",
     "threshold",
     "threshold --eta 0.5 --eta-det 0.8 --v-el 0.1",
     "benchmark --eta 1.5",
