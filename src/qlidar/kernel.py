@@ -102,7 +102,7 @@ def solve(dq, dp, sqq, sqp, spp):
 
 
 def log_fidelity(m0, m1):
-    """ln F of two single-mode Gaussian states (Scutaru-type closed form)."""
+    """ln F of two single-mode Gaussian states (Scutaru-type closed form); clamped at 0."""
     s = (m0[2] + m1[2], m0[3] + m1[3], m0[4] + m1[4])
     delta = det(*s)
     mixed = (_nu(m0[2:]) > 1.0) & (_nu(m1[2:]) > 1.0)
@@ -110,7 +110,7 @@ def log_fidelity(m0, m1):
     quad = solve(m1[0] - m0[0], m1[1] - m0[1], *s)[2]
     # ln of sqrt(delta + lam) - sqrt(lam), rationalised for stability
     log_denom = np.log(delta) - np.log(np.sqrt(delta + lam) + np.sqrt(lam))
-    return _LOG2 + -quad - log_denom
+    return np.minimum(_LOG2 + -quad - log_denom, 0.0)
 
 
 def log_s_overlap(m0, m1, s):
@@ -120,9 +120,9 @@ def log_s_overlap(m0, m1, s):
 
 
 def _log_overlap_in_s(m0, m1):
-    """(value, slope): log_s_overlap and its s-derivative on [_S_EDGE, 1 - _S_EDGE],
-    with the s-independent terms taken once.  Both work in the thermal exponent
-    beta = ln((nu + 1) / (nu - 1)) (Pirandola & Lloyd 2008), where nothing cancels:
+    """(value, slope, mixed): log_s_overlap, its s-derivative on [_S_EDGE, 1 - _S_EDGE]
+    and (nu0 > 1, nu1 > 1), with the s-independent terms taken once.  In the thermal
+    exponent beta = ln((nu + 1) / (nu - 1)) (Pirandola & Lloyd 2008) nothing cancels:
     ln G_s = s ln(2 / (nu + 1)) - ln(1 - e^(-s beta)) and Lambda_s = coth(s beta / 2);
     a pure state (beta = inf, given a finite stand-in) has ln G_s = 0, Lambda_s = 1.
     With S = Lambda_s sigma0 / nu0 + Lambda_(1-s) sigma1 / nu1 and g = S^-1 d, the
@@ -157,22 +157,22 @@ def _log_overlap_in_s(m0, m1):
         trace = (c * da - 2.0 * b * db + a * dc) / det(a, b, c)
         return dlog0 - dlog1 - 0.5 * trace + (da * g0 * g0 + 2.0 * db * g0 * g1 + dc * g1 * g1)
 
-    return value, slope
+    return value, slope, (terms[0][0], terms[1][0])
 
 
 def chernoff(m0, m1):
-    """(s_star, min over s of log_s_overlap).  ln Q_s is convex in s, so its
-    closed-form slope g(s) brackets s_star: 12 bisections of [_S_EDGE, 1 - _S_EDGE]
-    keep g at both ends, then two secant steps c = (a g_b - b g_a) / (g_b - g_a),
-    clipped to [a, b] (the midpoint when g_b <= g_a), the first of which narrows
-    the bracket.  That is 14 slopes and 2 values of ln Q_s, all real and on the
-    broadcast shape of the moments.  On the 28 mixed pairs of the 50-digit reference
-    test (near-pure, far displaced and s_star near 0.1 and 0.9 among them) the
-    minimum is at most 8e-16 max(1, |ln Q|) above ln Q_s at the reference argmin.
-    With a pure state the minimum is the edge ln Tr[rho0 rho1] = log_fidelity, at
-    s = 1 for a pure rho1, 0 for a pure rho0, 1/2 for two.  Last, s = 1/2 wins
-    whenever it is lower."""
-    value, slope = _log_overlap_in_s(m0, m1)
+    """(s_star, min over s of log_s_overlap, log_fidelity, log_s_overlap at s = 1/2).
+    ln Q_s is convex in s, so its closed-form slope g(s) brackets s_star: 12
+    bisections of [_S_EDGE, 1 - _S_EDGE] keep g at both ends, then two secant steps
+    c = (a g_b - b g_a) / (g_b - g_a), clipped to [a, b] (the midpoint when
+    g_b <= g_a), the first of which narrows the bracket.  That is 14 slopes and 2
+    values of ln Q_s, all real and on the broadcast shape of the moments.  On the 28
+    mixed pairs of the 50-digit reference test (near-pure, far displaced and s_star
+    near 0.1 and 0.9 among them) the minimum is at most 8e-16 max(1, |ln Q|) above
+    ln Q_s at the reference argmin.  With a pure state the minimum is the edge
+    ln Tr[rho0 rho1] = log_fidelity, at s = 1 for a pure rho1, 0 for a pure rho0,
+    1/2 for two.  Last, s = 1/2 wins whenever it is lower."""
+    value, slope, (mixed0, mixed1) = _log_overlap_in_s(m0, m1)
 
     def secant(a, b, ga, gb):
         up = gb > ga
@@ -191,12 +191,12 @@ def chernoff(m0, m1):
     for _ in range(12):
         a, b, ga, gb = narrow(a, b, ga, gb, 0.5 * (a + b))
     s_star = secant(*narrow(a, b, ga, gb, secant(a, b, ga, gb)))
-    pure0, pure1 = _nu(m0[2:]) == 1.0, _nu(m1[2:]) == 1.0
-    best = np.where(pure0 | pure1, log_fidelity(m0, m1), value(s_star))
-    s_star = np.where(pure0 | pure1, np.where(pure0, 0.5 * pure1, 1.0), s_star)
+    log_f, edge = log_fidelity(m0, m1), ~(mixed0 & mixed1)
+    best = np.where(edge, log_f, value(s_star))
+    s_star = np.where(edge, np.where(mixed0, 1.0, 0.5 * ~mixed1), s_star)
     half = value(np.full_like(a, 0.5))
     lower = half < best
-    return np.where(lower, 0.5, s_star), np.where(lower, half, best)
+    return np.where(lower, 0.5, s_star), np.where(lower, half, best), log_f, half
 
 
 def exponent(log_overlap):
@@ -210,7 +210,7 @@ def report(h1, h0):
     with no displacement, of the minor axis of sigma1 in closed form,
     0.5 arctan2(-2 sigma_qp, sigma_pp - sigma_qq); either is taken mod pi, pi folded to 0."""
     disp, b2 = w2_terms(h0, h1)
-    log_f = log_fidelity(h0, h1)
+    _, log_qcb, log_f, log_half = chernoff(h0, h1)
     g0, g1, snr = solve(h1[0] - h0[0], h1[1] - h0[1], *h1[2:])
     still = disp == 0.0
     minor_axis = 0.5 * np.arctan2(-2.0 * h1[3], h1[4] - h1[2])
@@ -220,9 +220,9 @@ def report(h1, h0):
         "displacement_term": disp,
         "bures_sq": b2,
         "fidelity": np.exp(log_f),
-        "xi_qbb": exponent(log_s_overlap(h0, h1, 0.5)),
+        "xi_qbb": exponent(log_half),
         "xi_qbb_proxy": exponent(0.5 * log_f),
-        "xi_qcb": exponent(chernoff(h0, h1)[1]),
+        "xi_qcb": exponent(log_qcb),
         "snr_sq_opt": np.where(still, 0.0, snr),
         "theta_opt": np.where(theta == np.pi, 0.0, theta),
     }

@@ -72,13 +72,13 @@ def xi_qbb(state0: GaussianState, state1: GaussianState) -> float:
 def s_overlap_minimum(state0: GaussianState, state1: GaussianState) -> tuple[float, float]:
     """Minimise ln Tr[rho0^s rho1^(1-s)] over s in [0, 1].
 
-    Returns (s_star, log_overlap_min).  The log-overlap is convex in s, so 12
-    bisections on its closed-form slope and two secant steps find it (``kernel.chernoff``),
-    within 1e-14 max(1, |ln Q|) of its value at the 50-digit argmin; with a pure
-    state it is the edge value ln Tr[rho0 rho1], at s_star = 1 for a pure state1,
-    0 for a pure state0 and 1/2 for two pure states.
+    Returns (s_star, log_overlap_min), the first two values of ``kernel.chernoff``:
+    the log-overlap is convex in s, and 12 bisections on its closed-form slope and two
+    secant steps find it within 1e-14 max(1, |ln Q|) of its value at the 50-digit
+    argmin; with a pure state it is the edge value ln Tr[rho0 rho1], at s_star = 1
+    for a pure state1, 0 for a pure state0 and 1/2 for two pure states.
     """
-    s_star, best = kernel.chernoff(*_checked(state0=state0, state1=state1))
+    s_star, best = kernel.chernoff(*_checked(state0=state0, state1=state1))[:2]
     return float(s_star), float(best)
 
 

@@ -252,8 +252,8 @@ class TestXiQcb:
                     return f(s)
                 return wrapper
 
-            value, slope = closures(m0, m1)
-            return wrap("value", value), wrap("slope", slope)
+            value, slope, mixed = closures(m0, m1)
+            return wrap("value", value), wrap("slope", slope), mixed
 
         monkeypatch.setattr(kernel, "_log_overlap_in_s", counted)
         metrics.s_overlap_minimum(THERMAL_1, GaussianState([0.5, -0.3], np.diag([2.0, 4.0])))
@@ -364,3 +364,24 @@ def test_metric_report_consistency():
     assert 0.0 <= rep.fidelity <= 1.0 + 1e-12
     assert abs(rep.w2_sq - metrics.w2_sq(env, out)[0]) < 1e-12
     assert abs(rep.xi_qbb - metrics.xi_qbb(env, out)) < 1e-12
+
+
+def test_report_takes_one_overlap_setup_per_call(monkeypatch):
+    # ln F, ln Q_1/2 and the Chernoff minimum of every pair come from one chernoff
+    # call: one set of ln Q_s closures, one ln F and nu once per state in each
+    calls = []
+
+    def count(name):
+        f = getattr(kernel, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+
+        monkeypatch.setattr(kernel, name, wrapper)
+
+    for name in ("_log_overlap_in_s", "log_fidelity", "_nu"):
+        count(name)
+    kernel.report(*kernel.lidar_pair(np.linspace(0.0, 1.0, 5), 5.0, 0.6, 1.0))
+    assert {name: calls.count(name) for name in set(calls)} == {
+        "_log_overlap_in_s": 1, "log_fidelity": 1, "_nu": 4}

@@ -43,6 +43,8 @@ COMMANDS = (
     "metrics --budget 5,1 --eta 0.6 --n-th 1",
     "metrics --state0 0,0,1,0,1 --state1 0,0,0.5,0.2,3",
     "metrics --budget 1e16,1 --eta 0.5 --n-th 0.1",
+    "metrics --state0 0,0,3,0,3 --state1 1,0,0.5,0,2",
+    "metrics --state0 0.3,-0.2,1.7,0.4,2.2 --state1 0.3,-0.2,1.7,0.4,2.2",
     "threshold",
     "threshold --eta 0.5 --eta-det 0.8 --v-el 0.1",
     "benchmark --eta 1.5",
