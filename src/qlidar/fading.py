@@ -84,35 +84,35 @@ def sample_eta(config: FadingConfig, index):
     """Beta(alpha, beta) transmissivity for realization ``index``.
 
     An int index gives a float, an array of indices an array of that shape.
-    Each index draws exactly what
-    ``Generator(Philox(SeedSequence(seed, spawn_key=(index,))))`` would:
-    the keys of all indices come from one ``_philox_keys`` call, and one
-    bit generator is reset to each key with counter 0 and an empty buffer
-    in turn.  The state is a dict of Python ints and tuples, because the
-    setter reads each word by index, which costs far more from a numpy
-    array.  Sampled as X / (X + Y) with two Gamma variates, exact for all shape
-    parameters.  The open interval (0, 1) is enforced by redrawing the
-    (measure-zero) boundary hits from the same stream, and so is the 0/0 of
-    two Gamma draws that both underflow to 0 at small shapes.
+    Each index draws exactly what ``Generator(Philox(SeedSequence(seed,
+    spawn_key=(index,))))`` would: the keys of all indices come from one
+    ``_philox_keys`` call, and one bit generator is reset to each key with
+    counter 0 and an empty buffer in turn.  Its state is one dict of Python
+    ints and tuples whose key is swapped per index, because the setter reads
+    each word by index, which costs far more from a numpy array.  Sampled as
+    X / (X + Y) with two Gamma variates, exact for all shape parameters.  The
+    open interval (0, 1) is enforced by redrawing the (measure-zero) boundary
+    hits from the same stream, and so is the 0/0 of two Gamma draws that both
+    underflow to 0 at small shapes.
     """
     indices = np.asarray(index)
     if indices.dtype.kind not in "iu" or np.any((indices < 0) | (indices >= 2**32)):
         raise InvalidParameterError("realization indices must be integers in [0, 2**32)")
-    rng = np.random.Generator(np.random.Philox(0))
-    bitgen = rng.bit_generator
+    gamma = np.random.Generator(bitgen := np.random.Philox(0)).gamma
     zeros = (0, 0, 0, 0)
-    etas = np.empty(indices.size)
-    for n, key in enumerate(_philox_keys(config.seed, indices.ravel()).tolist()):
-        bitgen.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-                        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": zeros},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    etas = []
+    for key in _philox_keys(config.seed, indices.ravel()).tolist():
+        state["state"]["key"] = key
+        bitgen.state = state
         while True:
-            x = rng.gamma(config.alpha)
-            y = rng.gamma(config.beta)
+            x, y = gamma(config.alpha), gamma(config.beta)
             eta = x / (x + y) if x + y > 0.0 else 0.0
             if 0.0 < eta < 1.0:
                 break
-        etas[n] = eta
-    return float(etas[0]) if indices.ndim == 0 else etas.reshape(indices.shape)
+        etas.append(eta)
+    return etas[0] if indices.ndim == 0 else np.array(etas).reshape(indices.shape)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,13 @@
 Moments are tuples of broadcastable components ``(mu_q, mu_p, sigma_qq,
 sigma_qp, sigma_pp)``; a covariance alone is the last three.  Every form is
 elementwise, so one call scores one pair, such as the :func:`lidar_pair` of
-every driver, or a whole map, and block boundaries never change a result:
-the grids score their map in one serial call, and fading may spread its draws
-over processes in blocks.  Nothing is validated here.  2x2 products are
-spelled out by component and transcendentals are numpy ufuncs (only the
-probe's squeezing comes from :mod:`math`), and every form is real and runs
-on the broadcast shape of its arguments, so scalar and array calls agree bit
-for bit, the Chernoff search included.
+every driver, or a whole map, and block boundaries never change a result, so
+fading may spread its draws over processes in blocks.  Nothing is validated
+here.  2x2 products are spelled out by component and transcendentals are numpy
+ufuncs (only the probe's squeezing comes from :mod:`math`); every form is real
+and runs on the broadcast shape of its arguments, so scalar and array calls
+agree bit for bit, the Chernoff search included: its ln Q_s terms hold a pair's
+two states on a last axis and square with np.square (scalar ``**`` is C pow()).
 """
 
 from __future__ import annotations
@@ -93,24 +93,21 @@ def w2_terms(m0, m1):
     return dq * dq + dp * dp, bures(m0[2:], m1[2:])
 
 
-def solve(dq, dp, sqq, sqp, spp):
-    """(g_q, g_p, d . g) with g = sigma^-1 d."""
-    d = det(sqq, sqp, spp)
+def solve(dq, dp, sqq, sqp, spp, d):
+    """(g_q, g_p) = sigma^-1 (dq, dp), given d = det sigma."""
     off = -sqp / d
-    g0, g1 = (spp / d) * dq + off * dp, off * dq + (sqq / d) * dp
-    return g0, g1, dq * g0 + dp * g1
+    return (spp / d) * dq + off * dp, off * dq + (sqq / d) * dp
 
 
 def log_fidelity(m0, m1):
     """ln F of two single-mode Gaussian states (Scutaru-type closed form); clamped at 0."""
-    s = (m0[2] + m1[2], m0[3] + m1[3], m0[4] + m1[4])
-    delta = det(*s)
+    dq, dp, s = m1[0] - m0[0], m1[1] - m0[1], (m0[2] + m1[2], m0[3] + m1[3], m0[4] + m1[4])
     mixed = (_nu(m0[2:]) > 1.0) & (_nu(m1[2:]) > 1.0)
     lam = np.where(mixed, (det(*m0[2:]) - 1.0) * (det(*m1[2:]) - 1.0), 0.0)
-    quad = solve(m1[0] - m0[0], m1[1] - m0[1], *s)[2]
+    g0, g1 = solve(dq, dp, *s, delta := det(*s))
     # ln of sqrt(delta + lam) - sqrt(lam), rationalised for stability
     log_denom = np.log(delta) - np.log(np.sqrt(delta + lam) + np.sqrt(lam))
-    return np.minimum(_LOG2 + -quad - log_denom, 0.0)
+    return np.minimum(_LOG2 + -(dq * g0 + dp * g1) - log_denom, 0.0)
 
 
 def log_s_overlap(m0, m1, s):
@@ -126,38 +123,41 @@ def _log_overlap_in_s(m0, m1):
     ln G_s = s ln(2 / (nu + 1)) - ln(1 - e^(-s beta)) and Lambda_s = coth(s beta / 2);
     a pure state (beta = inf, given a finite stand-in) has ln G_s = 0, Lambda_s = 1.
     With S = Lambda_s sigma0 / nu0 + Lambda_(1-s) sigma1 / nu1 and g = S^-1 d, the
-    slope is (ln G0)'(s) - (ln G1)'(1 - s) - tr(S^-1 S') / 2 + g.S'g."""
+    slope is (ln G0)'(s) - (ln G1)'(1 - s) - tr(S^-1 S') / 2 + g.S'g, states on a last axis."""
     dq, dp = m1[0] - m0[0], m1[1] - m0[1]
-    terms = []
-    for cov in (m0[2:], m1[2:]):
-        nu = _nu(cov)
-        mixed = nu > 1.0
-        beta = np.log1p(2.0 / np.where(mixed, nu - 1.0, 2.0))
-        terms.append((mixed, np.log(2.0 / (nu + 1.0)), beta, [x / nu for x in cov]))
+    cov = np.empty((3,) + np.broadcast(*m0[2:], *m1[2:]).shape + (2,))
+    for k in range(3):
+        cov[k, ..., 0], cov[k, ..., 1] = m0[2 + k], m1[2 + k]
+    nu = _nu(cov)
+    mixed, scaled = nu > 1.0, cov / nu
+    beta = np.log1p(2.0 / np.where(mixed, nu - 1.0, 2.0))
+    half_beta, neg_half_beta, log_h = 0.5 * beta, -0.5 * beta, np.log(2.0 / (nu + 1.0))
 
     def powers(s):
-        """Per state, p (s, then 1 - s), p beta / 2 and Lambda_p; then S."""
-        at = [(p, 0.5 * p * beta, mixed) for (mixed, _, beta, _), p in zip(terms, (s, 1.0 - s))]
-        big0, big1 = (np.where(mixed, 1.0 / np.tanh(x), 1.0) for _, x, mixed in at)
-        return at, tuple(big0 * x0 + big1 * x1 for x0, x1 in zip(terms[0][3], terms[1][3]))
+        """p = (s, 1 - s) and x = p beta / 2 per state, sigma / nu on x's axes, S, det S, g."""
+        p = np.empty(np.shape(s) + (2,))
+        p[..., 0], p[..., 1] = s, 1.0 - s
+        x = p * half_beta
+        sig = scaled[(slice(None),) + (None,) * (x.ndim - scaled.ndim + 1)]
+        t = np.where(mixed, 1.0 / np.tanh(x), 1.0) * sig
+        ssum = t[..., 0] + t[..., 1]
+        d = det(*ssum)
+        return p, x, sig, ssum, d, solve(dq, dp, *ssum, d)
 
     def value(s):
-        at, ssum = powers(s)
-        log_g0, log_g1 = (np.where(mixed, p * log_h - np.log(-np.expm1(-2.0 * x)), 0.0)
-                          for (mixed, log_h, _, _), (p, x, _) in zip(terms, at))
-        return _LOG2 + log_g0 + log_g1 - 0.5 * np.log(det(*ssum)) + -solve(dq, dp, *ssum)[2]
+        p, x, _, _, d, (g0, g1) = powers(s)
+        log_g = np.where(mixed, p * log_h - np.log(-np.expm1(-2.0 * x)), 0.0)
+        return _LOG2 + log_g[..., 0] + log_g[..., 1] - 0.5 * np.log(d) + -(dq * g0 + dp * g1)
 
     def slope(s):
-        at, (a, b, c) = powers(s)
-        (dlog0, dbig0), (dlog1, dbig1) = ((np.where(mixed, log_h - beta / np.expm1(2.0 * x), 0.0),
-                                           np.where(mixed, -0.5 * beta / np.sinh(x) ** 2, 0.0))
-                                          for (mixed, log_h, beta, _), (_, x, _) in zip(terms, at))
-        da, db, dc = (dbig0 * x0 - dbig1 * x1 for x0, x1 in zip(terms[0][3], terms[1][3]))
-        g0, g1, _ = solve(dq, dp, a, b, c)
-        trace = (c * da - 2.0 * b * db + a * dc) / det(a, b, c)
-        return dlog0 - dlog1 - 0.5 * trace + (da * g0 * g0 + 2.0 * db * g0 * g1 + dc * g1 * g1)
+        _, x, sig, (a, b, c), d, (g0, g1) = powers(s)
+        dlog = np.where(mixed, log_h - beta / np.expm1(2.0 * x), 0.0)
+        t = np.where(mixed, neg_half_beta / np.square(np.sinh(x)), 0.0) * sig
+        da, db, dc = t[..., 0] - t[..., 1]
+        return (dlog[..., 0] - dlog[..., 1] - 0.5 * ((c * da - 2.0 * b * db + a * dc) / d)
+                + (da * g0 * g0 + 2.0 * db * g0 * g1 + dc * g1 * g1))
 
-    return value, slope, (terms[0][0], terms[1][0])
+    return value, slope, (mixed[..., 0], mixed[..., 1])
 
 
 def chernoff(m0, m1):
@@ -185,9 +185,8 @@ def chernoff(m0, m1):
         return (np.where(rising, a, c), np.where(rising, c, b),
                 np.where(rising, ga, g), np.where(rising, g, gb))
 
-    a = np.full(np.broadcast(*m0, *m1).shape, _S_EDGE)
-    b = np.full_like(a, 1.0 - _S_EDGE)
-    ga, gb = slope(np.stack((a, b)))
+    a, b = ends = np.multiply.outer((_S_EDGE, 1.0 - _S_EDGE), np.ones(np.broadcast(*m0, *m1).shape))
+    ga, gb = slope(ends)
     for _ in range(12):
         a, b, ga, gb = narrow(a, b, ga, gb, 0.5 * (a + b))
     s_star = secant(*narrow(a, b, ga, gb, secant(a, b, ga, gb)))
@@ -211,7 +210,8 @@ def report(h1, h0):
     0.5 arctan2(-2 sigma_qp, sigma_pp - sigma_qq); either is taken mod pi, pi folded to 0."""
     disp, b2 = w2_terms(h0, h1)
     _, log_qcb, log_f, log_half = chernoff(h0, h1)
-    g0, g1, snr = solve(h1[0] - h0[0], h1[1] - h0[1], *h1[2:])
+    dq, dp = h1[0] - h0[0], h1[1] - h0[1]
+    g0, g1 = solve(dq, dp, *h1[2:], det(*h1[2:]))
     still = disp == 0.0
     minor_axis = 0.5 * np.arctan2(-2.0 * h1[3], h1[4] - h1[2])
     theta = np.where(still, minor_axis, np.arctan2(g1, g0)) % np.pi
@@ -223,6 +223,6 @@ def report(h1, h0):
         "xi_qbb": exponent(log_half),
         "xi_qbb_proxy": exponent(0.5 * log_f),
         "xi_qcb": exponent(log_qcb),
-        "snr_sq_opt": np.where(still, 0.0, snr),
+        "snr_sq_opt": np.where(still, 0.0, dq * g0 + dp * g1),
         "theta_opt": np.where(theta == np.pi, 0.0, theta),
     }

@@ -259,6 +259,22 @@ class TestXiQcb:
         metrics.s_overlap_minimum(THERMAL_1, GaussianState([0.5, -0.3], np.diag([2.0, 4.0])))
         assert calls == [("slope", (2,))] + [("slope", ())] * 13 + [("value", ())] * 2
 
+    def test_scalar_minimum_is_the_batched_one(self):
+        # a general pair whose slope cancels near s*, so a 1-ulp difference between the
+        # scalar and the batched route (numpy scalar ** is C pow(), not the array square)
+        # grows to a flipped bisection branch; both routes must give the same bits
+        h0 = GaussianState.from_moments((2.456266685841861, 0.30994626445227585, 5.28197410538129,
+                                         0.023740030776651856, 2.767994128416328))
+        h1 = GaussianState.from_moments((-0.06789540783267793, 0.6775493330735691, 9.097762478514328,
+                                         -4.813503497055847, 2.8701387331574346))
+        batched = [tuple(np.array([x]) for x in state.moments) for state in (h0, h1)]
+        s_star, best = kernel.chernoff(*batched)[:2]
+        assert metrics.s_overlap_minimum(h0, h1) == (s_star[0], best[0]) == (
+            0.6495558267175074, -0.7095860268566853)
+        rep = metrics.metric_report(h1, h0)
+        for key, values in kernel.report(*batched[::-1]).items():
+            assert getattr(rep, key) == values[0], key
+
     def test_near_pure_state_stays_mixed(self):
         state = GaussianState([0.5, 0.0], np.diag([1.0 + 1e-10, 1.0]))
         assert kernel._nu(state.moments[2:]) > 1.0
@@ -368,7 +384,8 @@ def test_metric_report_consistency():
 
 def test_report_takes_one_overlap_setup_per_call(monkeypatch):
     # ln F, ln Q_1/2 and the Chernoff minimum of every pair come from one chernoff
-    # call: one set of ln Q_s closures, one ln F and nu once per state in each
+    # call: one set of ln Q_s closures on both states stacked, so one nu, and one ln F
+    # with nu once per state
     calls = []
 
     def count(name):
@@ -384,4 +401,4 @@ def test_report_takes_one_overlap_setup_per_call(monkeypatch):
         count(name)
     kernel.report(*kernel.lidar_pair(np.linspace(0.0, 1.0, 5), 5.0, 0.6, 1.0))
     assert {name: calls.count(name) for name in set(calls)} == {
-        "_log_overlap_in_s": 1, "log_fidelity": 1, "_nu": 4}
+        "_log_overlap_in_s": 1, "log_fidelity": 1, "_nu": 3}

@@ -25,10 +25,17 @@ Q_ABOVE_ONE = 8.9e-15
 Q_SWAP = 1.8e-15
 # rotating both states by one angle moves the scores by rounding and by the input
 # conditioning of near-pure states: over the pairs of 15000 seeds, at most 5.7e-14
-# (w2_sq, Bures rounding of a self-pair), 3.2e-12 (xi_qbb) and 3.1e-10 (xi_qcb, at
-# det sigma - 1 = 5e-9, where a 1-ulp input move shifts ln Q by 5e-10), each times
-# max(1, |score|). Each bound is twice that
-ROTATION = {"w2_sq": 1.2e-13, "xi_qbb": 6.4e-12, "xi_qcb": 6.2e-10}
+# (w2_sq, Bures rounding of a self-pair), 3.2e-12 (xi_qbb), 3.1e-10 (xi_qcb, at
+# det sigma - 1 = 5e-9, where a 1-ulp input move shifts ln Q by 5e-10), 1.4e-13
+# (fidelity) and 2.6e-13 (xi_qbb_proxy), both on that same pair, and 1.1e-14
+# (snr_sq_opt), each times max(1, |score|). Each bound is twice that
+ROTATION = {"w2_sq": 1.2e-13, "xi_qbb": 6.4e-12, "xi_qcb": 6.2e-10, "fidelity": 2.9e-13,
+            "xi_qbb_proxy": 5.1e-13, "snr_sq_opt": 2.2e-14}
+# theta_opt turns with the states, mod pi: over the same pairs its angular distance
+# from the turned angle reached 2.1e-14 rad with a displacement and 1.9e-11 rad
+# without, where the minor axis of a nearly isotropic sigma1 is ill-conditioned.
+# The bound is twice that
+THETA_TURN = 3.8e-11
 # W2 over the same seeds: a self-pair's W2^2 reached 5.0e-16 tr sigma; the triangle
 # inequality failed by up to 4.4e-16 max(1, W2(a, c)), on triples of one covariance;
 # and W2^2(Phi a, Phi b) - eta W2^2(a, b) reached 5.7e-16 times its rounding scale
@@ -157,7 +164,9 @@ def test_half_overlap_is_in_unit_interval(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_scores_are_rotation_invariant(seed):
     # a phase-space rotation of both states is a unitary on both, and W2 is
-    # invariant under a common symplectic orthogonal map
+    # invariant under a common symplectic orthogonal map; the LO angle, that of
+    # sigma1^-1 d or of the minor axis of sigma1, turns with them, and is undefined
+    # only with no displacement and sigma1 proportional to I
     theta = np.random.default_rng([seed, 7]).uniform(0.0, 2.0 * math.pi)
     for h0, h1 in _pairs_with_self_pairs(seed):
         rep = metrics.metric_report(h1, h0)
@@ -165,6 +174,11 @@ def test_scores_are_rotation_invariant(seed):
         for key, bound in ROTATION.items():
             score, moved = getattr(rep, key), getattr(turned, key)
             assert abs(moved - score) <= bound * max(1.0, abs(score)), (key, score, moved)
+        (sqq, sqp), (_, spp) = h1.sigma
+        if rep.displacement_term == 0.0 and sqp == 0.0 and sqq == spp:
+            continue
+        turn = (turned.theta_opt - rep.theta_opt - theta) % math.pi
+        assert min(turn, math.pi - turn) <= THETA_TURN, (rep.theta_opt, turned.theta_opt)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
