@@ -62,7 +62,9 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     applied to a chunk in one call.  Columns ``(row_axis, col_axis, values)``
     with a 2-d ``values`` are the product table of the two axes, row-major:
     each axis value is formatted once, into one template per row that a single
-    ``%`` fills with that row's values (``_NUMBER`` output never contains ``%``)."""
+    ``%`` fills with that row's values (``_NUMBER`` output never contains ``%``).
+    An integer column whose values all lie in (-1e12, 1e12) is written with
+    ``%d``, which prints exactly the ``_NUMBER`` bytes of such values, faster."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         if np.ndim(columns[-1]) == 2:
@@ -72,10 +74,15 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
                 head = _fmt(x)
                 fh.write((head + head.join(tail)) % tuple(row.tolist()))
             return
-        line = ",".join([_NUMBER] * len(columns)) + "\n"
+        exact = [j for j, c in enumerate(columns) if c.dtype.kind in "iu"
+                 and (c.size == 0 or (c.min() > -10**12 and c.max() < 10**12))]
+        line = ",".join("%d" if j in exact else _NUMBER for j in range(len(columns))) + "\n"
         for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
             block = np.column_stack([c[start:start + _CSV_CHUNK_ROWS] for c in columns])
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            cells = block.ravel().tolist()
+            for j in exact:
+                cells[j::len(columns)] = columns[j][start:start + _CSV_CHUNK_ROWS].tolist()
+            fh.write(line * len(block) % tuple(cells))
 
 
 def _write_manifest(path: Path, entries: dict) -> None:

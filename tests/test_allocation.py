@@ -285,6 +285,31 @@ class TestGradientDiagnostics:
         assert d.d_cov_fd > 0.0
         assert math.isfinite(d.cov_ratio)
 
+    def test_covariance_fd_matches_closed_form_slope(self):
+        # the Bures slope at lambda -> 0+ in closed form: with t = 2 n_th + 1 and
+        # m = eta + (1 - eta) t, 4 eta N [1 - sqrt(t/m) + eta sqrt(t) / (2 m^1.5)]
+        rng = np.random.default_rng(89)
+        h, eps = allocation.FD_STEP, np.finfo(float).eps
+        for _ in range(200):
+            eta = float(rng.uniform(0.05, 1.0))
+            n_tot = float(rng.uniform(0.5, 25.0))
+            n_th = float(rng.uniform(0.0, 2.5))
+            d = allocation.gradient_diagnostics(n_tot, ChannelParams(eta=eta, n_th=n_th))
+            f0, f1, f2 = allocation._w2_terms(eta, np.array([0.0, h, 2.0 * h]), n_tot,
+                                              n_th)[1].tolist()
+            d1, d2 = (f2 - f0) / (2.0 * h), (f1 - f0) / h
+            assert d.d_cov_fd == 2.0 * d2 - d1
+            t = 2.0 * n_th + 1.0
+            m = eta + (1.0 - eta) * t
+            closed = 4.0 * eta * n_tot * (1.0 - math.sqrt(t / m)
+                                          + eta * math.sqrt(t) / (2.0 * m**1.5))
+            # truncation: Richardson's own estimate |d2 - d1|; rounding: each f is a
+            # difference of terms no larger than 4t + 4N, off by under an ulp of that,
+            # and (4 f1 - 3 f0 - f2) / (2h) weighs those errors by 4/h in all. Over 4000
+            # such draws the error reached 0.25 of this bound
+            bound = abs(d2 - d1) + 3.0 * eps * (4.0 * t + 4.0 * n_tot) / h
+            assert abs(d.d_cov_fd - closed) <= bound, (eta, n_tot, n_th)
+
     def test_displacement_fd_randomized(self):
         rng = np.random.default_rng(89)
         for _ in range(20):

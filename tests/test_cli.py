@@ -75,6 +75,20 @@ class TestCsvWriter:
         edge = np.resize(self.EDGE_VALUES, rows)
         assert_writers_agree(tmp_path, [np.arange(rows), *raw, scaled, edge, edge[::-1]])
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])
+    def test_integer_columns_print_as_their_float(self, dtype, tmp_path):
+        # a column within (-1e12, 1e12) prints with %d; one reaching 1e12 or beyond
+        # must keep the float format, which the per-value writer's float(v) pins
+        info = np.iinfo(dtype)
+        for m in (1, 10**12 - 1, 10**12, 2**53 + 1, info.max, -info.min):
+            for extreme in (m, -m):  # each bound is reached by a column's max, then its min
+                column = np.array([v for v in (0, 1, -1, extreme) if info.min <= v <= info.max],
+                                  dtype=dtype)
+                floats = np.linspace(-1.0, 1.0, column.size)
+                assert_writers_agree(tmp_path, [column, floats, column[::-1]])
+        long = np.resize(np.array([0, 1, 10**6], dtype=dtype), 2 * cli._CSV_CHUNK_ROWS + 3)
+        assert_writers_agree(tmp_path, [long, np.arange(long.size) / 3.0])
+
     @pytest.mark.parametrize("shape", [(1, 1), (1, len(EDGE_VALUES)), (len(EDGE_VALUES), 1),
                                        (101, 96)])
     def test_product_table_is_its_row_major_expansion(self, shape, tmp_path):

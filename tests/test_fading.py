@@ -383,3 +383,99 @@ def test_iqr_over_median_is_nan_at_zero_median():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert math.isnan(fading._iqr_over_median(np.array([0.0, 0.0, 0.0, 1.0])))
+
+
+# zeros of both signs, infinities, NaN and ties, mixed into normal draws
+_SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.0, -1.0)
+_FIXED_Q = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
+
+
+def _bits_match(got, want, values):
+    """``got`` equals ``want`` bit for bit, except that a zero may take either sign when
+    ``values`` holds zeros of both signs: numpy's partition leaves them in no fixed order."""
+    got, want = np.asarray(got), np.asarray(want)
+    same = got.view(np.int64) == want.view(np.int64)
+    zeros = np.signbit(values[values == 0.0])
+    if zeros.any() and not zeros.all():
+        same |= (got == 0.0) & (want == 0.0)
+    return bool(np.all(same))
+
+
+def test_quantiles_are_numpy_linear_quantiles_bit_for_bit():
+    """``_quantiles`` of the sorted copy against ``np.quantile``, on 1 to 20000 values.
+
+    The fading metrics hold no zero of both signs, so the one allowed difference never
+    reaches them: etas lie in (0, 1); w2 is a sum of squares plus ``max(., 0.0)`` of the
+    Bures term, and xi_qbb is ``max(-ln Q, 0.0)``, and numpy's ``maximum`` gives +0 for
+    either zero there, so both hold only +0.
+    """
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.one_of(st.integers(1, 40), st.integers(1, 20000)),
+           seed=st.integers(0, 2**32 - 1), share=st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+           ties=st.booleans(), q=st.floats(0.0, 1.0))
+    def check(size, seed, share, ties, q):
+        rng = np.random.default_rng(seed)
+        if ties:
+            values = rng.integers(-3, 4, size=size).astype(np.float64)
+        else:
+            values = rng.normal(size=size) * 10.0 ** rng.integers(-30, 30, size=size)
+        swap = rng.random(size) < share
+        values[swap] = rng.choice(_SPECIAL, size=int(swap.sum()))
+        ordered = np.sort(values)
+        with np.errstate(all="ignore"):  # inf - inf, as inside np.quantile
+            for qs in (_FIXED_Q, [q], q):
+                got, want = fading._quantiles(ordered, qs), np.quantile(values, qs)
+                assert np.shape(got) == np.shape(want)
+                assert _bits_match(got, want, values), (values, qs, got, want)
+
+    check()
+
+
+def _percentile_histogram(values):
+    """The histogram as it was defined on ``np.percentile`` of the unsorted samples."""
+    lo, hi = float(values.min()), float(values.max())
+    if hi == lo:
+        edges = np.array([lo - 0.5, lo + 0.5])
+    else:
+        q25, q75 = np.percentile(values, [25.0, 75.0])
+        if (iqr := q75 - q25) > 0:
+            width = 2.0 * iqr * values.size ** (-1.0 / 3.0)
+            nbins = min(values.size, max(1, int(math.ceil((hi - lo) / width))))
+        else:
+            nbins = max(1, int(math.ceil(math.log2(values.size) + 1)))
+        edges = np.linspace(lo, hi, nbins + 1)
+    return np.histogram(values, bins=edges, density=True)
+
+
+def _percentile_iqr_over_median(values):
+    q25, q50, q75 = np.percentile(values, [25.0, 50.0, 75.0])
+    return float((q75 - q25) / q50) if q50 != 0 else math.nan
+
+
+@pytest.mark.parametrize("config", [
+    SMALL,
+    fading.FadingConfig(n_realizations=1, seed=7),
+    fading.FadingConfig(n_realizations=2, seed=3),  # the median lands on t = 0.5
+    fading.FadingConfig(n_realizations=7, probe=ProbeBudget(0.0, 0.5), n_th=0.0),  # all 0
+], ids=["small", "one", "two", "all-zero"])
+def test_order_statistics_equal_their_percentile_definitions(config):
+    ens = fading.run_ensemble(config)
+    samples = {"eta": ens.etas, "w2_sq": ens.w2_sq, "xi_qbb": ens.xi_qbb}
+    for key, values in samples.items():
+        assert np.array_equal(ens.ordered[key], np.sort(values))
+        density, edges = _percentile_histogram(values)
+        assert np.array_equal(ens.histograms[key].edges, edges)
+        assert np.array_equal(ens.histograms[key].density, density, equal_nan=True)
+    for field, values in (("iqr_over_median_w2_sq", ens.w2_sq),
+                          ("iqr_over_median_xi_qbb", ens.xi_qbb)):
+        want = _percentile_iqr_over_median(values)
+        got = getattr(ens.summary, field)
+        assert got == want or math.isnan(got) and math.isnan(want)
+    for metric, values in (("w2", ens.w2_sq), ("qbb", ens.xi_qbb)):
+        for q in (0.0, 0.25, 0.5, 0.9, 0.999):
+            report = fading.post_select(ens, metric=metric, quantile=q)
+            if not report.degenerate:
+                assert report.threshold == float(np.quantile(values, q))

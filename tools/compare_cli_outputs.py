@@ -38,6 +38,10 @@ COMMANDS = (
     "fading --workers 2",
     "fading --alpha 0.5 --beta 1 --realizations 3000 --seed 11",
     "fading --alpha 1.000001 --beta 60 --realizations 20000 --seed 5",
+    "fading --realizations 1",
+    "fading --realizations 2 --seed 3",
+    "fading --alpha 0.001 --beta 1 --realizations 3001 --seed 5",
+    "fading --n-tot 0 --n-th 0 --realizations 7",
     "metrics --budget 5,0.5 --eta 0.6 --n-th 1",
     "metrics --budget 5,0.5,0.3 --eta 0.6 --n-th 1 --eta-det 0.8 --v-el 0.1",
     "metrics --state0 0,0,1,0,1 --state1 1.41,0,1,0,1",
