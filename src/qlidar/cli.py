@@ -57,6 +57,13 @@ def _fmt(x) -> str:
     return _NUMBER % float(x)
 
 
+def _show(manifest: dict, **values: str) -> None:
+    """Print each ``key = value`` line and record it in the manifest."""
+    for key, value in values.items():
+        print(f"{key} = {value}")
+        manifest[key] = value
+
+
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Equal-length ``columns`` as rows of ``_NUMBER`` values; the format is
     applied to a chunk in one call.  Columns ``(row_axis, col_axis, values)``
@@ -249,9 +256,7 @@ def cmd_metrics(p: dict, manifest: dict) -> dict:
     else:
         raise InvalidParameterError("give either --state0/--state1 or --budget")
 
-    for key, value in dataclasses.asdict(rep).items():
-        print(f"{key} = {_fmt(value)}")
-        manifest[key] = _fmt(value)
+    _show(manifest, **{key: _fmt(value) for key, value in dataclasses.asdict(rep).items()})
     return {}
 
 
@@ -267,18 +272,11 @@ def cmd_threshold(p: dict, manifest: dict) -> dict:
     eta_c = allocation.eta_critical(n_tot, n_th)
     eta_c_eff = allocation.eta_critical_effective(n_tot, params) if imperfect else None
     reachable = eta_c <= 1.0
-    print(f"eta_critical = {_fmt(eta_c)}")
-    print(f"reachable = {str(reachable).lower()}")
-    manifest["eta_critical"] = _fmt(eta_c)
-    manifest["reachable"] = str(reachable).lower()
+    _show(manifest, eta_critical=_fmt(eta_c), reachable=str(reachable).lower())
     if not reachable:
         print("no quantum regime at any transmissivity")
-
     if imperfect:
-        print(f"eta_critical_effective = {_fmt(eta_c_eff)}")
-        print(f"eta_effective = {_fmt(params.eta_eff)}")
-        manifest["eta_critical_effective"] = _fmt(eta_c_eff)
-        manifest["eta_effective"] = _fmt(params.eta_eff)
+        _show(manifest, eta_critical_effective=_fmt(eta_c_eff), eta_effective=_fmt(params.eta_eff))
     return {}
 
 

@@ -187,8 +187,7 @@ def sample_eta(config: FadingConfig, index):
     in its C code's order.  The indices those words do not settle (a slow
     ziggurat layer, V <= 0, a log test within its margin, a boundary hit;
     3-8% at shapes (1 + 1e-9, 40) to (7.3, 1e3)), and all when a shape is
-    <= 1, go through :func:`_gamma_loop`: 5000 indices at (2, 3) took 2.2 ms
-    against its 10.1 ms on a 2-vCPU Xeon.  Boundary hits (measure zero) and the 0/0 of two
+    <= 1, go through :func:`_gamma_loop`.  Boundary hits (measure zero) and the 0/0 of two
     Gamma draws that both underflow are redrawn from the same stream.
     """
     indices = np.asarray(index)
@@ -271,20 +270,50 @@ class FadingSummary:
 
 @dataclass(frozen=True)
 class FadingEnsemble:
-    """Per-realization samples plus summary statistics and histograms."""
+    """Per-realization samples; every derived value is computed from them once.
+
+    ``ordered`` holds each sample sorted ascending, keyed as ``histograms``;
+    ``histograms``, ``summary`` and :func:`post_select` read their order
+    statistics from it, so each sample is sorted once and only here.
+    """
 
     etas: np.ndarray
     w2_sq: np.ndarray
     xi_qbb: np.ndarray
-    summary: FadingSummary
-    histograms: dict[str, Histogram]
-    # each metric sorted ascending, keyed as ``histograms``; sorted here when not given
-    ordered: dict[str, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.ordered is None:
-            samples = {"eta": self.etas, "w2_sq": self.w2_sq, "xi_qbb": self.xi_qbb}
-            object.__setattr__(self, "ordered", {k: np.sort(v) for k, v in samples.items()})
+    @functools.cached_property
+    def ordered(self) -> dict[str, np.ndarray]:
+        samples = {"eta": self.etas, "w2_sq": self.w2_sq, "xi_qbb": self.xi_qbb}
+        return {k: np.sort(v) for k, v in samples.items()}
+
+    @functools.cached_property
+    def histograms(self) -> dict[str, Histogram]:
+        return {k: _histogram(v) for k, v in self.ordered.items()}
+
+    @functools.cached_property
+    def summary(self) -> FadingSummary:
+        etas, w2, xi = self.etas, self.w2_sq, self.xi_qbb
+        var_eta, std_w2, std_xi = float(np.var(etas)), np.std(w2), np.std(xi)
+        mean_w2, mean_xi = float(np.mean(w2)), float(np.mean(xi))
+        if etas.size > 1 and std_w2 > 0 and var_eta > 0:
+            pearson = float(np.corrcoef(w2, etas)[0, 1])
+        else:
+            pearson = math.nan
+        iqr_w2 = _iqr_over_median(self.ordered["w2_sq"])
+        iqr_xi = _iqr_over_median(self.ordered["xi_qbb"])
+        return FadingSummary(
+            mean_eta=float(np.mean(etas)),
+            var_eta=var_eta,
+            mean_w2_sq=mean_w2,
+            mean_xi_qbb=mean_xi,
+            cv_w2_sq=float(std_w2 / mean_w2) if mean_w2 != 0 else math.nan,
+            cv_xi_qbb=float(std_xi / mean_xi) if mean_xi != 0 else math.nan,
+            pearson_w2_eta=pearson,
+            iqr_over_median_w2_sq=iqr_w2,
+            iqr_over_median_xi_qbb=iqr_xi,
+            contrast_iqr_median=iqr_w2 / iqr_xi if iqr_xi > 0.0 else math.nan,
+            saturated_count=int(np.sum(xi >= kernel.XI_SATURATION_CAP)),
+        )
 
 
 def _eval_block(indices, config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -326,39 +355,11 @@ def run_ensemble(config: FadingConfig, workers: int = 1) -> FadingEnsemble:
     the closed-form kernel.  With ``workers`` > 1 contiguous index blocks go
     to a process pool and are joined in index order; the pool pays only
     at large ensembles (see the README).  Deterministic for a fixed config: the
-    per-index streams and elementwise scoring make the result independent
-    of ``workers`` and of the blocks.
+    per-index streams and elementwise scoring make the samples, and so every
+    value the ensemble derives from them, independent of ``workers`` and of
+    the blocks.
     """
-    n = config.n_realizations
-    workers = integer("workers", workers, 1)
-    etas, w2, xi = _map_blocks(config, workers)
-    ordered = {"eta": np.sort(etas), "w2_sq": np.sort(w2), "xi_qbb": np.sort(xi)}
-
-    saturated = int(np.sum(xi >= kernel.XI_SATURATION_CAP))
-    var_eta, std_w2, std_xi = float(np.var(etas)), np.std(w2), np.std(xi)
-    mean_w2, mean_xi = float(np.mean(w2)), float(np.mean(xi))
-    if n > 1 and std_w2 > 0 and var_eta > 0:
-        pearson = float(np.corrcoef(w2, etas)[0, 1])
-    else:
-        pearson = math.nan
-    iqr_w2, iqr_xi = _iqr_over_median(ordered["w2_sq"]), _iqr_over_median(ordered["xi_qbb"])
-    summary = FadingSummary(
-        mean_eta=float(np.mean(etas)),
-        var_eta=var_eta,
-        mean_w2_sq=mean_w2,
-        mean_xi_qbb=mean_xi,
-        cv_w2_sq=float(std_w2 / mean_w2) if mean_w2 != 0 else math.nan,
-        cv_xi_qbb=float(std_xi / mean_xi) if mean_xi != 0 else math.nan,
-        pearson_w2_eta=pearson,
-        iqr_over_median_w2_sq=iqr_w2,
-        iqr_over_median_xi_qbb=iqr_xi,
-        contrast_iqr_median=iqr_w2 / iqr_xi if iqr_xi > 0.0 else math.nan,
-        saturated_count=saturated,
-    )
-    return FadingEnsemble(
-        etas=etas, w2_sq=w2, xi_qbb=xi, summary=summary,
-        histograms={k: _histogram(v) for k, v in ordered.items()}, ordered=ordered,
-    )
+    return FadingEnsemble(*_map_blocks(config, integer("workers", workers, 1)))
 
 
 @dataclass(frozen=True)
@@ -383,11 +384,7 @@ def post_select(
     all-equal metric values the selection is flagged degenerate and the full
     set is returned.
     """
-    if metric == "w2":
-        key = "w2_sq"
-    elif metric == "qbb":
-        key = "xi_qbb"
-    else:
+    if (key := {"w2": "w2_sq", "qbb": "xi_qbb"}.get(metric)) is None:
         raise InvalidParameterError(f"unknown selection metric {metric!r}")
     if not 0.0 <= (quantile := real("quantile", quantile)) < 1.0:
         raise InvalidParameterError(f"quantile must be in [0, 1), got {quantile}")

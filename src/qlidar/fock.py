@@ -37,9 +37,7 @@ norm, by at most twice that).  U itself stays the full factor: at s near 0,
 p^s lifts the thermal tail and nearly every level counts, so a state built
 on its significant columns only would depend on s.  W is read-only and kept
 for the last (pair, block), so the fidelity and the s = 1/2 overlap of one
-pair share one product.  On the benchmark's oracle workload (270 pairs at
-cutoffs 60 and 90, median min(k0, k1) = 48) this took the median wall time
-per pass from 0.85 to 0.64 s (2-vCPU host, one BLAS thread).
+pair share one product.
 
 Operator calibration.  The quadrature operators are Q = a + a^dag and
 P = -i (a - a^dag), whose vacuum variances are 1, matching the covariance
@@ -227,7 +225,6 @@ def oracle_fidelity(rho0: FockDensity, rho1: FockDensity) -> float:
     argument the trace norm drops by at most 2 * 2^-60 and F by at most twice
     that.  U0 and U1 stay full, since a state's significant levels depend on
     s; W is the block kept for this pair, and the s = 1/2 overlap reuses it.
-    The block took the oracle benchmark from 0.85 to 0.64 s per pass.
     """
     a0, overlap, a1 = _weighted_block(rho0, rho1, np.sqrt(rho0.probs), np.sqrt(rho1.probs))
     singular = np.linalg.svd(a0[:, None] * overlap * a1, compute_uv=False)
@@ -243,8 +240,7 @@ def oracle_s_overlap(rho0: FockDensity, rho1: FockDensity, s: float) -> float:
     2^-60.  Rows and columns of W have unit norm and the weights are at most
     1, so the sum drops by at most 2 * 2^-60 (module notes).  U0 and U1 stay
     full, since the block depends on s; W is kept for the last (pair, block),
-    which at s = 1/2 is the fidelity's.  The block took the oracle benchmark
-    from 0.85 to 0.64 s per pass.
+    which at s = 1/2 is the fidelity's.
     """
     if not 0.0 <= (s := real("s", s)) <= 1.0:
         raise InvalidParameterError(f"s must be in [0, 1], got {s}")

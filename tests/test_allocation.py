@@ -212,6 +212,10 @@ LAMS = allocation.default_lambda_grid(0.25)
     lambda: allocation.allocation_grid(10.0, 0.1, ETAS, np.array([0.5, 0.5])),
     lambda: allocation.allocation_grid(10.0, "0.1", ETAS, LAMS),
     lambda: allocation.gradient_diagnostics(0.0, ChannelParams(eta=0.5, n_th=0.1)),
+    lambda: allocation.default_eta_grid(1.0 / allocation.MAX_GRID_POINTS),
+    lambda: allocation.default_lambda_grid(0.95 / allocation.MAX_GRID_POINTS),
+    lambda: allocation.default_eta_grid(1e-300),
+    lambda: allocation.default_lambda_grid(5e-324),
 ])
 def test_array_inputs_are_validated(call):
     # the grid drivers check their parameters once per call, not per cell
@@ -323,3 +327,11 @@ class TestGradientDiagnostics:
         grid = allocation.allocation_grid(10.0, 0.1, allocation.default_eta_grid(0.02),
                                           allocation.default_lambda_grid(0.02))
         assert 0.1 < allocation.transition_eta(grid) < 0.5
+
+
+
+def test_grid_steps_up_to_the_point_cap_are_accepted():
+    cap = allocation.MAX_GRID_POINTS  # one step finer is rejected in test_array_inputs_are_validated
+    assert allocation.default_eta_grid(0.001).size == 1001
+    assert allocation.default_eta_grid(1.0 / (cap - 1)).size == cap
+    assert allocation.default_lambda_grid(0.95 / (cap - 1)).size == cap

@@ -664,6 +664,9 @@ class TestErrorHandling:
         ("parametric", "--workers", "0"),
         ("fading", "--workers", "-3"),
         ("fading", "--alpha", "0.0005"),
+        ("heatmap", "--grid-step", "1e-300"),
+        ("parametric", "--grid-step", "1e-300"),
+        ("heatmap", "--grid-step", "0.0004"),
     ])
     def test_out_of_domain_value_is_parameter_error(self, argv, tmp_path):
         result = run_cli(*argv, "--out", str(tmp_path))
@@ -672,6 +675,7 @@ class TestErrorHandling:
         manifest = read_manifest(tmp_path / f"{argv[0]}_manifest.txt")
         assert manifest["status"] == "error"
         assert manifest["error"]
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_parametric_reads_scenario_from_config(self, tmp_path):
         config = tmp_path / "one.conf"

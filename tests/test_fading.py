@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 import warnings
 
@@ -232,6 +233,19 @@ class TestRunEnsemble:
         fading.run_ensemble(SMALL, workers=3)
         assert sizes == [10, 3]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_values_derive_from_the_samples_alone(self, workers):
+        ens = fading.run_ensemble(SMALL, workers=workers)
+        rebuilt = fading.FadingEnsemble(ens.etas.copy(), ens.w2_sq.copy(), ens.xi_qbb.copy())
+        for key, ordered in ens.ordered.items():
+            assert ordered.tobytes() == rebuilt.ordered[key].tobytes()
+            hist, again = ens.histograms[key], rebuilt.histograms[key]
+            assert hist.edges.tobytes() == again.edges.tobytes()
+            assert hist.density.tobytes() == again.density.tobytes()
+        as_bytes = [np.array(dataclasses.astuple(e.summary), dtype=float).tobytes()
+                    for e in (ens, rebuilt)]
+        assert as_bytes[0] == as_bytes[1]
+
     def test_default_mean_transmissivity(self):
         ens = fading.run_ensemble(fading.FadingConfig())
         assert abs(ens.summary.mean_eta - 0.4) < 0.01
@@ -315,8 +329,6 @@ class TestPostSelect:
             etas=ens.etas,
             w2_sq=np.ones(5),
             xi_qbb=ens.xi_qbb,
-            summary=ens.summary,
-            histograms=ens.histograms,
         )
         report = fading.post_select(flat, metric="w2", quantile=0.9)
         assert report.degenerate

@@ -52,6 +52,8 @@ COMMANDS = (
     "metrics --state0 0.3,-0.2,1.7,0.4,2.2 --state1 0.3,-0.2,1.7,0.4,2.2",
     "threshold",
     "threshold --eta 0.5 --eta-det 0.8 --v-el 0.1",
+    "threshold --n-tot 1 --n-th 2",
+    "threshold --eta 0.5 --eta-det 0.8",
     "benchmark --eta 1.5",
 )
 
