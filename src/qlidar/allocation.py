@@ -52,12 +52,8 @@ def w2_score(probe: ProbeBudget, params: ChannelParams) -> metrics.MetricReport:
     effective_noise(params)
     pair = kernel.lidar_pair(probe.lam, probe.n_tot, params.eta_eff, params.n_th,
                              params.v_el, probe.displacement_phase)
-    return metrics.metric_report(*map(GaussianState.from_moments, pair))
-
-
-def _w2_terms(eta_eff, lambdas, n_tot: float, n_th: float):
-    """(displacement, Bures) terms of W2^2 of the lidar pair; arguments broadcast."""
-    return kernel.w2_terms(*kernel.lidar_pair(lambdas, n_tot, eta_eff, n_th)[::-1])
+    h0, h1 = map(GaussianState.from_moments, pair)
+    return metrics.metric_report(h1, h0)
 
 
 def _ascending(values, name: str, check) -> np.ndarray:
@@ -100,7 +96,8 @@ def allocation_grid(
     etas = _ascending(eta_grid, "eta",
                       lambda eta: ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det))
     lambdas = _ascending(lambda_grid, "lambda", lambda lam: ProbeBudget(n_tot, lam))
-    disp, bures = _w2_terms(etas[:, None] * eta_det, lambdas, n_tot, n_th)
+    disp, bures = kernel.w2_terms(
+        *kernel.lidar_pair(lambdas, n_tot, etas[:, None] * eta_det, n_th))
     scores = disp + bures
     lambda_opt = lambdas[np.argmax(scores, axis=1)]
     return AllocationGrid(etas, lambdas, scores, lambda_opt)
@@ -193,7 +190,7 @@ def gradient_diagnostics(n_tot: float, params: ChannelParams) -> GradientDiagnos
 
     # one channel + metric evaluation per point feeds both slopes
     fractions = np.array([0.0, FD_STEP, 2.0 * FD_STEP])
-    disp, cov = _w2_terms(eta, fractions, n_tot, params.n_th)
+    disp, cov = kernel.w2_terms(*kernel.lidar_pair(fractions, n_tot, eta, params.n_th))
     return GradientDiagnostics(
         d_disp_dlambda=d_disp,
         d_cov_dlambda_paper=d_cov_paper,

@@ -319,9 +319,9 @@ class FadingEnsemble:
 def _eval_block(indices, config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     etas = sample_eta(config, indices)
     p = config.probe
-    h1, h0 = kernel.lidar_pair(p.lam, p.n_tot, etas, config.n_th, phase=p.displacement_phase)
-    disp, bures = kernel.w2_terms(h0, h1)
-    xi = kernel.exponent(kernel.log_s_overlap(h0, h1, 0.5))
+    pair = kernel.lidar_pair(p.lam, p.n_tot, etas, config.n_th, phase=p.displacement_phase)
+    disp, bures = kernel.w2_terms(*pair)
+    xi = kernel.exponent(kernel.log_s_overlap(*pair, 0.5))
     return etas, disp + bures, xi
 
 

@@ -1,7 +1,9 @@
 """Array-valued closed forms of the 2x2 Gaussian algebra, used by every caller.
 
 Moments are tuples of broadcastable components ``(mu_q, mu_p, sigma_qq,
-sigma_qp, sigma_pp)``; a covariance alone is the last three.  Every form is
+sigma_qp, sigma_pp)``; a covariance alone is the last three.  Every two-state
+form takes its pair as (H0, H1): the thermal background (no target) first, the
+probe after the channel second, as :func:`lidar_pair` returns it.  Every form is
 elementwise, so one call scores one pair, such as the :func:`lidar_pair` of
 every driver, or a whole map, and block boundaries never change a result, so
 fading may spread its draws over processes in blocks.  Nothing is validated
@@ -74,9 +76,9 @@ def effective_noise(n_th, v_el, eta_eff):
 
 
 def lidar_pair(lam, n_tot, eta_eff, n_th, v_el=0.0, phase=0.0):
-    """(H1, H0): the probe after the channel and the thermal background, v_el folded into n_th."""
+    """(H0, H1): the thermal background and the probe after the channel, v_el folded into n_th."""
     n_eff = effective_noise(n_th, v_el, eta_eff)
-    return channel(probe(lam, n_tot, phase), eta_eff, n_eff), thermal(n_eff)
+    return thermal(n_eff), channel(probe(lam, n_tot, phase), eta_eff, n_eff)
 
 
 def bures(s0, s1):
@@ -203,8 +205,8 @@ def exponent(log_overlap):
     return np.minimum(np.maximum(-log_overlap, 0.0), XI_SATURATION_CAP)
 
 
-def report(h1, h0):
-    """Every score of the pairs (H1, H0), keyed and ordered as the fields of
+def report(h0, h1):
+    """Every score of the pairs (H0, H1), keyed and ordered as the fields of
     MetricReport.  The LO angle theta_opt is that of g = sigma1^-1 (mu1 - mu0) or,
     with no displacement, of the minor axis of sigma1 in closed form,
     0.5 arctan2(-2 sigma_qp, sigma_pp - sigma_qq); either is taken mod pi, pi folded to 0."""

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qlidar import allocation
+from qlidar import allocation, kernel
 from qlidar.channel import ChannelParams, apply_loss, effective_noise
 from qlidar.errors import InvalidParameterError, SingularityError, UndefinedThresholdError
 from qlidar.states import N_TOT_MAX, ProbeBudget, thermal_state
@@ -282,6 +282,12 @@ class TestGradientDiagnostics:
         assert d.d_disp_fd == 0.0
         assert d.d_cov_fd == 0.0
 
+    def test_cov_ratio_is_nan_on_a_dark_channel(self):
+        # at eta = 0 both covariance slopes vanish, so their ratio is undefined
+        d = allocation.gradient_diagnostics(10.0, ChannelParams(eta=0.0, n_th=0.5))
+        assert d.d_cov_dlambda_paper == d.d_cov_fd == 0.0
+        assert math.isnan(d.cov_ratio)
+
     def test_perturbative_estimate_value(self):
         d = allocation.gradient_diagnostics(10.0, ChannelParams(eta=0.5, n_th=0.1))
         assert abs(d.d_cov_dlambda_paper - 38.88888888888889) < 1e-12
@@ -299,8 +305,8 @@ class TestGradientDiagnostics:
             n_tot = float(rng.uniform(0.5, 25.0))
             n_th = float(rng.uniform(0.0, 2.5))
             d = allocation.gradient_diagnostics(n_tot, ChannelParams(eta=eta, n_th=n_th))
-            f0, f1, f2 = allocation._w2_terms(eta, np.array([0.0, h, 2.0 * h]), n_tot,
-                                              n_th)[1].tolist()
+            f0, f1, f2 = kernel.w2_terms(*kernel.lidar_pair(np.array([0.0, h, 2.0 * h]), n_tot,
+                                                            eta, n_th))[1].tolist()
             d1, d2 = (f2 - f0) / (2.0 * h), (f1 - f0) / h
             assert d.d_cov_fd == 2.0 * d2 - d1
             t = 2.0 * n_th + 1.0

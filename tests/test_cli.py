@@ -1,11 +1,13 @@
 import argparse
 import concurrent.futures
 import dataclasses
+import gc
 import math
 import re
 import shlex
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,16 @@ def read_manifest(path: Path) -> dict:
         key, _, value = line.partition(" = ")
         entries[key] = value
     return entries
+
+
+def assert_parameter_error(argv, out: Path) -> str:
+    """Run ``argv`` in-process and check that it exits 2 with ``status = error`` and
+    no CSV; return the manifest's error line."""
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    manifest = read_manifest(out / f"{argv[0]}_manifest.txt")
+    assert manifest["status"] == "error"
+    assert not list(out.glob("*.csv"))
+    return manifest["error"]
 
 
 def write_csv_per_value(path: Path, header: list[str], rows) -> None:
@@ -118,7 +130,8 @@ class TestCsvWriter:
         for path, reference in written:
             assert path.read_bytes() == reference.read_bytes(), path.name
         # the heatmap's cell order is the row-major order of its per-cell loop
-        grid = allocation.allocation_grid(10.0, 0.1, *cli._grids(0.01))
+        grid = allocation.allocation_grid(10.0, 0.1, allocation.default_eta_grid(0.01),
+                                          allocation.default_lambda_grid(0.01))
         write_csv_per_value(tmp_path / "cells.csv", ["eta", "lambda", "w2_sq"], (
             (eta, lam, grid.scores[i, j])
             for i, eta in enumerate(grid.eta_grid) for j, lam in enumerate(grid.lambda_grid)))
@@ -159,7 +172,7 @@ class TestOutputContract:
         argv = ["fading", "--realizations", "40"]
         assert cli.main([*argv, "--out", str(tmp_path)]) == 0
         keys = list(read_manifest(tmp_path / "fading_manifest.txt"))
-        last_parameter = list(cli._SUBCOMMANDS["fading"][1])[-1]
+        last_parameter = list(cli._SUBCOMMANDS["fading"][2])[-1]
         section = keys[keys.index(last_parameter) + 1:keys.index("duration_s")]
         assert [k for k in section if not k.startswith("postselect_")] == \
             [f.name for f in dataclasses.fields(fading.FadingSummary)]
@@ -366,6 +379,22 @@ class TestParametric:
         assert full == single
         assert full.decode().splitlines()[0] == "eta,lambda_opt"
 
+    def test_each_score_map_is_freed_before_the_next_is_built(self, monkeypatch, tmp_path):
+        # a scenario keeps only its lambda_opt table, so one score map is alive at a time
+        built, alive_before = [], []
+        original = allocation.allocation_grid
+
+        def tracked(*args, **kwargs):
+            gc.collect()
+            alive_before.append(sum(ref() is not None for ref in built))
+            grid = original(*args, **kwargs)
+            built.append(weakref.ref(grid))
+            return grid
+
+        monkeypatch.setattr(allocation, "allocation_grid", tracked)
+        assert cli.main(["parametric", "--grid-step", "0.25", "--out", str(tmp_path)]) == 0
+        assert alive_before == [0] * len(cli.PARAMETRIC_SCENARIOS)
+
     def test_partial_scenario_flags_rejected(self, tmp_path):
         result = run_cli("parametric", "--n-tot", "10", "--out", str(tmp_path))
         assert result.returncode == 2
@@ -499,6 +528,26 @@ class TestMetricsCommand:
         result = run_cli("metrics", "--out", str(tmp_path))
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("argv,named", [
+        (("--state0", "0,0,1,0", "--state1", "0,0,1,0,1"), "state0 must have 5 comma-separated "
+         "values ('mu_q', 'mu_p', 'sigma_qq', 'sigma_qp', 'sigma_pp'), got 4"),
+        (("--state0", "0,0,1,0,1"), "give both --state0 and --state1"),
+        (("--budget", "5,0.5,0,1"),
+         "budget must have 2 or 3 comma-separated values ('n_tot', 'lambda', 'phase'), got 4"),
+        (("--budget", "a,0.5"), "budget: invalid value for n_tot: 'a'"),
+        (("--budget", "5,0.5,x"), "budget: invalid value for phase: 'x'"),
+    ], ids=["state-of-4", "state0-alone", "budget-of-4", "budget-n_tot", "budget-phase"])
+    def test_bad_state_or_budget_is_named(self, argv, named, tmp_path):
+        assert assert_parameter_error(("metrics", *argv), tmp_path) == named
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_state_pair_and_budget_together_are_rejected(self, from_config, tmp_path):
+        config = tmp_path / "budget.conf"
+        config.write_text("budget = 5,0.5\n")
+        given = ("--config", str(config)) if from_config else ("--budget", "5,0.5")
+        argv = ("metrics", "--state0", "0,0,1,0,1", "--state1", "1.41,0,1,0,1", *given)
+        assert assert_parameter_error(argv, tmp_path) == "give either --state0/--state1 or --budget"
+
     @pytest.mark.parametrize("flags", [
         ("--eta", "0.3", "--n-th", "5"), ("--eta-det", "0.9"), ("--v-el", "0.1"),
     ])
@@ -609,6 +658,24 @@ class TestErrorHandling:
         result = run_cli("benchmark", "--config", str(config), "--out", str(tmp_path))
         assert result.returncode == 2
 
+    def test_unreadable_config_is_parameter_error(self, tmp_path):
+        error = assert_parameter_error(("benchmark", "--config", str(tmp_path / "missing.conf")),
+                                       tmp_path)
+        assert error.startswith(f"cannot read config file {tmp_path / 'missing.conf'}: ")
+
+    def test_config_value_that_does_not_convert_is_named(self, tmp_path):
+        config = tmp_path / "abc.conf"
+        config.write_text("n_tot = abc\n")
+        error = assert_parameter_error(("benchmark", "--config", str(config)), tmp_path)
+        assert error.startswith("config key n_tot: ") and "'abc'" in error
+
+    def test_unwritable_manifest_after_a_run_is_io_error(self, tmp_path, capsys):
+        (tmp_path / "threshold_manifest.txt").mkdir()
+        assert cli.main(["threshold", "--out", str(tmp_path)]) == 3
+        assert "eta_critical = " in capsys.readouterr().out
+        assert not list((tmp_path / "threshold_manifest.txt").iterdir())
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_unknown_config_key_is_named(self, tmp_path):
         config = tmp_path / "typo.conf"
         config.write_text("n_tott = 5\n")
@@ -713,7 +780,7 @@ def test_readme_cli_examples_run(tmp_path):
 
 def test_readme_flag_table_matches_parser():
     section = readme_cli_section()
-    for name, (_, defaults) in cli._SUBCOMMANDS.items():
+    for name, (_, _, defaults) in cli._SUBCOMMANDS.items():
         row = re.search(rf"^\| `{name}` \|(.*)\|$", section, re.M).group(1)
         assert set(re.findall(r"`(--[a-z0-9-]+)`", row)) == {cli._FLAGS[k][0] for k in defaults}
 

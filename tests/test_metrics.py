@@ -272,7 +272,7 @@ class TestXiQcb:
         assert metrics.s_overlap_minimum(h0, h1) == (s_star[0], best[0]) == (
             0.6495558267175074, -0.7095860268566853)
         rep = metrics.metric_report(h1, h0)
-        for key, values in kernel.report(*batched[::-1]).items():
+        for key, values in kernel.report(*batched).items():
             assert getattr(rep, key) == values[0], key
 
     def test_near_pure_state_stays_mixed(self):

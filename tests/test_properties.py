@@ -90,7 +90,7 @@ def test_metric_report_equals_batched_kernel_report(seed):
              for _ in range(PAIRS_PER_SEED)]
     stacked = [tuple(np.array(col) for col in zip(*(state.moments for state in states)))
                for states in zip(*pairs)]
-    batched = kernel.report(*stacked)
+    batched = kernel.report(*stacked[::-1])
     assert list(batched) == [field.name for field in dataclasses.fields(metrics.MetricReport)]
     for i, (h1, h0) in enumerate(pairs):
         rep = metrics.metric_report(h1, h0)
@@ -129,7 +129,7 @@ def test_lidar_pair_batches_equal_per_element_calls(seed, length):
         for stacked, state in zip(batched, single):
             for column, value in zip(stacked, state):
                 assert np.shape(value) == () and np.broadcast_to(column, (length,))[i] == value
-    h0 = kernel.lidar_pair(lam, n_tot, eta_eff, n_th)[1]
+    h0 = kernel.lidar_pair(lam, n_tot, eta_eff, n_th)[0]
     assert all(np.array_equal(a, b) for a, b in zip(h0, kernel.thermal(n_th)))
 
 
@@ -190,7 +190,7 @@ def test_report_equals_its_parts(seed):
     assert all(kernel._nu(state.moments[2:]) == 1.0 for state, _ in pairs[-3:])
     for h0, h1 in pairs:
         m0, m1 = h0.moments, h1.moments
-        rep = kernel.report(m1, m0)
+        rep = kernel.report(m0, m1)
         assert rep["fidelity"] == np.exp(kernel.log_fidelity(m0, m1))
         assert rep["xi_qbb"] == kernel.exponent(kernel.log_s_overlap(m0, m1, 0.5))
         assert rep["xi_qcb"] == kernel.exponent(kernel.chernoff(m0, m1)[1])

@@ -55,6 +55,11 @@ COMMANDS = (
     "threshold --n-tot 1 --n-th 2",
     "threshold --eta 0.5 --eta-det 0.8",
     "benchmark --eta 1.5",
+    "metrics --state0 0,0,1,x,1 --state1 0,0,1,0,1",
+    "metrics --state0 0,0,1,0 --state1 0,0,1,0,1",
+    "metrics --budget 5,0.5,0,1",
+    "metrics --budget a,0.5",
+    "metrics --state0 0,0,1,0,1 --state1 1.41,0,1,0,1 --budget 5,0.5",
 )
 
 
