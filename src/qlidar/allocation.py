@@ -16,7 +16,7 @@ import numpy as np
 from . import kernel, metrics
 from .channel import ChannelParams, _no_electronic_noise, effective_noise
 from .errors import InvalidParameterError, UndefinedThresholdError, real
-from .states import GaussianState, ProbeBudget
+from .states import ProbeBudget, _occupation
 
 FD_STEP = 1e-6
 # step 0.0005 on [0, 1]: a heatmap of that step peaked at 320 MB RSS (2 vCPUs), about
@@ -50,10 +50,8 @@ def w2_score(probe: ProbeBudget, params: ChannelParams) -> metrics.MetricReport:
     transmissivity; v_el is folded into both once ``effective_noise`` checks it.
     """
     effective_noise(params)
-    pair = kernel.lidar_pair(probe.lam, probe.n_tot, params.eta_eff, params.n_th,
-                             params.v_el, probe.displacement_phase)
-    h0, h1 = map(GaussianState.from_moments, pair)
-    return metrics.metric_report(h1, h0)
+    return metrics._report(*kernel.lidar_pair(probe.lam, probe.n_tot, params.eta_eff,
+                                              params.n_th, params.v_el, probe.displacement_phase))
 
 
 def _ascending(values, name: str, check) -> np.ndarray:
@@ -70,9 +68,9 @@ def _ascending(values, name: str, check) -> np.ndarray:
     return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllocationGrid:
-    """Score map over (eta, lambda) with the per-eta optimal fraction."""
+    """Score map over (eta, lambda) with the per-eta optimal fraction; compared by identity."""
 
     eta_grid: np.ndarray
     lambda_grid: np.ndarray
@@ -121,14 +119,12 @@ def transition_eta(grid: AllocationGrid) -> float | None:
 def eta_critical(n_tot: float, n_th: float) -> float:
     """Analytic quantum-advantage threshold (2 n_th + 1) / (1 + N / (2 n_th + 1)).
 
-    Values above 1 mean no quantum regime at any transmissivity; callers are
-    expected to flag them rather than clamp.
+    Values above 1, no quantum regime at any transmissivity, are for callers to flag,
+    not clamp.  n_tot and n_th take the ranges of a ProbeBudget and a thermal occupation.
     """
-    if (n_tot := real("n_tot", n_tot)) <= 0:
+    if (n_tot := ProbeBudget(n_tot, 0.0).n_tot) == 0.0:
         raise UndefinedThresholdError(f"threshold undefined for n_tot = {n_tot!r}")
-    if (n_th := real("n_th", n_th)) < 0:
-        raise InvalidParameterError(f"n_th must be >= 0, got {n_th}")
-    t = 2.0 * n_th + 1.0
+    t = 2.0 * _occupation("n_th", n_th) + 1.0
     return t / (1.0 + n_tot / t)
 
 
@@ -180,9 +176,8 @@ def gradient_diagnostics(n_tot: float, params: ChannelParams) -> GradientDiagnos
     :func:`allocation_grid` empirically.
     """
     _no_electronic_noise(params)
-    if (n_tot := real("n_tot", n_tot)) <= 0:
+    if (n_tot := ProbeBudget(n_tot, 0.0).n_tot) == 0.0:  # the fractions below pass its rules
         raise InvalidParameterError(f"n_tot must be > 0, got {n_tot}")
-    ProbeBudget(n_tot, 0.0)  # the budget rules; the fractions below are constants inside them
     eta = params.eta_eff
     t = 2.0 * params.n_th + 1.0
     d_disp = -2.0 * eta * n_tot

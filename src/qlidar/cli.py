@@ -19,7 +19,7 @@ Three rules follow:
   while writing: the files before it stay and are listed;
 * the manifest lists exactly the files written, as ``output_<i>``;
 * its parameter section is every resolved value that is not unset, and a
-  subcommand adds only what it derives.
+  subcommand adds only what it derives, so ``--config`` of it replays the run.
 
 A command line the parser rejects (a flag the subcommand does not read, a
 value of the wrong type) exits 2 with a usage message and leaves no
@@ -116,10 +116,16 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Each key of ``defaults`` from its flag, else the config file, else the default."""
+    """Each key of ``defaults`` from its flag, else the config file, else the default.
+    A config file with a ``command`` key is a manifest, which replays only the run of
+    that subcommand: its keys outside ``_FLAGS`` are the writer's own, skipped."""
     config = _read_config(args.config) if args.config else {}
-    unknown = sorted(set(config) - set(_FLAGS))
-    if unknown:
+    if "command" in config:
+        if config["command"] != args.command:
+            raise InvalidParameterError(
+                f"config file is the manifest of a {config['command']} run, not {args.command}")
+        config = {k: v for k, v in config.items() if k in _FLAGS}
+    elif unknown := sorted(set(config) - set(_FLAGS)):
         raise InvalidParameterError(f"unknown config key(s): {', '.join(unknown)}")
     resolved = {}
     for key, default in defaults.items():

@@ -203,9 +203,9 @@ def sample_eta(config: FadingConfig, index):
     return float(etas[0]) if indices.ndim == 0 else etas.reshape(indices.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
-    """Density histogram; bin widths follow the Freedman-Diaconis rule."""
+    """Density histogram, Freedman-Diaconis bin widths; compared by identity."""
 
     edges: np.ndarray
     density: np.ndarray
@@ -268,18 +268,23 @@ class FadingSummary:
     saturated_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FadingEnsemble:
     """Per-realization samples; every derived value is computed from them once.
 
     ``ordered`` holds each sample sorted ascending, keyed as ``histograms``;
     ``histograms``, ``summary`` and :func:`post_select` read their order
-    statistics from it, so each sample is sorted once and only here.
+    statistics from it, so each sample is sorted once and only here.  The samples
+    are made read-only, so no cached value can go stale; compared by identity.
     """
 
     etas: np.ndarray
     w2_sq: np.ndarray
     xi_qbb: np.ndarray
+
+    def __post_init__(self):
+        for sample in (self.etas, self.w2_sq, self.xi_qbb):
+            sample.flags.writeable = False
 
     @functools.cached_property
     def ordered(self) -> dict[str, np.ndarray]:

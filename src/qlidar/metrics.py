@@ -110,5 +110,9 @@ def metric_report(state_h1: GaussianState, state_h0: GaussianState) -> MetricRep
     With no displacement it is 0 and theta_opt, in [0, pi), is the minor axis of
     Sigma_H1 in closed form (:func:`qlidar.kernel.report`).
     """
-    scores = kernel.report(*_checked(state0=state_h0, state1=state_h1))
-    return MetricReport(**{key: float(value) for key, value in scores.items()})
+    return _report(*_checked(state0=state_h0, state1=state_h1))
+
+
+def _report(h0, h1) -> MetricReport:
+    """The :class:`MetricReport` of one pair of kernel moments (H0, H1), unchecked."""
+    return MetricReport(**{key: float(value) for key, value in kernel.report(h0, h1).items()})

@@ -39,14 +39,14 @@ def _occupation(name: str, value) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """First moment vector and 2x2 quadrature covariance of one bosonic mode.
 
-    Construction is the one check of a covariance: shape, finiteness and
-    symmetry to 1e-12 of its largest entry; then sigma is symmetrised and both
-    arrays are frozen.  Physics (positivity, uncertainty relation) is left to
-    :func:`validate` so that deliberately unphysical matrices can be inspected.
+    Construction is the one check of a covariance: shape, finiteness and symmetry to
+    1e-12 of its largest entry; then sigma is symmetrised and both arrays are frozen, and
+    the state is compared and hashed by identity.  Physics (positivity, uncertainty
+    relation) is left to :func:`validate` so that unphysical matrices can be inspected.
     """
 
     mu: np.ndarray

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -5,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from qlidar import allocation, kernel
+from qlidar import allocation, kernel, metrics
 from qlidar.channel import ChannelParams, apply_loss, effective_noise
 from qlidar.errors import InvalidParameterError, SingularityError, UndefinedThresholdError
-from qlidar.states import N_TOT_MAX, ProbeBudget, thermal_state
+from qlidar.states import N_TOT_MAX, GaussianState, ProbeBudget, thermal_state
 
 
 def straight_line_w2(lam, n_tot, eta, n_th):
@@ -75,6 +76,24 @@ class TestW2Score:
             want = vars(allocation.w2_score(budget, folded))
             for key, value in vars(allocation.w2_score(budget, params)).items():
                 assert value == want[key], key
+
+    def test_is_metric_report_of_its_pair_bit_for_bit(self):
+        # w2_score scores the kernel pair unchecked; metric_report checks the same
+        # pair as states first: the two agree on every field, bit for bit
+        rng = np.random.default_rng(4411)
+        for i in range(300):
+            n_tot = N_TOT_MAX if i % 50 == 0 else float(10.0 ** rng.uniform(-3, 20))
+            budget = ProbeBudget(n_tot, float(rng.choice([0.0, 1.0, rng.uniform()])),
+                                 float(rng.uniform(0.0, 2.0 * math.pi)) if i % 3 else 0.0)
+            params = ChannelParams(eta=float(rng.uniform()), n_th=float(10.0 ** rng.uniform(-3, 3)),
+                                   eta_det=float(rng.uniform(0.5, 1.0)),
+                                   v_el=float(rng.uniform(0.0, 0.5)) if i % 2 else 0.0)
+            h0, h1 = (GaussianState.from_moments(m) for m in kernel.lidar_pair(
+                budget.lam, budget.n_tot, params.eta_eff, params.n_th, params.v_el,
+                budget.displacement_phase))
+            got = dataclasses.astuple(allocation.w2_score(budget, params))
+            want = dataclasses.astuple(metrics.metric_report(h1, h0))
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (budget, params)
 
     def test_electronic_noise_at_unit_transmissivity_is_singular(self):
         with pytest.raises(SingularityError):
@@ -216,6 +235,8 @@ LAMS = allocation.default_lambda_grid(0.25)
     lambda: allocation.default_lambda_grid(0.95 / allocation.MAX_GRID_POINTS),
     lambda: allocation.default_eta_grid(1e-300),
     lambda: allocation.default_lambda_grid(5e-324),
+    lambda: allocation.eta_critical(1e21, 0.1),
+    lambda: allocation.eta_critical(10.0, 1e9),
 ])
 def test_array_inputs_are_validated(call):
     # the grid drivers check their parameters once per call, not per cell

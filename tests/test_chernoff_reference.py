@@ -8,7 +8,8 @@ pure enters as a projector: the infimum is then the edge value
 Tr[rho0 rho1] = 2 / sqrt(det(sigma0 + sigma1)) exp(-d^T (sigma0 + sigma1)^-1 d).
 The LO angle ``theta_opt`` of ``metric_report`` is pinned the same way, to the
 50-digit angle of sigma1^-1 d or, with no displacement, of the minor eigenvector
-of sigma1.  mpmath is used only here; it is not a dependency of qlidar.
+of sigma1.  The references live in ``mp_reference``; mpmath is not a dependency
+of qlidar.
 """
 
 import math
@@ -17,79 +18,16 @@ import numpy as np
 import pytest
 
 from conftest import squeezed_thermal_state
+from mp_reference import MP, mp_chernoff, mp_log_q, mp_theta
 from qlidar import kernel, metrics
 from qlidar.states import GaussianState
 
-mpmath = pytest.importorskip("mpmath")
-
-MP = mpmath.MPContext()
-MP.dps = 50
-GOLDEN = (MP.sqrt(5) - 1) / 2
 # the defaults of `qlidar benchmark`
 N_TOT, N_TH, LAM = 5.0, 2.0, 0.5
 
 
 def _bound(log_q):
     return 1e-12 * max(1.0, abs(float(log_q)))
-
-
-def _det(sqq, sqp, spp):
-    return sqq * spp - sqp * sqp
-
-
-def _quad(d, s):
-    """d^T s^-1 d for the symmetric 2x2 matrix s = (sqq, sqp, spp)."""
-    dq, dp = d
-    return (s[2] * dq * dq - 2 * s[1] * dq * dp + s[0] * dp * dp) / _det(*s)
-
-
-def _mp(m):
-    return [MP.mpf(float(x)) for x in m]
-
-
-def mp_log_q(m0, m1, s, pure0=False, pure1=False):
-    """ln Q_s at 50 digits: rho^p of a state with symplectic eigenvalue nu is
-    Gaussian with covariance Lambda_p(nu) sigma / nu and trace G_p(nu), both 1
-    for a projector (Pirandola & Lloyd, PRA 78, 012331 (2008))."""
-    m0, m1 = _mp(m0), _mp(m1)
-    log_q, ssum = MP.log(2), [0, 0, 0]
-    for m, p, pure in ((m0, s, pure0), (m1, 1 - s, pure1)):
-        nu = MP.sqrt(_det(*m[2:]))
-        big = 1
-        if not pure:
-            up, dn = (nu + 1) ** p, (nu - 1) ** p
-            big = (up + dn) / (up - dn)
-            log_q += p * MP.log(2) - MP.log(up - dn)
-        else:
-            nu = 1
-        ssum = [acc + big * x / nu for acc, x in zip(ssum, m[2:])]
-    d = (m1[0] - m0[0], m1[1] - m0[1])
-    return log_q - MP.log(_det(*ssum)) / 2 - _quad(d, ssum)
-
-
-def mp_chernoff(m0, m1, pure0=False, pure1=False):
-    """(min over s in (0, 1) of ln Q_s, its argmin) at 50 digits; with a pure state
-    the edge value and the kernel's edge s."""
-    if pure0 or pure1:
-        a, b = _mp(m0), _mp(m1)
-        ssum = [x + y for x, y in zip(a[2:], b[2:])]
-        d = (b[0] - a[0], b[1] - a[1])
-        edge = 0.5 if pure0 and pure1 else float(pure1)
-        return MP.log(2) - MP.log(_det(*ssum)) / 2 - _quad(d, ssum), edge
-    f = lambda s: mp_log_q(m0, m1, s)
-    a, b = MP.mpf("1e-30"), 1 - MP.mpf("1e-30")
-    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > MP.mpf("1e-20"):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    return (fc, c) if fc < fd else (fd, d)
 
 
 def _mixed_state(rng, nbar):
@@ -295,19 +233,6 @@ def test_default_unit_transmissivity_row():
     ref = -mp_chernoff(kernel.thermal(N_TH), h1, pure1=True)[0]
     assert abs(xi - ref) <= _bound(ref)
     assert format(xi, ".12g") == "2.51751947821"
-
-
-def mp_theta(state_h1, state_h0, degenerate):
-    """theta_opt at 50 digits: the angle in [0, pi) of sigma1^-1 (mu1 - mu0) or, when
-    ``degenerate``, of the eigenvector of sigma1's smaller eigenvalue."""
-    m1, m0 = _mp(state_h1.moments), _mp(state_h0.moments)
-    if degenerate:
-        _, vectors = MP.eigsy(MP.matrix([[m1[2], m1[3]], [m1[3], m1[4]]]))  # ascending
-        g0, g1 = vectors[0, 0], vectors[1, 0]
-    else:
-        dq, dp = m1[0] - m0[0], m1[1] - m0[1]
-        g0, g1 = m1[4] * dq - m1[3] * dp, m1[2] * dp - m1[3] * dq  # det(sigma1) sigma1^-1 d
-    return MP.atan2(g1, g0) % MP.pi
 
 
 def _theta_pairs(degenerate):

@@ -2,6 +2,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import gc
+import importlib.util
 import math
 import re
 import shlex
@@ -734,6 +735,7 @@ class TestErrorHandling:
         ("heatmap", "--grid-step", "1e-300"),
         ("parametric", "--grid-step", "1e-300"),
         ("heatmap", "--grid-step", "0.0004"),
+        ("threshold", "--n-tot", "1e21"),
     ])
     def test_out_of_domain_value_is_parameter_error(self, argv, tmp_path):
         result = run_cli(*argv, "--out", str(tmp_path))
@@ -760,6 +762,43 @@ class TestErrorHandling:
         assert result.returncode == 0, result.stderr
         assert "eta_critical_effective = " in result.stdout
         assert read_manifest(tmp_path / "threshold_manifest.txt")["eta"] == "0.5"
+
+
+def compare_lines() -> tuple[str, ...]:
+    """The command lines of ``tools/compare_cli_outputs.py``."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "compare_cli_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_cli_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COMMANDS
+
+
+class TestManifestReplay:
+    @pytest.mark.parametrize("line", compare_lines())
+    def test_manifest_replays_its_run(self, line, tmp_path, capsys):
+        # a run given its own manifest as --config exits as it did, prints the same
+        # values and writes the same CSV bytes and manifest entries
+        first, again = tmp_path / "first", tmp_path / "again"
+        argv = shlex.split(line)
+        code = cli.main([*argv, "--out", str(first)])
+        printed = capsys.readouterr().out
+        manifest = first / f"{argv[0]}_manifest.txt"
+        assert cli.main([argv[0], "--config", str(manifest), "--out", str(again)]) == code
+        assert capsys.readouterr().out == printed
+
+        def written(out):
+            entries = read_manifest(out / manifest.name)
+            del entries["duration_s"]
+            csvs = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+            return {k: v.replace(str(out), "<out>") for k, v in entries.items()}, csvs
+
+        assert written(again) == written(first)
+
+    def test_manifest_of_another_command_is_parameter_error(self, tmp_path):
+        assert cli.main(["threshold", "--out", str(tmp_path)]) == 0
+        manifest = str(tmp_path / "threshold_manifest.txt")
+        error = assert_parameter_error(("heatmap", "--config", manifest), tmp_path / "h")
+        assert error == "config file is the manifest of a threshold run, not heatmap"
 
 
 def readme_cli_section() -> str:

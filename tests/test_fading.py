@@ -234,6 +234,16 @@ class TestRunEnsemble:
         assert sizes == [10, 3]
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_samples_are_read_only(self, workers):
+        # so the cached summary, sorted copies and histograms cannot go stale
+        ens = fading.run_ensemble(SMALL, workers=workers)
+        summary = ens.summary
+        for sample in (ens.etas, ens.w2_sq, ens.xi_qbb):
+            with pytest.raises(ValueError, match="read-only"):
+                sample[0] = 0.5
+        assert ens.summary is summary
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_values_derive_from_the_samples_alone(self, workers):
         ens = fading.run_ensemble(SMALL, workers=workers)
         rebuilt = fading.FadingEnsemble(ens.etas.copy(), ens.w2_sq.copy(), ens.xi_qbb.copy())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qlidar import kernel
+from qlidar import allocation, fading, kernel
 from qlidar.channel import ChannelParams
 from qlidar.errors import InvalidParameterError
 from qlidar.fading import FadingConfig
@@ -231,3 +231,20 @@ def test_rotate_preserves_validity_and_det():
 def test_rotate_rejects_non_real_angle(bad):
     with pytest.raises(InvalidParameterError, match="^theta must be a finite real"):
         rotate(squeezed_vacuum(0.5), bad)
+
+
+TINY_FADING = FadingConfig(n_realizations=20, seed=5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: thermal_state(0.5),
+    lambda: allocation.allocation_grid(10.0, 0.1, [0.2, 0.6], [0.0, 0.5]),
+    lambda: fading.run_ensemble(TINY_FADING).histograms["eta"],
+    lambda: fading.run_ensemble(TINY_FADING),
+], ids=["GaussianState", "AllocationGrid", "Histogram", "FadingEnsemble"])
+def test_array_records_compare_and_hash_by_identity(make):
+    # equal values in distinct arrays: == compares identity, not the arrays
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2 and a in {a} and b not in {a}

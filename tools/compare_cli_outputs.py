@@ -60,6 +60,7 @@ COMMANDS = (
     "metrics --budget 5,0.5,0,1",
     "metrics --budget a,0.5",
     "metrics --state0 0,0,1,0,1 --state1 1.41,0,1,0,1 --budget 5,0.5",
+    "threshold --n-tot 1e21",
 )
 
 
