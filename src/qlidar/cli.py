@@ -47,6 +47,7 @@ EXIT_PARAMETER = 2
 EXIT_IO = 3
 
 PARAMETRIC_SCENARIOS = ((5.0, 0.1), (5.0, 2.0), (10.0, 0.1), (20.0, 0.1), (20.0, 2.0))
+_ETA_SWEEP = (0.001, 1.0, 200)  # np.linspace arguments of the benchmark sweep
 # rows that _write_csv formats in one call; a chunk's text is a few hundred kB
 _CSV_CHUNK_ROWS = 4096
 # 12 significant digits, for CSV cells and for printed and manifest values alike
@@ -118,13 +119,17 @@ def _read_config(path: str) -> dict[str, str]:
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Each key of ``defaults`` from its flag, else the config file, else the default.
     A config file with a ``command`` key is a manifest, which replays only the run of
-    that subcommand: its keys outside ``_FLAGS`` are the writer's own, skipped."""
+    that subcommand: its keys outside ``_FLAGS`` are the writer's own, skipped.  One
+    with none of the subcommand's keys is of a run whose parameters never resolved,
+    which it cannot replay."""
     config = _read_config(args.config) if args.config else {}
     if "command" in config:
         if config["command"] != args.command:
             raise InvalidParameterError(
                 f"config file is the manifest of a {config['command']} run, not {args.command}")
         config = {k: v for k, v in config.items() if k in _FLAGS}
+        if not config.keys() & defaults.keys():
+            raise InvalidParameterError("config file is the manifest of a run with no parameters")
     elif unknown := sorted(set(config) - set(_FLAGS)):
         raise InvalidParameterError(f"unknown config key(s): {', '.join(unknown)}")
     resolved = {}
@@ -158,12 +163,10 @@ def _floats(text: str, name: str, fields: tuple[str, ...], optional: int = 0) ->
 
 def cmd_benchmark(p: dict, manifest: dict) -> dict:
     n_tot, n_th, lam, eta_det, v_el = p["n_tot"], p["n_th"], p["lam"], p["eta_det"], p["v_el"]
-    etas = np.linspace(0.001, 1.0, 200) if p["eta"] is None else np.array([p["eta"]])
-    manifest["eta_sweep"] = "single" if p["eta"] is not None else "0.001:1:200"
-
-    # checked once at the largest eta, where the folded noise is largest and v_el > 0
-    # at unit eta_eff is a SingularityError; then one kernel call scores every eta
-    effective_noise(ChannelParams(eta=etas.max(), n_th=n_th, eta_det=eta_det, v_el=v_el))
+    manifest["eta_sweep"] = ":".join(map(_fmt, _ETA_SWEEP)) if p["eta"] is None else "single"
+    etas = allocation._ascending(
+        np.linspace(*_ETA_SWEEP) if p["eta"] is None else [p["eta"]], "eta",
+        lambda eta: effective_noise(ChannelParams(eta, n_th, eta_det, v_el)))
     ProbeBudget(n_tot, lam)
     scores = kernel.report(*kernel.lidar_pair(lam, n_tot, etas * eta_det, n_th, v_el))
     columns = ("w2_sq", "xi_qbb", "xi_qbb_proxy", "xi_qcb", "snr_sq_opt")
@@ -298,8 +301,8 @@ _FLAGS = {
     "grid_step": ("--grid-step", float, "grid step for eta and lambda sweeps"),
     "realizations": ("--realizations", int, "number of Monte-Carlo realizations"),
     "workers": ("--workers", int,
-                "worker processes for fading (output is byte-identical for any N); "
-                "heatmap/parametric accept it but always run serially"),
+                "worker processes for fading, at most the usable CPUs (output is "
+                "byte-identical for any N); heatmap/parametric accept it but always run serially"),
     "alpha": ("--alpha", float, "Beta shape alpha"),
     "beta": ("--beta", float, "Beta shape beta"),
     "state0": ("--state0", str, "H0 state as mu_q,mu_p,sigma_qq,sigma_qp,sigma_pp"),
@@ -307,6 +310,7 @@ _FLAGS = {
     "budget": ("--budget", str, "probe shorthand n_tot,lambda[,phase]; pairs with --eta/--n-th"),
 }
 
+_FADING = fading.FadingConfig()  # the fading subcommand reads its defaults here
 # subcommand -> (command, help, {key: default}); None means "not given"
 _SUBCOMMANDS = {
     "benchmark": (cmd_benchmark, "metric sweep over transmissivity", {
@@ -316,8 +320,9 @@ _SUBCOMMANDS = {
     "parametric": (cmd_parametric, "optimal squeezing fraction per power/noise scenario", {
         "eta_det": 1.0, "grid_step": 0.01, "workers": 1, "n_tot": None, "n_th": None}),
     "fading": (cmd_fading, "Monte-Carlo fading ensemble", {
-        "alpha": 2.0, "beta": 3.0, "realizations": 10_000, "seed": fading.DEFAULT_SEED,
-        "n_tot": 10.0, "lam": 0.5, "n_th": 2.0, "workers": 1}),
+        "alpha": _FADING.alpha, "beta": _FADING.beta, "realizations": _FADING.n_realizations,
+        "seed": _FADING.seed, "n_tot": _FADING.probe.n_tot, "lam": _FADING.probe.lam,
+        "n_th": _FADING.n_th, "workers": 1}),
     "metrics": (cmd_metrics, "all metrics for one state pair", {
         "state0": None, "state1": None, "budget": None, **dict.fromkeys(_BUDGET_CHANNEL)}),
     "threshold": (cmd_threshold, "quantum-advantage threshold", {

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -274,8 +275,10 @@ class FadingEnsemble:
 
     ``ordered`` holds each sample sorted ascending, keyed as ``histograms``;
     ``histograms``, ``summary`` and :func:`post_select` read their order
-    statistics from it, so each sample is sorted once and only here.  The samples
-    are made read-only, so no cached value can go stale; compared by identity.
+    statistics from it, so each sample is sorted once and only here.  Each sample
+    is held as a read-only float copy of what the caller passed (an array, a view
+    or a list), so no later write to the caller's data or the ensemble's can make
+    a cached value stale; compared by identity.
     """
 
     etas: np.ndarray
@@ -283,8 +286,10 @@ class FadingEnsemble:
     xi_qbb: np.ndarray
 
     def __post_init__(self):
-        for sample in (self.etas, self.w2_sq, self.xi_qbb):
+        for name in ("etas", "w2_sq", "xi_qbb"):
+            sample = np.array(getattr(self, name), dtype=float)
             sample.flags.writeable = False
+            object.__setattr__(self, name, sample)
 
     @functools.cached_property
     def ordered(self) -> dict[str, np.ndarray]:
@@ -333,15 +338,17 @@ def _eval_block(indices, config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _map_blocks(config: FadingConfig, workers: int):
     """:func:`_eval_block` of every realization index, joined in index order:
     one call if ``workers`` is 1, else contiguous index blocks over a process
-    pool with no more workers than blocks.  The pool module is imported only
-    then, so a serial run loads neither it nor multiprocessing."""
+    pool with no more workers than blocks or usable CPUs: the pool may start
+    every worker at once.  The pool module is imported only then, so a serial
+    run loads neither it nor multiprocessing."""
     indices = np.arange(config.n_realizations)
     if workers == 1:
         return _eval_block(indices, config)
     from concurrent import futures
 
     blocks = [b for b in np.array_split(indices, 4 * workers) if b.size]
-    with futures.ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with futures.ProcessPoolExecutor(max_workers=min(workers, len(blocks), cpus)) as pool:
         parts = list(pool.map(_eval_block, blocks, repeat(config)))
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 

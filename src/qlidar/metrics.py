@@ -17,13 +17,6 @@ from .kernel import XI_SATURATION_CAP  # noqa: F401  (re-exported)
 from .states import GaussianState, validate
 
 
-def _check_spd(m: np.ndarray, name: str) -> np.ndarray:
-    m = GaussianState(np.zeros(2), m).sigma
-    if not (kernel.det(m[0, 0], m[0, 1], m[1, 1]) > 0.0 and m[0, 0] + m[1, 1] > 0.0):
-        raise InvalidParameterError(f"{name} must be positive definite")
-    return m
-
-
 def _checked(**states: GaussianState) -> list[tuple]:
     """Kernel moments of each state once it is checked to be physical; the
     keyword names the state in the error."""
@@ -38,9 +31,13 @@ def bures_sq(sigma0: np.ndarray, sigma1: np.ndarray) -> float:
     Uses tr sqrt(M) = sqrt(tr M + 2 sqrt(det M)) for the 2x2 cross term, so no
     eigensolver is involved.  Clamped at zero against rounding undershoot.
     """
-    s0 = _check_spd(sigma0, "sigma0")
-    s1 = _check_spd(sigma1, "sigma1")
-    return float(kernel.bures((s0[0, 0], s0[0, 1], s0[1, 1]), (s1[0, 0], s1[0, 1], s1[1, 1])))
+    components = []
+    for name, sigma in (("sigma0", sigma0), ("sigma1", sigma1)):
+        s = GaussianState(np.zeros(2), sigma).moments[2:]
+        if not (kernel.det(*s) > 0.0 and s[0] + s[2] > 0.0):
+            raise InvalidParameterError(f"{name} must be positive definite")
+        components.append(s)
+    return float(kernel.bures(*components))
 
 
 def w2_sq(state0: GaussianState, state1: GaussianState) -> tuple[float, float, float]:

@@ -30,6 +30,10 @@ N_TOT_MAX = 1e20  # largest n_tot of a ProbeBudget; its docstring gives the reas
 # not a numerical edge: the overlap scores, taken in the thermal exponent, stay finite up
 # to n_th of about 1e76; at 1e77 the Bures term's det sigma0 det sigma1 overflows first.
 N_TH_MAX = 1e8
+# Largest magnitude of any entry of a state's mu or sigma, the range on which every score
+# of a pair is finite.  Budget-built states reach sigma of about 4e20 at N_TOT_MAX; the
+# first overflow, det sigma0 * det sigma1 in the Bures term, comes with entries near 1e76.
+MOMENT_MAX = 1e30
 
 
 def _occupation(name: str, value) -> float:
@@ -43,9 +47,10 @@ def _occupation(name: str, value) -> float:
 class GaussianState:
     """First moment vector and 2x2 quadrature covariance of one bosonic mode.
 
-    Construction is the one check of a covariance: shape, finiteness and symmetry to
-    1e-12 of its largest entry; then sigma is symmetrised and both arrays are frozen, and
-    the state is compared and hashed by identity.  Physics (positivity, uncertainty
+    Construction is the one check of a covariance: shape, every entry of mu and sigma
+    finite and at most ``MOMENT_MAX`` in magnitude, and symmetry to 1e-12 of its largest
+    entry; then sigma is symmetrised and both arrays are frozen, and the state is
+    compared and hashed by identity.  Physics (positivity, uncertainty
     relation) is left to :func:`validate` so that unphysical matrices can be inspected.
     """
 
@@ -59,8 +64,10 @@ class GaussianState:
             raise InvalidParameterError(f"mu must be a 2-vector, got shape {mu.shape}")
         if sigma.shape != (2, 2):
             raise InvalidParameterError(f"sigma must be 2x2, got shape {sigma.shape}")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
-            raise InvalidParameterError("state moments must be finite")
+        # False for NaN and inf too, so this one comparison is also the finiteness check
+        if not (np.all(np.abs(mu) <= MOMENT_MAX) and np.all(np.abs(sigma) <= MOMENT_MAX)):
+            raise InvalidParameterError(
+                f"state moments must be finite and at most {MOMENT_MAX:g} in magnitude")
         if abs(sigma[0, 1] - sigma[1, 0]) > 1e-12 * np.max(np.abs(sigma)):
             raise InvalidParameterError(f"sigma must be symmetric, got {sigma.tolist()}")
         sigma = 0.5 * (sigma + sigma.T)
@@ -97,12 +104,12 @@ def validate(state: GaussianState, name: str = "state") -> None:
     :func:`qlidar.kernel.det_rounding` of the determinant itself, which
     grows with the squeezing.
     """
-    s = state.sigma
-    det = kernel.det(s[0, 0], s[0, 1], s[1, 1])
-    tr = s[0, 0] + s[1, 1]
+    _, _, sqq, sqp, spp = state.moments
+    det = kernel.det(sqq, sqp, spp)
+    tr = sqq + spp
     if not (det > 0.0 and tr > 0.0):
         reason = f"sigma is not positive definite (det={det:g}, tr={tr:g})"
-    elif det < 1.0 - max(DET_TOLERANCE, kernel.det_rounding(s[0, 0], s[0, 1], s[1, 1])):
+    elif det < 1.0 - max(DET_TOLERANCE, kernel.det_rounding(sqq, sqp, spp)):
         reason = f"det(sigma)={det:.15g} violates the uncertainty bound det >= 1"
     else:
         return

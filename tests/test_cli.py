@@ -736,6 +736,7 @@ class TestErrorHandling:
         ("parametric", "--grid-step", "1e-300"),
         ("heatmap", "--grid-step", "0.0004"),
         ("threshold", "--n-tot", "1e21"),
+        ("metrics", "--state0", "0,0,1,0,1", "--state1", "0,0,1e200,0,1e200"),
     ])
     def test_out_of_domain_value_is_parameter_error(self, argv, tmp_path):
         result = run_cli(*argv, "--out", str(tmp_path))
@@ -793,6 +794,18 @@ class TestManifestReplay:
             return {k: v.replace(str(out), "<out>") for k, v in entries.items()}, csvs
 
         assert written(again) == written(first)
+
+    def test_manifest_without_parameters_is_parameter_error(self, tmp_path):
+        # a run stopped before its parameters resolved records none; its manifest
+        # cannot replay it and must not run the defaults instead
+        config = tmp_path / "bad.conf"
+        config.write_text("n_tot = abc\n")
+        error = assert_parameter_error(("benchmark", "--eta", "0.5", "--config", str(config)),
+                                       tmp_path / "first")
+        assert error == "config key n_tot: could not convert string to float: 'abc'"
+        manifest = str(tmp_path / "first" / "benchmark_manifest.txt")
+        error = assert_parameter_error(("benchmark", "--config", manifest), tmp_path / "again")
+        assert error == "config file is the manifest of a run with no parameters"
 
     def test_manifest_of_another_command_is_parameter_error(self, tmp_path):
         assert cli.main(["threshold", "--out", str(tmp_path)]) == 0

@@ -207,7 +207,14 @@ class TestRunEnsemble:
         assert np.array_equal(serial.w2_sq, parallel.w2_sq)
         assert np.array_equal(serial.xi_qbb, parallel.xi_qbb)
 
+    @staticmethod
+    def _usable_cpus(monkeypatch, n):
+        monkeypatch.setattr(fading.os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+        monkeypatch.setattr(fading.os, "cpu_count", lambda: n)
+
     def test_pool_gets_no_more_workers_than_blocks(self, monkeypatch):
+        self._usable_cpus(monkeypatch, 1000)  # so the CPU bound does not bind
         sizes = []
 
         class RecordingExecutor:
@@ -232,6 +239,10 @@ class TestRunEnsemble:
         assert np.array_equal(pooled.etas, fading.run_ensemble(config).etas)
         fading.run_ensemble(SMALL, workers=3)
         assert sizes == [10, 3]
+        # nor more than the usable CPUs: the pool may start every worker at once
+        self._usable_cpus(monkeypatch, 2)
+        fading.run_ensemble(SMALL, workers=5000)
+        assert sizes == [10, 3, 2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_samples_are_read_only(self, workers):
@@ -242,6 +253,27 @@ class TestRunEnsemble:
             with pytest.raises(ValueError, match="read-only"):
                 sample[0] = 0.5
         assert ens.summary is summary
+
+    def test_samples_are_copies_of_column_views(self):
+        # a later write to the caller's array leaves the ensemble and its summary as built
+        ens = fading.run_ensemble(SMALL)
+        table = np.column_stack([ens.etas, ens.w2_sq, ens.xi_qbb])
+        from_views = fading.FadingEnsemble(table[:, 0], table[:, 1], table[:, 2])
+        summary = from_views.summary
+        table[:, 0] = 0.5
+        assert from_views.etas.tobytes() == ens.etas.tobytes()
+        assert from_views.summary is summary
+        assert summary.mean_eta == float(np.mean(from_views.etas)) == ens.summary.mean_eta
+
+    def test_samples_from_lists(self):
+        ens = fading.run_ensemble(SMALL)
+        from_lists = fading.FadingEnsemble(ens.etas.tolist(), ens.w2_sq.tolist(),
+                                           ens.xi_qbb.tolist())
+        for sample in (from_lists.etas, from_lists.w2_sq, from_lists.xi_qbb):
+            assert sample.dtype == float and not sample.flags.writeable
+        as_bytes = [np.array(dataclasses.astuple(e.summary), dtype=float).tobytes()
+                    for e in (ens, from_lists)]
+        assert as_bytes[0] == as_bytes[1]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_values_derive_from_the_samples_alone(self, workers):

@@ -8,6 +8,7 @@ from qlidar import fock, kernel, metrics
 from qlidar.channel import ChannelParams, apply_loss
 from qlidar.errors import InvalidParameterError
 from qlidar.states import (
+    MOMENT_MAX,
     GaussianState,
     ProbeBudget,
     probe_from_budget,
@@ -402,3 +403,26 @@ def test_report_takes_one_overlap_setup_per_call(monkeypatch):
     kernel.report(*kernel.lidar_pair(np.linspace(0.0, 1.0, 5), 5.0, 0.6, 1.0))
     assert {name: calls.count(name) for name in set(calls)} == {
         "_log_overlap_in_s": 1, "log_fidelity": 1, "_nu": 3}
+
+
+def _state_up_to_the_bound(rng, at_bound: bool) -> GaussianState:
+    """A physical state with entries log-uniform up to ``MOMENT_MAX``; ``at_bound`` puts
+    one sigma diagonal and one mu entry at the bound, of either sign for mu."""
+    big = 30.0 if at_bound else rng.uniform(-30.0, 30.0)
+    sqq, spp = 10.0 ** big, 10.0 ** rng.uniform(-big, 30.0)
+    # sqq spp >= 1, and |sqp| at most 0.99 of its det >= 1 limit keeps det away from cancellation
+    sqp = rng.uniform(-0.99, 0.99) * math.sqrt(max(0.0, sqq * spp - 1.0))
+    mu = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-30.0, 30.0, 2)
+    if at_bound:
+        mu[rng.integers(2)] = rng.choice([-1.0, 1.0]) * MOMENT_MAX
+    sigma = [[sqq, sqp], [sqp, spp]] if rng.random() < 0.5 else [[spp, sqp], [sqp, sqq]]
+    return GaussianState(mu, sigma)
+
+
+def test_every_score_is_finite_up_to_the_moment_bound():
+    # no overflow, NaN or RuntimeWarning anywhere a state may reach
+    rng = np.random.default_rng(34)
+    for i in range(600):
+        h1, h0 = _state_up_to_the_bound(rng, i % 2 == 0), _state_up_to_the_bound(rng, i % 3 == 0)
+        rep = metrics.metric_report(h1, h0)
+        assert all(math.isfinite(v) for v in vars(rep).values()), (h1.moments, h0.moments)

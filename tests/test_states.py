@@ -9,6 +9,7 @@ from qlidar.channel import ChannelParams
 from qlidar.errors import InvalidParameterError
 from qlidar.fading import FadingConfig
 from qlidar.states import (
+    MOMENT_MAX,
     N_TH_MAX,
     N_TOT_MAX,
     GaussianState,
@@ -211,6 +212,18 @@ class TestGaussianState:
             GaussianState([0, 0], np.eye(3))
         with pytest.raises(InvalidParameterError):
             GaussianState([0, math.inf], np.eye(2))
+
+    def test_moment_bound(self):
+        # every budget-built state lies inside the bound; one entry past it, or not
+        # finite, is an input error in mu and in sigma alike
+        for lam in (0.0, 0.5, 1.0):
+            assert validate(probe_from_budget(ProbeBudget(N_TOT_MAX, lam))) is None
+        GaussianState([MOMENT_MAX, -MOMENT_MAX], MOMENT_MAX * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        for bad in (np.nextafter(MOMENT_MAX, math.inf), -1e200, math.inf, math.nan):
+            for mu, sigma in (([0.0, bad], np.eye(2)), ([0.0, 0.0], [[1.0, 0.0], [0.0, bad]])):
+                with pytest.raises(InvalidParameterError,
+                                   match="^state moments must be finite and at most 1e\\+30"):
+                    GaussianState(mu, sigma)
 
     def test_photon_number(self):
         assert abs(thermal_state(2.0).photon_number - 2.0) < 1e-15

@@ -61,6 +61,7 @@ COMMANDS = (
     "metrics --budget a,0.5",
     "metrics --state0 0,0,1,0,1 --state1 1.41,0,1,0,1 --budget 5,0.5",
     "threshold --n-tot 1e21",
+    "metrics --state0 0,0,1,0,1 --state1 0,0,1e200,0,1e200",
 )
 
 
