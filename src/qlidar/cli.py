@@ -255,9 +255,14 @@ def cmd_metrics(p: dict, manifest: dict) -> dict:
         unused = [_FLAGS[k][0] for k in _BUDGET_CHANNEL if p[k] is not None]
         if unused:
             raise InvalidParameterError(f"{', '.join(unused)} apply only with --budget")
-        state_h0, state_h1 = (GaussianState.from_moments(_floats(p[key], key, _STATE_FIELDS))
-                              for key in ("state0", "state1"))
-        rep = metrics.metric_report(state_h1, state_h0)
+        states = {}
+        for key in ("state0", "state1"):
+            moments = _floats(p[key], key, _STATE_FIELDS)
+            try:
+                states[key] = GaussianState.from_moments(moments)
+            except InvalidParameterError as exc:
+                raise InvalidParameterError(f"{key}: {exc}") from None
+        rep = metrics.metric_report(states["state1"], states["state0"])
     else:
         budget = ProbeBudget(*_floats(p["budget"], "budget", _BUDGET_FIELDS, optional=1))
         channel = {k: default if p[k] is None else p[k] for k, default in _BUDGET_CHANNEL.items()}
@@ -301,8 +306,8 @@ _FLAGS = {
     "grid_step": ("--grid-step", float, "grid step for eta and lambda sweeps"),
     "realizations": ("--realizations", int, "number of Monte-Carlo realizations"),
     "workers": ("--workers", int,
-                "worker processes for fading, at most the usable CPUs (output is "
-                "byte-identical for any N); heatmap/parametric accept it but always run serially"),
+                "fading: min(N, usable CPUs, realizations) processes, one in-process, else four "
+                "blocks each; output is byte-identical for any N; heatmap/parametric run serially"),
     "alpha": ("--alpha", float, "Beta shape alpha"),
     "beta": ("--beta", float, "Beta shape beta"),
     "state0": ("--state0", str, "H0 state as mu_q,mu_p,sigma_qq,sigma_qp,sigma_pp"),

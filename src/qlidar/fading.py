@@ -335,24 +335,6 @@ def _eval_block(indices, config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return etas, disp + bures, xi
 
 
-def _map_blocks(config: FadingConfig, workers: int):
-    """:func:`_eval_block` of every realization index, joined in index order:
-    one call if ``workers`` is 1, else contiguous index blocks over a process
-    pool with no more workers than blocks or usable CPUs: the pool may start
-    every worker at once.  The pool module is imported only then, so a serial
-    run loads neither it nor multiprocessing."""
-    indices = np.arange(config.n_realizations)
-    if workers == 1:
-        return _eval_block(indices, config)
-    from concurrent import futures
-
-    blocks = [b for b in np.array_split(indices, 4 * workers) if b.size]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    with futures.ProcessPoolExecutor(max_workers=min(workers, len(blocks), cpus)) as pool:
-        parts = list(pool.map(_eval_block, blocks, repeat(config)))
-    return tuple(np.concatenate(cols) for cols in zip(*parts))
-
-
 def _iqr_over_median(ordered: np.ndarray) -> float:
     """IQR over median of the ascending array ``ordered``, NaN at a zero median."""
     q25, q50, q75 = _quantiles(ordered, (0.25, 0.5, 0.75))
@@ -364,14 +346,26 @@ def run_ensemble(config: FadingConfig, workers: int = 1) -> FadingEnsemble:
 
     Each block of realization indices draws its transmissivities from the
     per-index Philox streams, then scores all of them in one array call of
-    the closed-form kernel.  With ``workers`` > 1 contiguous index blocks go
-    to a process pool and are joined in index order; the pool pays only
-    at large ensembles (see the README).  Deterministic for a fixed config: the
-    per-index streams and elementwise scoring make the samples, and so every
-    value the ensemble derives from them, independent of ``workers`` and of
-    the blocks.
+    the closed-form kernel.  The run takes min(``workers``, usable CPUs,
+    realizations) processes, as a pool may start every worker at once.  One
+    scores every index in this process; more get four contiguous index blocks
+    each over a process pool, joined in index order.  The pool module is
+    imported only then, and the pool pays only at large ensembles (see the README).
+    Deterministic for a fixed config: the per-index streams and elementwise
+    scoring make the samples, and so every value the ensemble derives from
+    them, independent of ``workers`` and of the blocks.
     """
-    return FadingEnsemble(*_map_blocks(config, integer("workers", workers, 1)))
+    indices = np.arange(config.n_realizations)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    procs = min(integer("workers", workers, 1), cpus, indices.size)
+    if procs == 1:
+        return FadingEnsemble(*_eval_block(indices, config))
+    from concurrent import futures
+
+    blocks = np.array_split(indices, min(4 * procs, indices.size))
+    with futures.ProcessPoolExecutor(max_workers=procs) as pool:
+        parts = list(pool.map(_eval_block, blocks, repeat(config)))
+    return FadingEnsemble(*(np.concatenate(cols) for cols in zip(*parts)))
 
 
 @dataclass(frozen=True)

@@ -537,7 +537,10 @@ class TestMetricsCommand:
          "budget must have 2 or 3 comma-separated values ('n_tot', 'lambda', 'phase'), got 4"),
         (("--budget", "a,0.5"), "budget: invalid value for n_tot: 'a'"),
         (("--budget", "5,0.5,x"), "budget: invalid value for phase: 'x'"),
-    ], ids=["state-of-4", "state0-alone", "budget-of-4", "budget-n_tot", "budget-phase"])
+        (("--state0", "0,0,1,0,1", "--state1", "0,0,1e200,0,1e200"),
+         "state1: state moments must be finite and at most 1e+30 in magnitude"),
+    ], ids=["state-of-4", "state0-alone", "budget-of-4", "budget-n_tot", "budget-phase",
+            "state1-moment-bound"])
     def test_bad_state_or_budget_is_named(self, argv, named, tmp_path):
         assert assert_parameter_error(("metrics", *argv), tmp_path) == named
 

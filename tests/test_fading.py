@@ -213,13 +213,13 @@ class TestRunEnsemble:
                             raising=False)
         monkeypatch.setattr(fading.os, "cpu_count", lambda: n)
 
-    def test_pool_gets_no_more_workers_than_blocks(self, monkeypatch):
-        self._usable_cpus(monkeypatch, 1000)  # so the CPU bound does not bind
-        sizes = []
+    @staticmethod
+    def _recording_pool(monkeypatch):
+        """Pool sizes asked for and block counts mapped, by an executor that maps in this
+        process."""
+        sizes, mapped = [], []
 
         class RecordingExecutor:
-            """Records the pool size asked for and maps in this process."""
-
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -229,10 +229,16 @@ class TestRunEnsemble:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def map(self, fn, blocks, *rest):
+                mapped.append(len(blocks := list(blocks)))
+                return map(fn, blocks, *rest)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        return sizes, mapped
+
+    def test_pool_gets_no_more_workers_than_blocks(self, monkeypatch):
+        self._usable_cpus(monkeypatch, 1000)  # so the CPU bound does not bind
+        sizes, mapped = self._recording_pool(monkeypatch)
         config = fading.FadingConfig(n_realizations=10, seed=99)
         pooled = fading.run_ensemble(config, workers=64)
         assert sizes == [10]
@@ -241,8 +247,25 @@ class TestRunEnsemble:
         assert sizes == [10, 3]
         # nor more than the usable CPUs: the pool may start every worker at once
         self._usable_cpus(monkeypatch, 2)
-        fading.run_ensemble(SMALL, workers=5000)
+        capped = fading.run_ensemble(SMALL, workers=5000)
         assert sizes == [10, 3, 2]
+        # four blocks per process that runs, whatever was asked for
+        assert mapped == [10, 12, 8]
+        serial = fading.run_ensemble(SMALL, workers=1)
+        for name in ("etas", "w2_sq", "xi_qbb"):
+            assert np.array_equal(getattr(capped, name), getattr(serial, name))
+
+    @pytest.mark.parametrize("cpus,n_realizations", [(1, 2000), (1000, 1)],
+                             ids=["one-cpu", "one-realization"])
+    def test_single_process_runs_without_a_pool(self, cpus, n_realizations, monkeypatch):
+        self._usable_cpus(monkeypatch, cpus)
+        config = fading.FadingConfig(n_realizations=n_realizations, seed=99)
+        serial = fading.run_ensemble(config)
+        sizes, mapped = self._recording_pool(monkeypatch)
+        ens = fading.run_ensemble(config, workers=2)
+        assert sizes == mapped == []
+        for name in ("etas", "w2_sq", "xi_qbb"):
+            assert np.array_equal(getattr(ens, name), getattr(serial, name))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_samples_are_read_only(self, workers):

@@ -36,6 +36,8 @@ COMMANDS = (
     "parametric --n-tot 0 --n-th 0.1",
     "fading",
     "fading --workers 2",
+    "fading --workers 64 --realizations 3000",
+    "fading --realizations 1 --workers 2",
     "fading --alpha 0.5 --beta 1 --realizations 3000 --seed 11",
     "fading --alpha 1.000001 --beta 60 --realizations 20000 --seed 5",
     "fading --realizations 1",
