@@ -10,8 +10,8 @@ fading may spread its draws over processes in blocks.  Nothing is validated
 here.  2x2 products are spelled out by component and transcendentals are numpy
 ufuncs (only the probe's squeezing comes from :mod:`math`); every form is real
 and runs on the broadcast shape of its arguments, so scalar and array calls
-agree bit for bit, the Chernoff search included: its ln Q_s terms hold a pair's
-two states on a last axis and square with np.square (scalar ``**`` is C pow()).
+agree bit for bit, the Chernoff search included: ln Q_s holds a pair's states on
+a last axis, its slope takes per-pair invariants, and no ``**`` squares (C pow()).
 """
 
 from __future__ import annotations
@@ -115,17 +115,16 @@ def log_fidelity(m0, m1):
 def log_s_overlap(m0, m1, s):
     """ln Tr[rho0^s rho1^(1-s)] for s in (0, 1): rho^s is Gaussian up to its
     trace G_s, with symplectic eigenvalue Lambda_s, times an overlap integral."""
-    return _log_overlap_in_s(m0, m1)[0](np.minimum(np.maximum(s, _S_EDGE), 1.0 - _S_EDGE))
+    return _log_overlap(m0, m1)[0](np.minimum(np.maximum(s, _S_EDGE), 1.0 - _S_EDGE))
 
 
-def _log_overlap_in_s(m0, m1):
-    """(value, slope, mixed): log_s_overlap, its s-derivative on [_S_EDGE, 1 - _S_EDGE]
-    and (nu0 > 1, nu1 > 1), with the s-independent terms taken once.  In the thermal
-    exponent beta = ln((nu + 1) / (nu - 1)) (Pirandola & Lloyd 2008) nothing cancels:
-    ln G_s = s ln(2 / (nu + 1)) - ln(1 - e^(-s beta)) and Lambda_s = coth(s beta / 2);
-    a pure state (beta = inf, given a finite stand-in) has ln G_s = 0, Lambda_s = 1.
-    With S = Lambda_s sigma0 / nu0 + Lambda_(1-s) sigma1 / nu1 and g = S^-1 d, the
-    slope is (ln G0)'(s) - (ln G1)'(1 - s) - tr(S^-1 S') / 2 + g.S'g, states on a last axis."""
+def _log_overlap(m0, m1):
+    """(value, (dq, dp), sigma / nu, mixed, beta, ln(2 / (nu + 1))): log_s_overlap on
+    [_S_EDGE, 1 - _S_EDGE] and its s-independent terms, states on a last axis.  ln Q_s =
+    ln 2 + ln G0(s) + ln G1(1 - s) - ln(det S) / 2 - d^T S^-1 d, S = Lambda_s sigma0 / nu0
+    + Lambda_(1-s) sigma1 / nu1, in the thermal exponent beta = ln((nu + 1) / (nu - 1))
+    (Pirandola & Lloyd 2008), where nothing cancels: ln G_s = s ln(2 / (nu + 1)) - ln(1 -
+    e^(-s beta)) and Lambda_s = coth(s beta / 2), 0 and 1 for a pure state (beta = inf)."""
     dq, dp = m1[0] - m0[0], m1[1] - m0[1]
     cov = np.empty((3,) + np.broadcast(*m0[2:], *m1[2:]).shape + (2,))
     for k in range(3):
@@ -133,70 +132,81 @@ def _log_overlap_in_s(m0, m1):
     nu = _nu(cov)
     mixed, scaled = nu > 1.0, cov / nu
     beta = np.log1p(2.0 / np.where(mixed, nu - 1.0, 2.0))
-    half_beta, neg_half_beta, log_h = 0.5 * beta, -0.5 * beta, np.log(2.0 / (nu + 1.0))
+    half_beta, log_h = 0.5 * beta, np.log(2.0 / (nu + 1.0))
 
-    def powers(s):
-        """p = (s, 1 - s) and x = p beta / 2 per state, sigma / nu on x's axes, S, det S, g."""
+    def value(s):
         p = np.empty(np.shape(s) + (2,))
         p[..., 0], p[..., 1] = s, 1.0 - s
         x = p * half_beta
         sig = scaled[(slice(None),) + (None,) * (x.ndim - scaled.ndim + 1)]
         t = np.where(mixed, 1.0 / np.tanh(x), 1.0) * sig
-        ssum = t[..., 0] + t[..., 1]
-        d = det(*ssum)
-        return p, x, sig, ssum, d, solve(dq, dp, *ssum, d)
-
-    def value(s):
-        p, x, _, _, d, (g0, g1) = powers(s)
+        t = t[..., 0] + t[..., 1]
+        g0, g1 = solve(dq, dp, *t, d := det(*t))
+        del t  # frees S for the temporaries of ln G_s: 6-17% faster on 5000 draws
         log_g = np.where(mixed, p * log_h - np.log(-np.expm1(-2.0 * x)), 0.0)
         return _LOG2 + log_g[..., 0] + log_g[..., 1] - 0.5 * np.log(d) + -(dq * g0 + dp * g1)
 
+    return value, (dq, dp), scaled, mixed, beta, log_h
+
+
+def _log_overlap_in_s(m0, m1):
+    """(value, slope, mixed): log_s_overlap, its s-derivative on [_S_EDGE, 1 - _S_EDGE]
+    and (nu0 > 1, nu1 > 1).  With A = sigma0 / nu0, B = sigma1 / nu1 (det 1), c0 = Lambda_s,
+    c1 = Lambda_(1-s), each 1 + r with r = 2 / expm1(p beta), p = s or 1 - s (r = 0 if pure,
+    beta = inf here), the linear 2x2 adjugate gives D = det S = c0^2 + c1^2 + c0 c1 X and
+    N = d^T adj(S) d = c0 q_A + c1 q_B; X = a_A c_B + c_A a_B - 2 b_A b_B, q_A = d^T adj(A) d
+    and q_B are taken once.  By Jacobi's formula the slope on the pair's shape is (ln G0)'(s)
+    - (ln G1)'(1 - s) - D'/(2 D) - (N/D)', c0' = -w0 (c0 + 1), c1' = w1 (c1 + 1), w = beta r/2."""
+    value, (dq, dp), scaled, mixed, beta, log_h = _log_overlap(m0, m1)
+    (qq0, qq1), (qp0, qp1), (pp0, pp1), (rate0, rate1), (half0, half1) = (
+        np.moveaxis(x, -1, 0) for x in (*scaled, np.where(mixed, beta, np.inf), 0.5 * beta))
+    dlog_h = log_h[..., 0] - log_h[..., 1]
+    x_ab = qq0 * pp1 + pp0 * qq1 - 2.0 * (qp0 * qp1)
+    dqq, dqp, dpp = dq * dq, 2.0 * (dq * dp), dp * dp
+    q0, q1 = pp0 * dqq - qp0 * dqp + qq0 * dpp, pp1 * dqq - qp1 * dqp + qq1 * dpp
+
     def slope(s):
-        _, x, sig, (a, b, c), d, (g0, g1) = powers(s)
-        dlog = np.where(mixed, log_h - beta / np.expm1(2.0 * x), 0.0)
-        t = np.where(mixed, neg_half_beta / np.square(np.sinh(x)), 0.0) * sig
-        da, db, dc = t[..., 0] - t[..., 1]
-        return (dlog[..., 0] - dlog[..., 1] - 0.5 * ((c * da - 2.0 * b * db + a * dc) / d)
-                + (da * g0 * g0 + 2.0 * db * g0 * g1 + dc * g1 * g1))
+        r0, r1 = 2.0 / np.expm1(s * rate0), 2.0 / np.expm1((1.0 - s) * rate1)
+        w0, w1 = half0 * r0, half1 * r1
+        c0, c1 = 1.0 + r0, 1.0 + r1
+        e0, e1 = w0 * (c0 + 1.0), w1 * (c1 + 1.0)
+        d = c0 * c0 + c1 * c1 + (c0 * c1) * x_ab
+        dd = 2.0 * (c1 * e1 - c0 * e0) + (c0 * e1 - c1 * e0) * x_ab
+        n, dn = c0 * q0 + c1 * q1, e1 * q1 - e0 * q0
+        return dlog_h + (w1 - w0) + (dd * (n / d - 0.5) - dn) / d
 
     return value, slope, (mixed[..., 0], mixed[..., 1])
 
 
 def chernoff(m0, m1):
     """(s_star, min over s of log_s_overlap, log_fidelity, log_s_overlap at s = 1/2).
-    ln Q_s is convex in s, so its closed-form slope g(s) brackets s_star: 12
-    bisections of [_S_EDGE, 1 - _S_EDGE] keep g at both ends, then two secant steps
-    c = (a g_b - b g_a) / (g_b - g_a), clipped to [a, b] (the midpoint when
-    g_b <= g_a), the first of which narrows the bracket.  That is 14 slopes and 2
-    values of ln Q_s, all real and on the broadcast shape of the moments.  On the 28
-    mixed pairs of the 50-digit reference test (near-pure, far displaced and s_star
-    near 0.1 and 0.9 among them) the minimum is at most 8e-16 max(1, |ln Q|) above
-    ln Q_s at the reference argmin.  With a pure state the minimum is the edge
-    ln Tr[rho0 rho1] = log_fidelity, at s = 1 for a pure rho1, 0 for a pure rho0,
-    1/2 for two.  Last, s = 1/2 wins whenever it is lower."""
+    ln Q_s is convex in s, so its closed-form slope g(s) brackets s_star.  12 bisections
+    of [_S_EDGE, 1 - _S_EDGE] halve one width w for every pair, so only the lower end a
+    is kept; one slope call at a and b = a + w feeds two secant steps c = (a g_b - b g_a)
+    / (g_b - g_a), clipped to [a, b] (the midpoint when g_b <= g_a), the first of which
+    narrows the bracket: 14 slopes and 2 values of ln Q_s.  On the 28 mixed pairs of
+    the 50-digit reference test the minimum is at most 6e-16 max(1, |ln Q|) above ln Q_s
+    at the reference argmin.  With a pure state the minimum is the edge ln Tr[rho0 rho1]
+    = log_fidelity, at s = 1 for a pure rho1, 0 for a pure rho0, 1/2 for two.  Last,
+    s = 1/2 wins whenever it is lower."""
     value, slope, (mixed0, mixed1) = _log_overlap_in_s(m0, m1)
 
     def secant(a, b, ga, gb):
-        up = gb > ga
-        c = (a * gb - b * ga) / np.where(up, gb - ga, 1.0)
+        c = (a * gb - b * ga) / np.where(up := gb > ga, gb - ga, 1.0)
         return np.where(up, np.minimum(np.maximum(c, a), b), 0.5 * (a + b))
 
-    def narrow(a, b, ga, gb, c):
-        g = slope(c)
-        rising = g > 0.0
-        return (np.where(rising, a, c), np.where(rising, c, b),
-                np.where(rising, ga, g), np.where(rising, g, gb))
-
-    a, b = ends = np.multiply.outer((_S_EDGE, 1.0 - _S_EDGE), np.ones(np.broadcast(*m0, *m1).shape))
+    a = np.full(np.broadcast(*m0, *m1).shape, _S_EDGE)
+    for w in (1.0 - 2.0 * _S_EDGE) * 0.5 ** np.arange(1.0, 13.0):
+        a = np.where(slope(c := a + w) > 0.0, a, c)
+    a, b = ends = np.stack((a, a + w))
     ga, gb = slope(ends)
-    for _ in range(12):
-        a, b, ga, gb = narrow(a, b, ga, gb, 0.5 * (a + b))
-    s_star = secant(*narrow(a, b, ga, gb, secant(a, b, ga, gb)))
+    rising = (g := slope(c := secant(a, b, ga, gb))) > 0.0
+    s_star = secant(np.where(rising, a, c), np.where(rising, c, b),
+                    np.where(rising, ga, g), np.where(rising, g, gb))
     log_f, edge = log_fidelity(m0, m1), ~(mixed0 & mixed1)
     best = np.where(edge, log_f, value(s_star))
     s_star = np.where(edge, np.where(mixed0, 1.0, 0.5 * ~mixed1), s_star)
-    half = value(np.full_like(a, 0.5))
-    lower = half < best
+    lower = (half := value(np.full_like(a, 0.5))) < best
     return np.where(lower, 0.5, s_star), np.where(lower, half, best), log_f, half
 
 

@@ -1,8 +1,10 @@
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import gc
 import importlib.util
+import io
 import math
 import re
 import shlex
@@ -768,35 +770,63 @@ class TestErrorHandling:
         assert read_manifest(tmp_path / "threshold_manifest.txt")["eta"] == "0.5"
 
 
-def compare_lines() -> tuple[str, ...]:
-    """The command lines of ``tools/compare_cli_outputs.py``."""
+def _compare_tool():
+    """``tools/compare_cli_outputs.py`` as a module: its command lines and pins."""
     path = Path(__file__).resolve().parents[1] / "tools" / "compare_cli_outputs.py"
     spec = importlib.util.spec_from_file_location("compare_cli_outputs", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.COMMANDS
+    return module
+
+
+COMPARE = _compare_tool()
+
+
+@pytest.fixture(scope="module")
+def first_run(tmp_path_factory):
+    """Runs a compare line in-process once, on first use: (exit code, stdout, out dir)."""
+    runs = {}
+
+    def run(line):
+        if line not in runs:
+            out = tmp_path_factory.mktemp("first")
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
+                code = cli.main([*shlex.split(line), "--out", str(out)])
+            runs[line] = code, printed.getvalue(), out
+        return runs[line]
+
+    return run
 
 
 class TestManifestReplay:
-    @pytest.mark.parametrize("line", compare_lines())
-    def test_manifest_replays_its_run(self, line, tmp_path, capsys):
+    @pytest.mark.parametrize("line", COMPARE.COMMANDS)
+    def test_manifest_replays_its_run(self, line, first_run, tmp_path, capsys):
         # a run given its own manifest as --config exits as it did, prints the same
-        # values and writes the same CSV bytes and manifest entries
-        first, again = tmp_path / "first", tmp_path / "again"
+        # values and writes the same bytes, manifests normalised as the compare tool does
+        code, printed, first = first_run(line)
+        again = tmp_path / "again"
         argv = shlex.split(line)
-        code = cli.main([*argv, "--out", str(first)])
-        printed = capsys.readouterr().out
         manifest = first / f"{argv[0]}_manifest.txt"
         assert cli.main([argv[0], "--config", str(manifest), "--out", str(again)]) == code
         assert capsys.readouterr().out == printed
 
-        def written(out):
-            entries = read_manifest(out / manifest.name)
-            del entries["duration_s"]
-            csvs = {p.name: p.read_bytes() for p in out.glob("*.csv")}
-            return {k: v.replace(str(out), "<out>") for k, v in entries.items()}, csvs
+        assert COMPARE.written(again) == COMPARE.written(first)
 
-        assert written(again) == written(first)
+    @pytest.mark.parametrize("line", COMPARE.COMMANDS)
+    def test_outputs_match_their_pins(self, line, first_run):
+        # the exit code, stdout and every file a compare line writes hash as pinned;
+        # numpy's SIMD loops may move a last digit between CPUs, so the pins hold only
+        # on the numpy version and CPU features they were taken on
+        pinned, pins = COMPARE.read_pins()
+        if pinned != (here := COMPARE.fingerprint()):
+            pytest.skip(f"outputs pinned on {pinned!r}, this host has {here!r}")
+        code, printed, out = first_run(line)
+        assert COMPARE.pin(line, code, printed, COMPARE.written(out)) == pins.get(line)
+
+    def test_every_compare_line_is_pinned_once(self):
+        text = COMPARE.PINS.read_text(encoding="utf-8")
+        lines = [x.split("\t", 1)[0] for x in text.splitlines() if x and not x.startswith("#")]
+        assert sorted(lines) == sorted(COMPARE.COMMANDS)
 
     def test_manifest_without_parameters_is_parameter_error(self, tmp_path):
         # a run stopped before its parameters resolved records none; its manifest

@@ -241,8 +241,9 @@ class TestXiQcb:
             assert best == kernel.log_fidelity(THERMAL_1.moments, state.moments)
 
     def test_chernoff_takes_16_overlap_evaluations(self, monkeypatch):
-        # one stacked slope call at both ends, 12 bisections, one secant slope, then
-        # ln Q_s at s_star and at s = 1/2, each after the first on the pair's own shape
+        # 12 bisection slopes, one stacked slope call at both ends of the last bracket,
+        # one secant slope, then ln Q_s at s_star and at s = 1/2, each on the pair's own
+        # shape but the stacked call
         calls = []
         closures = kernel._log_overlap_in_s
 
@@ -258,12 +259,14 @@ class TestXiQcb:
 
         monkeypatch.setattr(kernel, "_log_overlap_in_s", counted)
         metrics.s_overlap_minimum(THERMAL_1, GaussianState([0.5, -0.3], np.diag([2.0, 4.0])))
-        assert calls == [("slope", (2,))] + [("slope", ())] * 13 + [("value", ())] * 2
+        assert calls == ([("slope", ())] * 12 + [("slope", (2,)), ("slope", ())]
+                         + [("value", ())] * 2)
 
     def test_scalar_minimum_is_the_batched_one(self):
         # a general pair whose slope cancels near s*, so a 1-ulp difference between the
         # scalar and the batched route (numpy scalar ** is C pow(), not the array square)
-        # grows to a flipped bisection branch; both routes must give the same bits
+        # grows to a flipped bisection branch; both routes must give the same bits.  The
+        # minimum is 6.0e-16 above the 50-digit one, -0.709586026856685413 at s* = 0.649556
         h0 = GaussianState.from_moments((2.456266685841861, 0.30994626445227585, 5.28197410538129,
                                          0.023740030776651856, 2.767994128416328))
         h1 = GaussianState.from_moments((-0.06789540783267793, 0.6775493330735691, 9.097762478514328,
@@ -271,7 +274,7 @@ class TestXiQcb:
         batched = [tuple(np.array([x]) for x in state.moments) for state in (h0, h1)]
         s_star, best = kernel.chernoff(*batched)[:2]
         assert metrics.s_overlap_minimum(h0, h1) == (s_star[0], best[0]) == (
-            0.6495558267175074, -0.7095860268566853)
+            0.6495558267175077, -0.7095860268566848)
         rep = metrics.metric_report(h1, h0)
         for key, values in kernel.report(*batched).items():
             assert getattr(rep, key) == values[0], key
@@ -403,6 +406,27 @@ def test_report_takes_one_overlap_setup_per_call(monkeypatch):
     kernel.report(*kernel.lidar_pair(np.linspace(0.0, 1.0, 5), 5.0, 0.6, 1.0))
     assert {name: calls.count(name) for name in set(calls)} == {
         "_log_overlap_in_s": 1, "log_fidelity": 1, "_nu": 3}
+
+
+def test_plain_float_moments_score_as_numpy_scalars():
+    # kernel forms take Python floats as well as numpy scalars and arrays: a mixed
+    # pair with s* near 0.65, a pure state against a mixed one, a self-pair and a
+    # pair with no displacement give the same bits either way
+    general = ((2.456266685841861, 0.30994626445227585, 5.28197410538129,
+                0.023740030776651856, 2.767994128416328),
+               (-0.06789540783267793, 0.6775493330735691, 9.097762478514328,
+                -4.813503497055847, 2.8701387331574346))
+    still = (THERMAL_2.moments, (0.0, 0.0, 0.5, 0.2, 3.0))
+    pairs = [general, (VACUUM.moments, THERMAL_1.moments), (general[0], general[0]), still]
+    for m0, m1 in pairs:
+        plain = tuple(tuple(float(x) for x in m) for m in (m0, m1))
+        scalar = tuple(tuple(np.float64(x) for x in m) for m in plain)
+        assert all(type(x) is float for m in plain for x in m)
+        got, want = kernel.chernoff(*plain), kernel.chernoff(*scalar)
+        assert [repr(float(x)) for x in got] == [repr(float(x)) for x in want]
+        got, want = kernel.report(*plain), kernel.report(*scalar)
+        assert {k: repr(float(v)) for k, v in got.items()} == {
+            k: repr(float(v)) for k, v in want.items()}
 
 
 def _state_up_to_the_bound(rng, at_bound: bool) -> GaussianState:

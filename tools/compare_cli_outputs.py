@@ -11,11 +11,19 @@ its worst relative change, a differing manifest with its moved lines, and
 the exit code is 1 if there is any:
 
     python tools/compare_cli_outputs.py /path/to/other/checkout/src src
+
+With ``--write-pins`` the runs from SRC_B are then pinned in ``PINS``, which
+``tests/test_cli.py`` checks the in-process runs of the same lines against: per
+line the exit code and the sha256 of stdout and of every file written, under a
+header naming numpy's version and the CPU features it dispatches on, since
+numpy's SIMD ``log``, ``exp``, ``expm1`` and ``arctan2`` may differ by an ulp
+between CPUs and so move a 12-digit cell with no program change.
 """
 
 import argparse
 import csv
 import difflib
+import hashlib
 import math
 import os
 import shlex
@@ -23,6 +31,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+
+PINS = Path(__file__).resolve().parents[1] / "tests" / "data" / "cli_outputs.sha256"
 
 COMMANDS = (
     "benchmark",
@@ -64,23 +76,65 @@ COMMANDS = (
     "metrics --state0 0,0,1,0,1 --state1 1.41,0,1,0,1 --budget 5,0.5",
     "threshold --n-tot 1e21",
     "metrics --state0 0,0,1,0,1 --state1 0,0,1e200,0,1e200",
+    # a general pair with s* near 0.65, and a near-pure state against a mixed one (s* near 0.15)
+    "metrics --state0 2.456266685841861,0.30994626445227585,5.28197410538129,0.023740030776651856,"
+    "2.767994128416328 --state1=-0.06789540783267793,0.6775493330735691,9.097762478514328,"
+    "-4.813503497055847,2.8701387331574346",
+    "metrics --state0 0,0,1.0000001,0,1 --state1 0.5,-0.3,2,0.1,4",
 )
 
 
-def run(src: Path, line: str, out: Path) -> tuple[int, str, dict[str, bytes]]:
-    """Exit code, stdout and {relative path: bytes} of every file written to ``out``,
-    each manifest without its run time and with ``out`` as ``<out>``."""
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    out.parent.mkdir(parents=True, exist_ok=True)
-    result = subprocess.run([sys.executable, "-m", "qlidar", *shlex.split(line), "--out", str(out)],
-                            capture_output=True, text=True, env=env, cwd=out.parent)
+def written(out: Path) -> dict[str, bytes]:
+    """{relative path: bytes} of every file written to ``out``, each manifest without
+    its run time and with ``out`` as ``<out>``."""
     files = {p.relative_to(out).as_posix(): p.read_bytes()
              for p in sorted(out.rglob("*")) if p.is_file()}
     for name, data in files.items():
         if name.endswith("_manifest.txt"):
             lines = data.decode().replace(str(out), "<out>").splitlines(keepends=True)
             files[name] = "".join(x for x in lines if not x.startswith("duration_s =")).encode()
-    return result.returncode, result.stdout, files
+    return files
+
+
+def run(src: Path, line: str, out: Path) -> tuple[int, str, dict[str, bytes]]:
+    """Exit code, stdout and the ``written`` files of one command line."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    out.parent.mkdir(parents=True, exist_ok=True)
+    result = subprocess.run([sys.executable, "-m", "qlidar", *shlex.split(line), "--out", str(out)],
+                            capture_output=True, text=True, env=env, cwd=out.parent)
+    return result.returncode, result.stdout, written(out)
+
+
+def fingerprint() -> str:
+    """numpy's version and the CPU features its ufunc loops dispatch on."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    enabled = sorted(name for name, on in __cpu_features__.items() if on)
+    return f"numpy {np.__version__}; " + " ".join(enabled)
+
+
+def pin(line: str, code: int, stdout: str, files: dict[str, bytes]) -> str:
+    """The line of ``PINS`` for one run: its command line, exit code and the sha256 of
+    its stdout and of each ``written`` file, tab-separated."""
+    outputs = {"stdout": stdout.encode(), **dict(sorted(files.items()))}
+    digests = [f"{name} {hashlib.sha256(data).hexdigest()}" for name, data in outputs.items()]
+    return "\t".join([line, f"exit {code}", *digests])
+
+
+def read_pins() -> tuple[str, dict[str, str]]:
+    """(fingerprint, {command line: pin}) of a pins file."""
+    lines = PINS.read_text(encoding="utf-8").splitlines()
+    found = next(x for x in lines if x.startswith("# fingerprint: "))
+    return found.removeprefix("# fingerprint: "), {x.split("\t", 1)[0]: x for x in lines
+                                                    if x and not x.startswith("#")}
+
+
+def write_pins(pins: list[str]) -> None:
+    header = ["# sha256 of what each command line of tools/compare_cli_outputs.py writes, as run",
+              "# from one tree: exit code, stdout and every file, manifests normalised as the tool",
+              "# compares them.  Rewrite with:",
+              "#     python tools/compare_cli_outputs.py PARENT/src src --write-pins",
+              f"# fingerprint: {fingerprint()}"]
+    PINS.write_text("\n".join(header + pins) + "\n", encoding="utf-8")
 
 
 def line_diff(what: str, lines_a: list[str], lines_b: list[str]) -> str:
@@ -146,12 +200,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src_a", type=Path, help="directory holding one tree's qlidar package")
     parser.add_argument("src_b", type=Path, help="directory holding the other tree's qlidar package")
+    parser.add_argument("--write-pins", action="store_true",
+                        help=f"then pin the runs from SRC_B in {PINS.relative_to(PINS.parents[2])}")
     args = parser.parse_args(argv)
     for src in (args.src_a, args.src_b):
         if not (src / "qlidar" / "__init__.py").is_file():
             parser.error(f"{src} holds no qlidar package")
 
-    failed = 0
+    failed, pins = 0, []
     with tempfile.TemporaryDirectory() as tmp:
         for i, line in enumerate(COMMANDS):
             runs = [run(src.resolve(), line, Path(tmp) / side / str(i))
@@ -161,7 +217,11 @@ def main(argv=None) -> int:
             for text in found:
                 print(f"  {text}")
             failed += bool(found)
+            pins.append(pin(line, *runs[1]))
     print(f"{len(COMMANDS)} command lines, {failed} with differences")
+    if args.write_pins:
+        write_pins(pins)
+        print(f"pinned the runs from {args.src_b} in {PINS}")
     return 1 if failed else 0
 
 
