@@ -46,8 +46,6 @@ from .states import (
     GaussianState,
     ProbeBudget,
     probe_from_budget,
-    rotate,
-    squeezed_vacuum,
     thermal_state,
     validate,
 )
@@ -80,11 +78,9 @@ __all__ = [
     "metric_report",
     "post_select",
     "probe_from_budget",
-    "rotate",
     "run_ensemble",
     "s_overlap_minimum",
     "sample_eta",
-    "squeezed_vacuum",
     "thermal_state",
     "transition_eta",
     "validate",

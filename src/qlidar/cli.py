@@ -177,7 +177,7 @@ def cmd_benchmark(p: dict, manifest: dict) -> dict:
 
 def _grid_maker(p: dict):
     """allocation_grid(n_tot, n_th) on the axes of ``grid_step`` at ``eta_det``;
-    ``workers`` is checked as fading checks it, though a grid is one serial call."""
+    ``workers`` is checked as fading checks it, though a grid is always scored serially."""
     eta_grid = allocation.default_eta_grid(p["grid_step"])
     lambda_grid = allocation.default_lambda_grid(p["grid_step"])
     integer("workers", p["workers"], 1)
@@ -306,12 +306,15 @@ _FLAGS = {
     "grid_step": ("--grid-step", float, "grid step for eta and lambda sweeps"),
     "realizations": ("--realizations", int, "number of Monte-Carlo realizations"),
     "workers": ("--workers", int,
-                "fading: min(N, usable CPUs, realizations) processes, one in-process, else four "
-                "blocks each; output is byte-identical for any N; heatmap/parametric run serially"),
+                "fading: min(N, usable CPUs, realization blocks) processes over fixed blocks, "
+                "one in-process; output is byte-identical for any N; heatmap/parametric run "
+                "serially"),
     "alpha": ("--alpha", float, "Beta shape alpha"),
     "beta": ("--beta", float, "Beta shape beta"),
-    "state0": ("--state0", str, "H0 state as mu_q,mu_p,sigma_qq,sigma_qp,sigma_pp"),
-    "state1": ("--state1", str, "H1 state as mu_q,mu_p,sigma_qq,sigma_qp,sigma_pp"),
+    "state0": ("--state0", str, "H0 state as mu_q,mu_p,sigma_qq,sigma_qp,sigma_pp; a negative "
+               "mu_q needs the --state0=-1,0,1,0,1 form"),
+    "state1": ("--state1", str, "H1 state as mu_q,mu_p,sigma_qq,sigma_qp,sigma_pp; a negative "
+               "mu_q needs the --state1=-1,0,1,0,1 form"),
     "budget": ("--budget", str, "probe shorthand n_tot,lambda[,phase]; pairs with --eta/--n-th"),
 }
 

@@ -29,6 +29,10 @@ from .states import ProbeBudget, _occupation
 
 DEFAULT_SEED = 20250614
 MIN_SHAPE = 1e-3  # redraws grow steeply below: 1e4 draws take 0.17 s, 8.4 s at 1e-4 (2 vCPUs)
+# a run of 1e7 peaked at 588 MB RSS (2 vCPUs, 20 s): about 54 B per realization over a
+# 39 MB base, for the samples and their sorted copies; the kernel's temporaries stay per block
+MAX_REALIZATIONS = 10_000_000
+_BLOCK = 16384  # realizations per kernel call, for every worker count
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,7 @@ class FadingConfig:
     def __post_init__(self):
         for name in ("alpha", "beta", "n_th"):
             object.__setattr__(self, name, real(name, getattr(self, name)))
-        integer("n_realizations", self.n_realizations, 1, 2**32)  # one uint32 spawn word each
+        integer("n_realizations", self.n_realizations, 1, MAX_REALIZATIONS)
         integer("seed", self.seed, 0)
         for name in ("alpha", "beta"):
             if (value := getattr(self, name)) < MIN_SHAPE:
@@ -344,28 +348,34 @@ def _iqr_over_median(ordered: np.ndarray) -> float:
 def run_ensemble(config: FadingConfig, workers: int = 1) -> FadingEnsemble:
     """Draw the full ensemble and evaluate both metrics per realization.
 
-    Each block of realization indices draws its transmissivities from the
-    per-index Philox streams, then scores all of them in one array call of
-    the closed-form kernel.  The run takes min(``workers``, usable CPUs,
-    realizations) processes, as a pool may start every worker at once.  One
-    scores every index in this process; more get four contiguous index blocks
-    each over a process pool, joined in index order.  The pool module is
-    imported only then, and the pool pays only at large ensembles (see the README).
-    Deterministic for a fixed config: the per-index streams and elementwise
-    scoring make the samples, and so every value the ensemble derives from
-    them, independent of ``workers`` and of the blocks.
+    The realization indices are cut once into contiguous blocks of ``_BLOCK``,
+    whatever ``workers`` and the CPU count are.  Each block draws its
+    transmissivities from the per-index Philox streams, then scores all of them
+    in one array call of the closed-form kernel, so no temporary grows with the
+    run.  The run takes min(``workers``, usable CPUs, blocks) processes, as a pool
+    may start every worker at once.  One loops over the blocks in this process;
+    more map the same blocks over a process pool.  Either way each block's samples
+    are written into place as they arrive.  The pool module is imported only then,
+    and the pool pays only at large ensembles (see the README).  Deterministic for
+    a fixed config: the per-index streams and elementwise scoring make the samples,
+    and so every value the ensemble derives from them, independent of ``workers``
+    and of the block size.
     """
-    indices = np.arange(config.n_realizations)
+    n = config.n_realizations
+    blocks = [np.arange(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    procs = min(integer("workers", workers, 1), cpus, indices.size)
+    procs = min(integer("workers", workers, 1), cpus, len(blocks))
+    samples = np.empty((3, n))
     if procs == 1:
-        return FadingEnsemble(*_eval_block(indices, config))
-    from concurrent import futures
+        for block in blocks:
+            samples[:, block] = _eval_block(block, config)
+    else:
+        from concurrent import futures
 
-    blocks = np.array_split(indices, min(4 * procs, indices.size))
-    with futures.ProcessPoolExecutor(max_workers=procs) as pool:
-        parts = list(pool.map(_eval_block, blocks, repeat(config)))
-    return FadingEnsemble(*(np.concatenate(cols) for cols in zip(*parts)))
+        with futures.ProcessPoolExecutor(max_workers=procs) as pool:
+            for block, part in zip(blocks, pool.map(_eval_block, blocks, repeat(config))):
+                samples[:, block] = part
+    return FadingEnsemble(*samples)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ form takes its pair as (H0, H1): the thermal background (no target) first, the
 probe after the channel second, as :func:`lidar_pair` returns it.  Every form is
 elementwise, so one call scores one pair, such as the :func:`lidar_pair` of
 every driver, or a whole map, and block boundaries never change a result, so
-fading may spread its draws over processes in blocks.  Nothing is validated
-here.  2x2 products are spelled out by component and transcendentals are numpy
+each driver scores its domain in fixed blocks (fading's over processes too)
+and keeps every temporary at one block's size.  Nothing is validated here.
+2x2 products are spelled out by component and transcendentals are numpy
 ufuncs (only the probe's squeezing comes from :mod:`math`); every form is real
 and runs on the broadcast shape of its arguments, so scalar and array calls
 agree bit for bit, the Chernoff search included: ln Q_s holds a pair's states on

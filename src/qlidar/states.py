@@ -16,7 +16,6 @@ same axis, which is the configuration that maximises the homodyne SNR.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,13 +144,6 @@ class ProbeBudget:
             raise InvalidParameterError(f"lam must be in [0, 1], got {self.lam}")
 
 
-def squeezed_vacuum(r: float) -> GaussianState:
-    """Squeezed vacuum with sigma = diag(exp(-2r), exp(2r)) and zero mean."""
-    if (r := real("squeezing parameter", r)) < 0:
-        raise InvalidParameterError(f"squeezing parameter must be >= 0, got {r}")
-    return GaussianState(np.zeros(2), np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)]))
-
-
 def thermal_state(n_th: float) -> GaussianState:
     """Thermal state with sigma = (2*n_th + 1) * I and zero mean."""
     return GaussianState.from_moments(kernel.thermal(_occupation("thermal occupation", n_th)))
@@ -166,15 +158,3 @@ def probe_from_budget(budget: ProbeBudget) -> GaussianState:
     return GaussianState.from_moments(
         kernel.probe(budget.lam, budget.n_tot, budget.displacement_phase)
     )
-
-
-def rotation_matrix(theta: float) -> np.ndarray:
-    theta = real("theta", theta)
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def rotate(state: GaussianState, theta: float) -> GaussianState:
-    """Rotate a state in phase space: mu -> R mu, sigma -> R sigma R^T."""
-    rot = rotation_matrix(theta)
-    return GaussianState(rot @ state.mu, rot @ state.sigma @ rot.T)

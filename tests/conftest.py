@@ -4,9 +4,29 @@ from pathlib import Path
 
 import numpy as np
 
-from qlidar.states import GaussianState, rotation_matrix
+from qlidar.errors import InvalidParameterError, real
+from qlidar.states import GaussianState
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def squeezed_vacuum(r: float) -> GaussianState:
+    """Squeezed vacuum with sigma = diag(exp(-2r), exp(2r)) and zero mean."""
+    if (r := real("squeezing parameter", r)) < 0:
+        raise InvalidParameterError(f"squeezing parameter must be >= 0, got {r}")
+    return GaussianState(np.zeros(2), np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)]))
+
+
+def rotation_matrix(theta: float) -> np.ndarray:
+    theta = real("theta", theta)
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def rotate(state: GaussianState, theta: float) -> GaussianState:
+    """Rotate a state in phase space: mu -> R mu, sigma -> R sigma R^T."""
+    rot = rotation_matrix(theta)
+    return GaussianState(rot @ state.mu, rot @ state.sigma @ rot.T)
 
 
 def squeezed_thermal_state(nbar, r, phi, mu) -> GaussianState:

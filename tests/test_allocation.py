@@ -164,6 +164,33 @@ class TestAllocationGrid:
                     score = allocation.w2_score(ProbeBudget(n_tot, lam), params).w2_sq
                     assert grid.scores[i, j] == score
 
+    def test_row_blocks_leave_the_scores_unchanged(self, monkeypatch):
+        """Row blocks that do and do not divide the eta count, with the grid below, at
+        and above one block, give the scores of a one-block grid bit for bit."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import example, given, settings, strategies as st
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(n_eta=st.integers(1, 90), rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+        @example(n_eta=60, rows=20, seed=3)  # blocks divide the eta count
+        @example(n_eta=61, rows=20, seed=3)  # the last block is partial
+        @example(n_eta=20, rows=20, seed=3)  # one block exactly
+        @example(n_eta=7, rows=20, seed=3)  # below one block
+        def check(n_eta, rows, seed):
+            rng = np.random.default_rng(seed)
+            n_tot, n_th = float(rng.uniform(0.5, 40.0)), float(rng.uniform(0.0, 3.0))
+            eta_det = float(rng.uniform(0.3, 1.0))
+            etas = np.linspace(0.0, 1.0, n_eta)
+            lams = np.linspace(0.0, 0.95, int(rng.integers(1, 30)))
+            monkeypatch.setattr(allocation, "_ROWS", n_eta)
+            whole = allocation.allocation_grid(n_tot, n_th, etas, lams, eta_det=eta_det)
+            monkeypatch.setattr(allocation, "_ROWS", rows)
+            blocked = allocation.allocation_grid(n_tot, n_th, etas, lams, eta_det=eta_det)
+            assert blocked.scores.tobytes() == whole.scores.tobytes()
+            assert blocked.lambda_opt.tobytes() == whole.lambda_opt.tobytes()
+
+        check()
+
     def test_monotone_in_eta_at_lambda_zero(self):
         etas = np.linspace(0.0, 1.0, 100)
         grid = allocation.allocation_grid(8.0, 0.3, etas, np.array([0.0]))

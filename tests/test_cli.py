@@ -202,8 +202,8 @@ def test_grids_start_no_process_and_fading_does(monkeypatch, tmp_path):
         for name in names:
             assert (serial / name).read_bytes() == (pooled / name).read_bytes()
 
-    with pytest.raises(PoolStarted, match="ProcessPoolExecutor"):
-        cli.main(["fading", "--realizations", "50", "--workers", "2",
+    with pytest.raises(PoolStarted, match="ProcessPoolExecutor"):  # two blocks
+        cli.main(["fading", "--realizations", str(fading._BLOCK + 1), "--workers", "2",
                   "--out", str(tmp_path / "fading")])
 
 
@@ -742,6 +742,7 @@ class TestErrorHandling:
         ("heatmap", "--grid-step", "0.0004"),
         ("threshold", "--n-tot", "1e21"),
         ("metrics", "--state0", "0,0,1,0,1", "--state1", "0,0,1e200,0,1e200"),
+        ("fading", "--realizations", str(fading.MAX_REALIZATIONS + 1)),
     ])
     def test_out_of_domain_value_is_parameter_error(self, argv, tmp_path):
         result = run_cli(*argv, "--out", str(tmp_path))

@@ -200,8 +200,9 @@ class TestRunEnsemble:
         assert np.array_equal(a.xi_qbb, b.xi_qbb)
         assert a.summary == b.summary
 
-    def test_parallel_schedule_independence(self):
+    def test_parallel_schedule_independence(self, monkeypatch):
         serial = fading.run_ensemble(SMALL, workers=1)
+        monkeypatch.setattr(fading, "_BLOCK", 300)  # seven blocks, so the pool runs
         parallel = fading.run_ensemble(SMALL, workers=2)
         assert np.array_equal(serial.etas, parallel.etas)
         assert np.array_equal(serial.w2_sq, parallel.w2_sq)
@@ -239,26 +240,32 @@ class TestRunEnsemble:
     def test_pool_gets_no_more_workers_than_blocks(self, monkeypatch):
         self._usable_cpus(monkeypatch, 1000)  # so the CPU bound does not bind
         sizes, mapped = self._recording_pool(monkeypatch)
+        monkeypatch.setattr(fading, "_BLOCK", 4)
         config = fading.FadingConfig(n_realizations=10, seed=99)
         pooled = fading.run_ensemble(config, workers=64)
-        assert sizes == [10]
+        assert sizes == [3]  # blocks of 4, 4 and 2 realizations
         assert np.array_equal(pooled.etas, fading.run_ensemble(config).etas)
+        monkeypatch.setattr(fading, "_BLOCK", 100)
         fading.run_ensemble(SMALL, workers=3)
-        assert sizes == [10, 3]
+        assert sizes == [3, 3]
         # nor more than the usable CPUs: the pool may start every worker at once
         self._usable_cpus(monkeypatch, 2)
         capped = fading.run_ensemble(SMALL, workers=5000)
-        assert sizes == [10, 3, 2]
-        # four blocks per process that runs, whatever was asked for
-        assert mapped == [10, 12, 8]
+        assert sizes == [3, 3, 2]
+        # the same blocks, cut from the realization count alone, whatever was asked for
+        assert mapped == [3, 20, 20]
         serial = fading.run_ensemble(SMALL, workers=1)
         for name in ("etas", "w2_sq", "xi_qbb"):
             assert np.array_equal(getattr(capped, name), getattr(serial, name))
 
-    @pytest.mark.parametrize("cpus,n_realizations", [(1, 2000), (1000, 1)],
-                             ids=["one-cpu", "one-realization"])
-    def test_single_process_runs_without_a_pool(self, cpus, n_realizations, monkeypatch):
+    @pytest.mark.parametrize("cpus,n_realizations,block", [
+        (1, 2000, 100), (1000, 1, None), (1000, fading._BLOCK, None)],
+        ids=["one-cpu", "one-realization", "one-block"])
+    def test_single_process_runs_without_a_pool(self, cpus, n_realizations, block,
+                                                 monkeypatch):
         self._usable_cpus(monkeypatch, cpus)
+        if block is not None:
+            monkeypatch.setattr(fading, "_BLOCK", block)
         config = fading.FadingConfig(n_realizations=n_realizations, seed=99)
         serial = fading.run_ensemble(config)
         sizes, mapped = self._recording_pool(monkeypatch)
@@ -266,6 +273,33 @@ class TestRunEnsemble:
         assert sizes == mapped == []
         for name in ("etas", "w2_sq", "xi_qbb"):
             assert np.array_equal(getattr(ens, name), getattr(serial, name))
+
+    def test_block_size_leaves_the_samples_unchanged(self, monkeypatch):
+        """Block sizes that do and do not divide N, with N below, at and above one block,
+        serial and pooled, give the samples of a one-block run bit for bit."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import example, given, settings, strategies as st
+
+        self._usable_cpus(monkeypatch, 2)  # so workers=2 over two or more blocks pools
+
+        @settings(max_examples=30, deadline=None, derandomize=True)
+        @given(n=st.integers(1, 300), block=st.integers(1, 128),
+               workers=st.sampled_from((1, 2)), seed=st.integers(0, 2**32 - 1))
+        @example(n=96, block=32, workers=2, seed=5)  # blocks divide N
+        @example(n=100, block=32, workers=2, seed=5)  # the last block is partial
+        @example(n=100, block=32, workers=1, seed=5)
+        @example(n=32, block=32, workers=2, seed=5)  # N at one block
+        @example(n=20, block=32, workers=2, seed=5)  # N below one block
+        def check(n, block, workers, seed):
+            config = fading.FadingConfig(n_realizations=n, seed=seed)
+            monkeypatch.setattr(fading, "_BLOCK", n)
+            whole = fading.run_ensemble(config)
+            monkeypatch.setattr(fading, "_BLOCK", block)
+            blocked = fading.run_ensemble(config, workers=workers)
+            for name in ("etas", "w2_sq", "xi_qbb"):
+                assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
+
+        check()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_samples_are_read_only(self, workers):

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import load_oracle_cases, random_physical_state, squeezed_thermal_state
+from conftest import (
+    load_oracle_cases,
+    random_physical_state,
+    rotate,
+    rotation_matrix,
+    squeezed_thermal_state,
+    squeezed_vacuum,
+)
 from qlidar import fock, kernel, metrics
 from qlidar.errors import CutoffTooSmallError, InvalidParameterError
-from qlidar.states import GaussianState, rotate, rotation_matrix, squeezed_vacuum, thermal_state
+from qlidar.states import GaussianState, thermal_state
 
 
 def extract_moments(rho: fock.FockDensity) -> tuple[np.ndarray, np.ndarray]:

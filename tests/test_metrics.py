@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import load_oracle_cases, random_physical_state
+from conftest import (
+    load_oracle_cases,
+    random_physical_state,
+    rotate,
+    rotation_matrix,
+    squeezed_vacuum,
+)
 from qlidar import fock, kernel, metrics
 from qlidar.channel import ChannelParams, apply_loss
 from qlidar.errors import InvalidParameterError
@@ -12,8 +18,6 @@ from qlidar.states import (
     GaussianState,
     ProbeBudget,
     probe_from_budget,
-    rotate,
-    squeezed_vacuum,
     thermal_state,
 )
 
@@ -329,8 +333,6 @@ class TestOptimalAngle:
             assert min(rep.theta_opt, math.pi - rep.theta_opt) < 1e-9
 
     def test_rotated_vs_grid(self):
-        from qlidar.states import rotation_matrix
-
         rot = rotation_matrix(math.pi / 6)
         h1 = GaussianState([2.0, 0.0], rot @ np.diag([0.25, 4.0]) @ rot.T)
         rep = metrics.metric_report(h1, VACUUM)

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_physical_state, squeezed_thermal_state
+from conftest import random_physical_state, rotate, squeezed_thermal_state
 from qlidar import kernel, metrics
-from qlidar.states import GaussianState, rotate
+from qlidar.states import GaussianState
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import rotate, squeezed_vacuum
 from qlidar import allocation, fading, kernel
 from qlidar.channel import ChannelParams
 from qlidar.errors import InvalidParameterError
@@ -15,8 +16,6 @@ from qlidar.states import (
     GaussianState,
     ProbeBudget,
     probe_from_budget,
-    rotate,
-    squeezed_vacuum,
     thermal_state,
     validate,
 )

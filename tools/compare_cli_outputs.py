@@ -56,6 +56,7 @@ COMMANDS = (
     "fading --realizations 2 --seed 3",
     "fading --alpha 0.001 --beta 1 --realizations 3001 --seed 5",
     "fading --n-tot 0 --n-th 0 --realizations 7",
+    "fading --realizations 40000 --workers 2 --seed 9",  # several blocks over the pool
     "metrics --budget 5,0.5 --eta 0.6 --n-th 1",
     "metrics --budget 5,0.5,0.3 --eta 0.6 --n-th 1 --eta-det 0.8 --v-el 0.1",
     "metrics --state0 0,0,1,0,1 --state1 1.41,0,1,0,1",
@@ -76,6 +77,7 @@ COMMANDS = (
     "metrics --state0 0,0,1,0,1 --state1 1.41,0,1,0,1 --budget 5,0.5",
     "threshold --n-tot 1e21",
     "metrics --state0 0,0,1,0,1 --state1 0,0,1e200,0,1e200",
+    "fading --realizations 10000001",
     # a general pair with s* near 0.65, and a near-pure state against a mixed one (s* near 0.15)
     "metrics --state0 2.456266685841861,0.30994626445227585,5.28197410538129,0.023740030776651856,"
     "2.767994128416328 --state1=-0.06789540783267793,0.6775493330735691,9.097762478514328,"

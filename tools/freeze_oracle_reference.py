@@ -16,7 +16,7 @@ import numpy as np
 
 from qlidar import fock
 from qlidar.errors import CutoffTooSmallError
-from qlidar.states import GaussianState, rotation_matrix
+from qlidar.states import GaussianState
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "oracle_reference.csv"
 SEED = 20250601
@@ -30,7 +30,8 @@ def random_state(rng) -> GaussianState:
     r = rng.uniform(0.0, 0.8)
     phi = rng.uniform(0.0, math.pi)
     mu = rng.uniform(-1.5, 1.5, size=2)
-    rot = rotation_matrix(phi)
+    c, s = math.cos(phi), math.sin(phi)
+    rot = np.array([[c, -s], [s, c]])
     core = (2.0 * nbar + 1.0) * np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)])
     return GaussianState(mu, rot @ core @ rot.T)
 
