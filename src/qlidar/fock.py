@@ -26,18 +26,18 @@ Both oracles read the overlap matrix W = U0^dag U1 weighted by a0 = p0^s on
 its rows and a1 = p1^(1-s) on its columns; the fidelity's weights are
 sqrt(p), s = 1/2.  Each side keeps only its significant levels, the shortest
 prefix k whose dropped weight tail sums to at most 2^-60, so W is formed as
-U0[:, :k0]^dag U1[:, :k1] and the fidelity's svd runs on k0 x k1 instead of
-cutoff x cutoff.  This is exact to rounding.  Deleting rows or columns never
-raises a singular value (interlacing: Horn & Johnson, Topics in Matrix
-Analysis, 1991, section 3.1), and the trace norm of the deleted part is at
-most the sum of its row (or column) norms.  Rows and columns of W have unit
-norm to 1e-12 and every weight is at most 1, so the trace norm, and the sum
-of a0 |W|^2 a1, each move by at most 2 * 2^-60 (F, the square of the trace
-norm, by at most twice that).  U itself stays the full factor: at s near 0,
-p^s lifts the thermal tail and nearly every level counts, so a state built
-on its significant columns only would depend on s.  W is read-only and kept
-for the last (pair, block), so the fidelity and the s = 1/2 overlap of one
-pair share one product.
+U0[:, :k0]^dag U1[:, :k1] for each call, and nothing is kept between calls.
+This is exact to rounding.  Deleting rows or columns never raises a singular
+value (interlacing: Horn & Johnson, Topics in Matrix Analysis, 1991, section
+3.1), and the trace norm of the deleted part is at most the sum of its row
+(or column) norms.  Rows and columns of W have unit norm to 1e-12 and every
+weight is at most 1, so the trace norm, and the sum of a0 |W|^2 a1, each
+move by at most 2 * 2^-60.  The fidelity cuts its block B = a0 W a1 once more
+before the svd, by the same rule on B's trailing row norms and then on the
+remaining column norms, so its trace norm moves by at most 4 * 2^-60 in all
+(F, its square, by at most twice that).  U itself stays the full factor: at s
+near 0, p^s lifts the thermal tail and nearly every level counts, so a state
+built on its significant columns only would depend on s.
 
 Operator calibration.  The quadrature operators are Q = a + a^dag and
 P = -i (a - a^dag), whose vacuum variances are 1, matching the covariance
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,6 +59,9 @@ from .errors import CutoffTooSmallError, InvalidParameterError, integer, real
 from .states import GaussianState, validate
 
 TRACE_BUDGET_DEFAULT = 1e-8
+# a pair built and run through both oracles at 4000 peaked at 1036 MB RSS (2 vCPUs, 25 s):
+# about 63 B per cutoff^2 of dense factors over a 38 MB base (38 MB at 300, 283 MB at 2000)
+MAX_CUTOFF = 4000
 _TAIL = 2.0**-60  # weight tail an oracle may drop (see the module notes)
 
 
@@ -66,23 +69,12 @@ _TAIL = 2.0**-60  # weight tail an oracle may drop (see the module notes)
 class FockDensity:
     """rho = unitary diag(probs) unitary^dag in the number basis, with truncation info.
 
-    Compared and hashed by identity.  ``unitary`` and ``probs`` are made
-    read-only, so the overlap matrix kept for the last pair cannot go stale.
-    The truncation size is ``probs.size``.
+    Compared and hashed by identity.  The truncation size is ``probs.size``.
     """
 
     unitary: np.ndarray
     probs: np.ndarray
     trace_deficit: float
-
-    def __post_init__(self):
-        self.unitary.flags.writeable = False
-        self.probs.flags.writeable = False
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense density matrix, formed on first use."""
-        return (self.unitary * self.probs) @ self.unitary.conj().T
 
 
 def lowering_operator(dim: int) -> np.ndarray:
@@ -154,13 +146,14 @@ def build_state(state: GaussianState, cutoff: int) -> FockDensity:
     so D(beta) = T exp(|beta| K_d) T^dag with T = diag(e^(i arg(beta) n)), and
     the real exp(|beta| K_d) multiplies each parity block of T^dag P S on
     the block's float64 view.
-    Raises :class:`CutoffTooSmallError`, before any matrix is formed, when the
-    thermal tail beyond the cutoff, 1 - sum p = (nbar / (nbar + 1))^cutoff,
+    Before any matrix is formed, a cutoff above ``MAX_CUTOFF`` raises
+    :class:`InvalidParameterError`, and :class:`CutoffTooSmallError` is raised
+    when the thermal tail beyond the cutoff, 1 - sum p = (nbar / (nbar + 1))^cutoff,
     exceeds ``TRACE_BUDGET_DEFAULT``.  U stays unitary under truncation, so it loses
     no trace; convergence in the cutoff is what catches its truncation.
     """
     validate(state)
-    cutoff = integer("cutoff", cutoff, 2)
+    cutoff = integer("cutoff", cutoff, 2, MAX_CUTOFF)
     nbar, r, phi = _decompose(state.sigma)
     ratio = nbar / (nbar + 1.0)
     deficit = ratio**cutoff
@@ -193,42 +186,35 @@ def _significant(weights: np.ndarray) -> int:
     return max(1, int(np.count_nonzero(tails > _TAIL)))
 
 
-@lru_cache(maxsize=1)
-def _overlap_matrix(rho0: FockDensity, rho1: FockDensity, k0: int, k1: int) -> np.ndarray:
-    """W = U0[:, :k0]^dag U1[:, :k1], the leading block of U0^dag U1.
+def _weighted_block(rho0: FockDensity, rho1: FockDensity, a0: np.ndarray, a1: np.ndarray):
+    """The significant levels' weights a0[:k0], a1[:k1] and W = U0[:, :k0]^dag U1[:, :k1].
 
-    Entry (j, k) is the overlap of eigenvector j of rho0 with eigenvector k
-    of rho1.  Read-only and kept for the last (pair, block), so the fidelity
-    and the s = 1/2 overlap of one pair share one product.
+    Entry (j, k) of W is the overlap of eigenvector j of rho0 with eigenvector
+    k of rho1.
     """
     if rho0.probs.size != rho1.probs.size:
         raise InvalidParameterError(f"dimension mismatch: {rho0.probs.size} vs {rho1.probs.size}")
-    overlap = rho0.unitary[:, :k0].conj().T @ rho1.unitary[:, :k1]
-    overlap.flags.writeable = False
-    return overlap
-
-
-def _weighted_block(rho0: FockDensity, rho1: FockDensity, a0: np.ndarray, a1: np.ndarray):
-    """The significant levels' weights a0[:k0], a1[:k1] and their overlap block W."""
     k0, k1 = _significant(a0), _significant(a1)
-    return a0[:k0], _overlap_matrix(rho0, rho1, k0, k1), a1[:k1]
+    return a0[:k0], rho0.unitary[:, :k0].conj().T @ rho1.unitary[:, :k1], a1[:k1]
 
 
 def oracle_fidelity(rho0: FockDensity, rho1: FockDensity) -> float:
     """Uhlmann fidelity (tr |sqrt(rho0) sqrt(rho1)|)^2 by brute force.
 
     sqrt(rho0) sqrt(rho1) = U0 (sqrt(p0) W sqrt(p1)) U1^dag, so its trace norm
-    is the sum of singular values of the bracket.  The svd runs on its
-    significant k0 x k1 block only: the leading levels of sqrt(p0) and
-    sqrt(p1) whose dropped tails sum to at most 2^-60.  Deleting rows and
-    columns never raises a singular value, so by the module notes' interlacing
-    argument the trace norm drops by at most 2 * 2^-60 and F by at most twice
-    that.  U0 and U1 stay full, since a state's significant levels depend on
-    s; W is the block kept for this pair, and the s = 1/2 overlap reuses it.
+    is the sum of singular values of the bracket B.  The svd runs on a block
+    cut twice: first to the leading levels of sqrt(p0) and sqrt(p1) whose
+    dropped tails sum to at most 2^-60, then to the leading rows of B, and
+    of what is left the leading columns, whose dropped norms sum to at most
+    2^-60.  Deleting rows and columns never raises a singular value, so by
+    the module notes' interlacing argument the trace norm drops by at most
+    4 * 2^-60 and F by at most twice that.
     """
     a0, overlap, a1 = _weighted_block(rho0, rho1, np.sqrt(rho0.probs), np.sqrt(rho1.probs))
-    singular = np.linalg.svd(a0[:, None] * overlap * a1, compute_uv=False)
-    return float(np.sum(singular) ** 2)
+    bracket = a0[:, None] * overlap * a1
+    bracket = bracket[:_significant(np.linalg.norm(bracket, axis=1))]
+    bracket = bracket[:, :_significant(np.linalg.norm(bracket, axis=0))]
+    return float(np.sum(np.linalg.svd(bracket, compute_uv=False)) ** 2)
 
 
 def oracle_s_overlap(rho0: FockDensity, rho1: FockDensity, s: float) -> float:
@@ -239,8 +225,7 @@ def oracle_s_overlap(rho0: FockDensity, rho1: FockDensity, s: float) -> float:
     leading levels of p0^s and p1^(1-s) whose dropped tails sum to at most
     2^-60.  Rows and columns of W have unit norm and the weights are at most
     1, so the sum drops by at most 2 * 2^-60 (module notes).  U0 and U1 stay
-    full, since the block depends on s; W is kept for the last (pair, block),
-    which at s = 1/2 is the fidelity's.
+    full, since the block depends on s.
     """
     if not 0.0 <= (s := real("s", s)) <= 1.0:
         raise InvalidParameterError(f"s must be in [0, 1], got {s}")

@@ -17,12 +17,17 @@ from qlidar.errors import CutoffTooSmallError, InvalidParameterError
 from qlidar.states import GaussianState, thermal_state
 
 
+def _dense(rho: fock.FockDensity) -> np.ndarray:
+    """The dense density matrix U diag(p) U^dag."""
+    return (rho.unitary * rho.probs) @ rho.unitary.conj().T
+
+
 def extract_moments(rho: fock.FockDensity) -> tuple[np.ndarray, np.ndarray]:
     """Read (mu, sigma) back from a density matrix via the calibrated operators."""
     a = fock.lowering_operator(rho.probs.size)
     q = a + a.T
     p = -1j * (a - a.T)
-    m = rho.matrix
+    m = _dense(rho)
     a_mean = complex(np.trace(m @ a))
     q_mean = float(np.trace(m @ q).real)
     p_mean = float(np.trace(m @ p).real)
@@ -60,7 +65,7 @@ class TestBuildState:
         rho = fock.build_state(thermal_state(0.0), 10)
         expected = np.zeros((10, 10))
         expected[0, 0] = 1.0
-        assert_allclose(rho.matrix, expected, atol=1e-15)
+        assert_allclose(_dense(rho), expected, atol=1e-15)
         assert rho.trace_deficit == 0.0
         assert fock.build_state(thermal_state(0.0), np.int64(10)).probs.size == 10
 
@@ -74,10 +79,11 @@ class TestBuildState:
 
     def test_thermal_geometric_populations(self):
         rho = fock.build_state(thermal_state(2.0), 200)
+        m = _dense(rho)
         n = np.arange(200)
         expected = 2.0**n / 3.0 ** (n + 1)
-        assert_allclose(np.diag(rho.matrix).real, expected, rtol=1e-12)
-        assert np.max(np.abs(rho.matrix - np.diag(np.diag(rho.matrix)))) < 1e-15
+        assert_allclose(np.diag(m).real, expected, rtol=1e-12)
+        assert np.max(np.abs(m - np.diag(np.diag(m)))) < 1e-15
         assert rho.trace_deficit < 1e-8
 
     def test_cutoff_too_small(self):
@@ -90,7 +96,7 @@ class TestBuildState:
         with pytest.raises(InvalidParameterError, match="^state is unphysical: det"):
             fock.build_state(GaussianState([0, 0], np.diag([0.5, 0.5])), 40)
 
-    @pytest.mark.parametrize("cutoff", [1, 2.5, True, np.float64(40.0)])
+    @pytest.mark.parametrize("cutoff", [1, 2.5, True, np.float64(40.0), fock.MAX_CUTOFF + 1])
     def test_rejects_bad_cutoff(self, cutoff):
         with pytest.raises(InvalidParameterError, match="cutoff"):
             fock.build_state(thermal_state(0.0), cutoff)
@@ -102,8 +108,9 @@ class TestBuildState:
         for _ in range(10):
             state = random_physical_state(rng, mu_scale=1.5, nbar_max=0.8, r_max=0.8)
             rho = fock.build_state(state, 80)
-            assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-12
-            assert float(np.linalg.eigvalsh(rho.matrix)[0]) > -1e-10
+            m = _dense(rho)
+            assert np.max(np.abs(m - m.conj().T)) < 1e-12
+            assert float(np.linalg.eigvalsh(m)[0]) > -1e-10
             assert rho.trace_deficit <= 1e-8
             for cutoff in (60, 90, 135, 203):
                 factors = fock.build_state(state, cutoff)
@@ -127,13 +134,14 @@ class TestBuildState:
         for cutoff in (60, 90, 135):
             states = fixed + [random_physical_state(rng, 1.5, 0.8, 0.8) for _ in range(20)]
             for state in states:
-                rho = fock.build_state(state, cutoff).matrix
+                rho = _dense(fock.build_state(state, cutoff))
                 assert np.max(np.abs(rho - _dense_reference_rho(state, cutoff))) <= 1e-13
 
     def test_pair_takes_no_density_eigh(self, monkeypatch):
         # both states squeezed and displaced, with the rotation factors of this cutoff cached;
         # the densities come factorised, so the only solver call of a pair is the
-        # fidelity's svd, on the k0 x k1 block of the levels sqrt(p) keeps
+        # fidelity's svd, on the bracket sqrt(p0) W sqrt(p1) cut to the levels sqrt(p) keeps
+        # and then to its leading rows and columns by the same 2^-60 tail rule
         cutoff = 90
         fock._rotation_factors(cutoff)
         s0 = GaussianState([0.7, -0.4], rotate(squeezed_vacuum(0.5), 0.3).sigma)
@@ -155,32 +163,16 @@ class TestBuildState:
         rho0, rho1 = fock.build_state(s0, cutoff), fock.build_state(s1, cutoff)
         fock.oracle_fidelity(rho0, rho1)
         fock.oracle_s_overlap(rho0, rho1, 0.5)
-        k0, k1 = (fock._significant(np.sqrt(rho.probs)) for rho in (rho0, rho1))
-        assert calls == {"eigh": [], "eigvalsh": [], "svd": [(k0, k1)]}
-        assert max(k0, k1) < cutoff
+        a0, a1 = np.sqrt(rho0.probs), np.sqrt(rho1.probs)
+        k0, k1 = fock._significant(a0), fock._significant(a1)
+        bracket = a0[:k0, None] * (rho0.unitary[:, :k0].conj().T @ rho1.unitary[:, :k1]) * a1[:k1]
+        rows = fock._significant(np.sqrt(np.sum(np.abs(bracket) ** 2, axis=1)))
+        cols = fock._significant(np.sqrt(np.sum(np.abs(bracket[:rows]) ** 2, axis=0)))
+        assert calls == {"eigh": [], "eigvalsh": [], "svd": [(rows, cols)]}
+        # rho0 is pure, so one row; the column cut takes rho1's 47 levels to 37
+        assert rows == k0 == 1 and cols < k1 < cutoff
         factors = fock._rotation_factors(cutoff)
         assert not any(array.flags.writeable for triple in factors for array in triple)
-
-    def test_pair_forms_one_overlap_matrix(self):
-        # W = U0^dag U1 on the significant block is kept for the last (pair, block): the
-        # fidelity forms it, the s = 1/2 overlap, whose weights are the same sqrt(p), reuses it
-        s0 = GaussianState([0.7, -0.4], rotate(squeezed_vacuum(0.5), 0.3).sigma)
-        s1 = GaussianState([-0.2, 0.9], 1.4 * rotate(squeezed_vacuum(0.3), 1.1).sigma)
-        rho0, rho1 = fock.build_state(s0, 60), fock.build_state(s1, 60)
-        k0, k1 = (fock._significant(np.sqrt(rho.probs)) for rho in (rho0, rho1))
-        fock._overlap_matrix.cache_clear()
-        fock.oracle_fidelity(rho0, rho1)
-        fock.oracle_s_overlap(rho0, rho1, 0.5)
-        info = fock._overlap_matrix.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        # keyed by identity, and nothing it is formed from or returns can be written to
-        overlap = fock._overlap_matrix(rho0, rho1, k0, k1)
-        assert overlap.shape == (k0, k1) and not overlap.flags.writeable
-        for array in (rho0.unitary, rho0.probs):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
-        fock.oracle_s_overlap(rho1, rho0, 0.5)
-        assert fock._overlap_matrix.cache_info().misses == 2
 
 
 def _generators(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -246,8 +246,8 @@ class TestXiQcb:
 
     def test_chernoff_takes_16_overlap_evaluations(self, monkeypatch):
         # 12 bisection slopes, one stacked slope call at both ends of the last bracket,
-        # one secant slope, then ln Q_s at s_star and at s = 1/2, each on the pair's own
-        # shape but the stacked call
+        # one secant slope, then one stacked call of ln Q_s at s_star and at s = 1/2; each
+        # on the pair's own shape but the two stacked calls
         calls = []
         closures = kernel._log_overlap_in_s
 
@@ -264,7 +264,7 @@ class TestXiQcb:
         monkeypatch.setattr(kernel, "_log_overlap_in_s", counted)
         metrics.s_overlap_minimum(THERMAL_1, GaussianState([0.5, -0.3], np.diag([2.0, 4.0])))
         assert calls == ([("slope", ())] * 12 + [("slope", (2,)), ("slope", ())]
-                         + [("value", ())] * 2)
+                         + [("value", (2,))])
 
     def test_scalar_minimum_is_the_batched_one(self):
         # a general pair whose slope cancels near s*, so a 1-ulp difference between the
