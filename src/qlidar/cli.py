@@ -311,10 +311,8 @@ _FLAGS = {
                 "serially"),
     "alpha": ("--alpha", float, "Beta shape alpha"),
     "beta": ("--beta", float, "Beta shape beta"),
-    "state0": ("--state0", str, "H0 state as mu_q,mu_p,sigma_qq,sigma_qp,sigma_pp; a negative "
-               "mu_q needs the --state0=-1,0,1,0,1 form"),
-    "state1": ("--state1", str, "H1 state as mu_q,mu_p,sigma_qq,sigma_qp,sigma_pp; a negative "
-               "mu_q needs the --state1=-1,0,1,0,1 form"),
+    "state0": ("--state0", str, "H0 state as mu_q,mu_p,sigma_qq,sigma_qp,sigma_pp"),
+    "state1": ("--state1", str, "H1 state as mu_q,mu_p,sigma_qq,sigma_qp,sigma_pp"),
     "budget": ("--budget", str, "probe shorthand n_tot,lambda[,phase]; pairs with --eta/--n-th"),
 }
 
@@ -360,6 +358,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse reads a separate -1,0,1,0,1 as an option, so a comma list becomes --flag=value
+    argv = list(sys.argv[1:] if argv is None else argv)
+    lists = {flag for flag, cast, _ in _FLAGS.values() if cast is str}
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] in lists and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = _build_parser().parse_args(argv)
     command = args.command
 

@@ -23,14 +23,14 @@ class NumericalError(RuntimeError):
 class CutoffTooSmallError(NumericalError):
     """Fock-space truncation lost more probability than the budget allows."""
 
-    def __init__(self, trace_deficit: float, budget: float, suggested_cutoff: int):
+    def __init__(self, trace_deficit: float, budget: float, suggested_cutoff: int, max_cutoff: int):
         self.trace_deficit = trace_deficit
         self.budget = budget
         self.suggested_cutoff = suggested_cutoff
+        advice = (f"retry with cutoff >= {suggested_cutoff}" if suggested_cutoff <= max_cutoff else
+                  f"no cutoff up to {max_cutoff} is enough, the tail needs >= {suggested_cutoff}")
         super().__init__(
-            f"truncation lost {trace_deficit:.3e} of the trace (budget {budget:.1e}); "
-            f"retry with cutoff >= {suggested_cutoff}"
-        )
+            f"truncation lost {trace_deficit:.3e} of the trace (budget {budget:.1e}); {advice}")
 
 
 def real(name: str, value) -> float:

@@ -149,8 +149,9 @@ def build_state(state: GaussianState, cutoff: int) -> FockDensity:
     Before any matrix is formed, a cutoff above ``MAX_CUTOFF`` raises
     :class:`InvalidParameterError`, and :class:`CutoffTooSmallError` is raised
     when the thermal tail beyond the cutoff, 1 - sum p = (nbar / (nbar + 1))^cutoff,
-    exceeds ``TRACE_BUDGET_DEFAULT``.  U stays unitary under truncation, so it loses
-    no trace; convergence in the cutoff is what catches its truncation.
+    exceeds ``TRACE_BUDGET_DEFAULT``, suggesting min(1.5 cutoff, ``MAX_CUTOFF``) or, if
+    the tail is over budget at the cap, the cutoff it needs.  U stays unitary under
+    truncation, so it loses no trace; convergence in the cutoff catches its truncation.
     """
     validate(state)
     cutoff = integer("cutoff", cutoff, 2, MAX_CUTOFF)
@@ -158,7 +159,12 @@ def build_state(state: GaussianState, cutoff: int) -> FockDensity:
     ratio = nbar / (nbar + 1.0)
     deficit = ratio**cutoff
     if deficit > TRACE_BUDGET_DEFAULT:
-        raise CutoffTooSmallError(deficit, TRACE_BUDGET_DEFAULT, int(math.ceil(1.5 * cutoff)))
+        if ratio**MAX_CUTOFF <= TRACE_BUDGET_DEFAULT:
+            needed = min(math.ceil(1.5 * cutoff), MAX_CUTOFF)
+        else:  # above the cap, so an escalating caller ends on the cap's error
+            needed = max(math.ceil(math.log(TRACE_BUDGET_DEFAULT) / math.log(ratio)),
+                         MAX_CUTOFF + 1)
+        raise CutoffTooSmallError(deficit, TRACE_BUDGET_DEFAULT, needed, MAX_CUTOFF)
 
     levels = np.arange(cutoff)
     probs = ratio**levels / (nbar + 1.0)

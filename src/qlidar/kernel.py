@@ -11,8 +11,8 @@ and keeps every temporary at one block's size.  Nothing is validated here.
 2x2 products are spelled out by component and transcendentals are numpy
 ufuncs (only the probe's squeezing comes from :mod:`math`); every form is real
 and runs on the broadcast shape of its arguments, so scalar and array calls
-agree bit for bit, the Chernoff search included: ln Q_s holds a pair's states on
-a last axis, its slope takes per-pair invariants, and no ``**`` squares (C pow()).
+agree bit for bit, the Chernoff search included: ln Q_s and its slope share one
+setup per state, and no ``**`` squares (C pow()).
 """
 
 from __future__ import annotations
@@ -120,48 +120,35 @@ def log_s_overlap(m0, m1, s):
 
 
 def _log_overlap(m0, m1):
-    """(value, (dq, dp), sigma / nu, mixed, beta, ln(2 / (nu + 1))): log_s_overlap on
-    [_S_EDGE, 1 - _S_EDGE] and its s-independent terms, states on a last axis.  ln Q_s =
-    ln 2 + ln G0(s) + ln G1(1 - s) - ln(det S) / 2 - d^T S^-1 d, S = Lambda_s sigma0 / nu0
-    + Lambda_(1-s) sigma1 / nu1, in the thermal exponent beta = ln((nu + 1) / (nu - 1))
-    (Pirandola & Lloyd 2008), where nothing cancels: ln G_s = s ln(2 / (nu + 1)) - ln(1 -
-    e^(-s beta)) and Lambda_s = coth(s beta / 2), 0 and 1 for a pure state (beta = inf)."""
+    """(value, slope, (nu0 > 1, nu1 > 1)): log_s_overlap and its s-derivative on
+    [_S_EDGE, 1 - _S_EDGE], set up once per state.  ln Q_s = ln 2 + ln G0(s) + ln G1(1 - s)
+    - ln(det S) / 2 - d^T S^-1 d, S = c0 A + c1 B, A = sigma0 / nu0, B = sigma1 / nu1 (det
+    1), c0 = Lambda_s = coth(s beta0 / 2), c1 = Lambda_(1-s), in the thermal exponent beta =
+    ln((nu + 1) / (nu - 1)) (Pirandola & Lloyd 2008), where nothing cancels: ln G_s = s ln(2
+    / (nu + 1)) - ln(1 - e^(-s beta)), 0 with Lambda_s = 1 for a pure state.  The slope takes
+    c = 1 + r, r = 2 / expm1(p beta), p = s or 1 - s; det S = c0^2 + c1^2 + c0 c1 X and d^T
+    adj(S) d = c0 q_A + c1 q_B, X and q_A = d^T adj(A) d taken once, give it by Jacobi's
+    formula, with c0' = -w0 (c0 + 1), c1' = w1 (c1 + 1), w = beta r / 2."""
     dq, dp = m1[0] - m0[0], m1[1] - m0[1]
-    cov = np.empty((3,) + np.broadcast(*m0[2:], *m1[2:]).shape + (2,))
-    for k in range(3):
-        cov[k, ..., 0], cov[k, ..., 1] = m0[2 + k], m1[2 + k]
-    nu = _nu(cov)
-    mixed, scaled = nu > 1.0, cov / nu
-    beta = np.log1p(2.0 / np.where(mixed, nu - 1.0, 2.0))
-    half_beta, log_h = 0.5 * beta, np.log(2.0 / (nu + 1.0))
+    nu0, nu1 = _nu(m0[2:]), _nu(m1[2:])
+    mixed0, mixed1 = nu0 > 1.0, nu1 > 1.0
+    beta0, beta1 = (np.log1p(2.0 / np.where(nu > 1.0, nu - 1.0, 2.0)) for nu in (nu0, nu1))
+    (qq0, qp0, pp0), (qq1, qp1, pp1) = (x / nu0 for x in m0[2:]), (x / nu1 for x in m1[2:])
+    log_h0, log_h1 = np.log(2.0 / (nu0 + 1.0)), np.log(2.0 / (nu1 + 1.0))
+    half0, half1 = 0.5 * beta0, 0.5 * beta1
 
     def value(s):
-        p = np.empty(np.shape(s) + (2,))
-        p[..., 0], p[..., 1] = s, 1.0 - s
-        x = p * half_beta
-        sig = scaled[(slice(None),) + (None,) * (x.ndim - scaled.ndim + 1)]
-        t = np.where(mixed, 1.0 / np.tanh(x), 1.0) * sig
-        t = t[..., 0] + t[..., 1]
+        x0, x1 = s * half0, (1.0 - s) * half1
+        c0, c1 = np.where(mixed0, 1.0 / np.tanh(x0), 1.0), np.where(mixed1, 1.0 / np.tanh(x1), 1.0)
+        t = c0 * qq0 + c1 * qq1, c0 * qp0 + c1 * qp1, c0 * pp0 + c1 * pp1
         g0, g1 = solve(dq, dp, *t, d := det(*t))
-        del t  # frees S for the temporaries of ln G_s: 6-17% faster on 5000 draws
-        log_g = np.where(mixed, p * log_h - np.log(-np.expm1(-2.0 * x)), 0.0)
-        return _LOG2 + log_g[..., 0] + log_g[..., 1] - 0.5 * np.log(d) + -(dq * g0 + dp * g1)
+        del t, c0, c1  # frees S for the temporaries of ln G_s: 20% faster on 5000 draws
+        log_g0 = np.where(mixed0, s * log_h0 - np.log(-np.expm1(-2.0 * x0)), 0.0)
+        log_g1 = np.where(mixed1, (1.0 - s) * log_h1 - np.log(-np.expm1(-2.0 * x1)), 0.0)
+        return _LOG2 + log_g0 + log_g1 - 0.5 * np.log(d) + -(dq * g0 + dp * g1)
 
-    return value, (dq, dp), scaled, mixed, beta, log_h
-
-
-def _log_overlap_in_s(m0, m1):
-    """(value, slope, mixed): log_s_overlap, its s-derivative on [_S_EDGE, 1 - _S_EDGE]
-    and (nu0 > 1, nu1 > 1).  With A = sigma0 / nu0, B = sigma1 / nu1 (det 1), c0 = Lambda_s,
-    c1 = Lambda_(1-s), each 1 + r with r = 2 / expm1(p beta), p = s or 1 - s (r = 0 if pure,
-    beta = inf here), the linear 2x2 adjugate gives D = det S = c0^2 + c1^2 + c0 c1 X and
-    N = d^T adj(S) d = c0 q_A + c1 q_B; X = a_A c_B + c_A a_B - 2 b_A b_B, q_A = d^T adj(A) d
-    and q_B are taken once.  By Jacobi's formula the slope on the pair's shape is (ln G0)'(s)
-    - (ln G1)'(1 - s) - D'/(2 D) - (N/D)', c0' = -w0 (c0 + 1), c1' = w1 (c1 + 1), w = beta r/2."""
-    value, (dq, dp), scaled, mixed, beta, log_h = _log_overlap(m0, m1)
-    (qq0, qq1), (qp0, qp1), (pp0, pp1), (rate0, rate1), (half0, half1) = (
-        (x[..., 0], x[..., 1]) for x in (*scaled, np.where(mixed, beta, np.inf), 0.5 * beta))
-    dlog_h = log_h[..., 0] - log_h[..., 1]
+    rate0, rate1 = np.where(mixed0, beta0, np.inf), np.where(mixed1, beta1, np.inf)
+    dlog_h = log_h0 - log_h1
     x_ab = qq0 * pp1 + pp0 * qq1 - 2.0 * (qp0 * qp1)
     dqq, dqp, dpp = dq * dq, 2.0 * (dq * dp), dp * dp
     q0, q1 = pp0 * dqq - qp0 * dqp + qq0 * dpp, pp1 * dqq - qp1 * dqp + qq1 * dpp
@@ -176,7 +163,7 @@ def _log_overlap_in_s(m0, m1):
         n, dn = c0 * q0 + c1 * q1, e1 * q1 - e0 * q0
         return dlog_h + (w1 - w0) + (dd * (n / d - 0.5) - dn) / d
 
-    return value, slope, (mixed[..., 0], mixed[..., 1])
+    return value, slope, (mixed0, mixed1)
 
 
 def chernoff(m0, m1):
@@ -190,7 +177,7 @@ def chernoff(m0, m1):
     max(1, |ln Q|) above ln Q_s at the reference argmin.  With a pure state the minimum
     is the edge ln Tr[rho0 rho1] = log_fidelity, at s = 1 for a pure rho1, 0 for a pure
     rho0, 1/2 for two.  Last, s = 1/2 wins whenever it is lower."""
-    value, slope, (mixed0, mixed1) = _log_overlap_in_s(m0, m1)
+    value, slope, (mixed0, mixed1) = _log_overlap(m0, m1)
 
     def secant(a, b, ga, gb):
         c = (a * gb - b * ga) / np.where(up := gb > ga, gb - ga, 1.0)

@@ -190,7 +190,7 @@ def test_closed_form_slope_matches_50_digit_derivative(case):
     # at s = 1e-6 (1.8e-10 on the NEAR_PURE pairs, where the former erred by 5.9e-11)
     state0, state1, _, _ = DISTINCT[case]
     m0, m1 = state0.moments, state1.moments
-    slope = kernel._log_overlap_in_s(m0, m1)[1]
+    slope = kernel._log_overlap(m0, m1)[1]
     for s in SLOPE_S:
         ref = MP.diff(lambda x: mp_log_q(m0, m1, x), MP.mpf(s))
         got = float(slope(s))

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
@@ -521,6 +522,20 @@ class TestMetricsCommand:
         assert named in result.stderr
         assert read_manifest(tmp_path / "metrics_manifest.txt")["error"] == named
 
+    @pytest.mark.parametrize("flag,value,rest,code", [
+        ("--state1", "-1,0,1,0,1", ("--state0", "0,0,1,0,1"), 0),
+        ("--state0", "-0.5,2,3,0.1,1", ("--state1", "0,0,1,0,1"), 0),
+        ("--budget", "-5,0.5", (), 2),
+    ])
+    def test_negative_list_as_two_tokens_is_its_equals_form(self, flag, value, rest, code,
+                                                            tmp_path, capsys):
+        runs = []
+        for i, given in enumerate(([flag, value], [f"{flag}={value}"])):
+            out = tmp_path / str(i)
+            runs.append((cli.main(["metrics", *given, *rest, "--out", str(out)]),
+                         capsys.readouterr().out, COMPARE.written(out)))
+        assert runs[0] == runs[1] and runs[0][0] == code
+
     def test_parse_error_names_field(self, tmp_path):
         result = run_cli("metrics", "--state0", "0,0,1,x,1", "--state1", "0,0,1,0,1",
                          "--out", str(tmp_path))
@@ -828,6 +843,14 @@ class TestManifestReplay:
         text = COMPARE.PINS.read_text(encoding="utf-8")
         lines = [x.split("\t", 1)[0] for x in text.splitlines() if x and not x.startswith("#")]
         assert sorted(lines) == sorted(COMPARE.COMMANDS)
+
+    def test_fingerprint_reads_numpy_1_cpu_features(self, monkeypatch):
+        # numpy 1.x has no numpy._core: the features come from numpy.core instead
+        fake = types.ModuleType("numpy.core._multiarray_umath")
+        fake.__cpu_features__ = {"SSE2": True, "AVX512F": False, "AVX2": True}
+        monkeypatch.setitem(sys.modules, "numpy._core._multiarray_umath", None)
+        monkeypatch.setitem(sys.modules, "numpy.core._multiarray_umath", fake)
+        assert COMPARE.fingerprint() == f"numpy {np.__version__}; AVX2 SSE2"
 
     def test_manifest_without_parameters_is_parameter_error(self, tmp_path):
         # a run stopped before its parameters resolved records none; its manifest

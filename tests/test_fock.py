@@ -87,10 +87,18 @@ class TestBuildState:
         assert rho.trace_deficit < 1e-8
 
     def test_cutoff_too_small(self):
-        with pytest.raises(CutoffTooSmallError) as exc_info:
-            fock.build_state(thermal_state(2.0), 20)
-        assert exc_info.value.suggested_cutoff == 30
-        assert exc_info.value.trace_deficit > 1e-8
+        # 1.5 cutoff, held at the cap while the tail there is within budget; (300 / 301)^n
+        # <= 1e-8 from n = 5536 on, so there the needed cutoff is named and then rejected
+        for nbar, cutoff, suggested in ((2.0, 20, 30), (200.0, 3000, fock.MAX_CUTOFF),
+                                        (300.0, 3000, 5536)):
+            with pytest.raises(CutoffTooSmallError) as exc_info:
+                fock.build_state(thermal_state(nbar), cutoff)
+            assert exc_info.value.suggested_cutoff == suggested
+            assert exc_info.value.trace_deficit > 1e-8
+            beyond = f"no cutoff up to {fock.MAX_CUTOFF} is enough, the tail needs >= {suggested}"
+            assert (beyond in str(exc_info.value)) == (suggested > fock.MAX_CUTOFF)
+        with pytest.raises(InvalidParameterError, match="^cutoff must be an integer"):
+            fock.build_state(thermal_state(300.0), 5536)
 
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidParameterError, match="^state is unphysical: det"):

@@ -249,7 +249,7 @@ class TestXiQcb:
         # one secant slope, then one stacked call of ln Q_s at s_star and at s = 1/2; each
         # on the pair's own shape but the two stacked calls
         calls = []
-        closures = kernel._log_overlap_in_s
+        closures = kernel._log_overlap
 
         def counted(m0, m1):
             def wrap(name, f):
@@ -261,7 +261,7 @@ class TestXiQcb:
             value, slope, mixed = closures(m0, m1)
             return wrap("value", value), wrap("slope", slope), mixed
 
-        monkeypatch.setattr(kernel, "_log_overlap_in_s", counted)
+        monkeypatch.setattr(kernel, "_log_overlap", counted)
         metrics.s_overlap_minimum(THERMAL_1, GaussianState([0.5, -0.3], np.diag([2.0, 4.0])))
         assert calls == ([("slope", ())] * 12 + [("slope", (2,)), ("slope", ())]
                          + [("value", (2,))])
@@ -390,8 +390,7 @@ def test_metric_report_consistency():
 
 def test_report_takes_one_overlap_setup_per_call(monkeypatch):
     # ln F, ln Q_1/2 and the Chernoff minimum of every pair come from one chernoff
-    # call: one set of ln Q_s closures on both states stacked, so one nu, and one ln F
-    # with nu once per state
+    # call: one set of ln Q_s closures and one ln F, each with nu once per state
     calls = []
 
     def count(name):
@@ -403,11 +402,11 @@ def test_report_takes_one_overlap_setup_per_call(monkeypatch):
 
         monkeypatch.setattr(kernel, name, wrapper)
 
-    for name in ("_log_overlap_in_s", "log_fidelity", "_nu"):
+    for name in ("_log_overlap", "log_fidelity", "_nu"):
         count(name)
     kernel.report(*kernel.lidar_pair(np.linspace(0.0, 1.0, 5), 5.0, 0.6, 1.0))
     assert {name: calls.count(name) for name in set(calls)} == {
-        "_log_overlap_in_s": 1, "log_fidelity": 1, "_nu": 3}
+        "_log_overlap": 1, "log_fidelity": 1, "_nu": 4}
 
 
 def test_plain_float_moments_score_as_numpy_scalars():

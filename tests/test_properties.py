@@ -102,16 +102,23 @@ def test_metric_report_equals_batched_kernel_report(seed):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 17))
 def test_chernoff_batches_equal_per_pair_calls(seed, length):
     # every batch length up to 17 covers the SIMD loops' remainder paths; the slope
-    # values feed the secant steps, so one ulp apart would move the minimum
+    # values feed the secant steps, so one ulp apart would move the minimum.  s
+    # broadcasts against the pairs as a drawn (n,) or stacked (2, n) argument
     rng = np.random.default_rng(seed)
     pairs = [(random_physical_state(rng).moments, random_physical_state(rng).moments)
              for _ in range(length)]
     stacked = [tuple(np.array(col) for col in zip(*side)) for side in zip(*pairs)]
-    s_batch, q_batch = kernel.chernoff(*stacked)[:2]
+    s = rng.uniform(0.0, 1.0, (2, length))
+    value, slope, _ = kernel._log_overlap(*stacked)
+    batched = kernel.chernoff(*stacked)[:2] + (kernel.log_s_overlap(*stacked, s[0]),
+                                              slope(s[0]), value(s))
     for i, (m0, m1) in enumerate(pairs):
-        s_star, best = kernel.chernoff(m0, m1)[:2]
-        assert s_star.shape == best.shape == ()
-        assert s_star == s_batch[i] and best == q_batch[i]
+        value, slope, _ = kernel._log_overlap(m0, m1)
+        single = kernel.chernoff(m0, m1)[:2] + (kernel.log_s_overlap(m0, m1, s[0, i]),
+                                                slope(s[0, i]), value(s[:, i]))
+        assert [np.shape(x) for x in single] == [(), (), (), (), (2,)]
+        for one, many in zip(single, batched):
+            assert np.array_equal(one, many[..., i])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -83,6 +83,7 @@ COMMANDS = (
     "2.767994128416328 --state1=-0.06789540783267793,0.6775493330735691,9.097762478514328,"
     "-4.813503497055847,2.8701387331574346",
     "metrics --state0 0,0,1.0000001,0,1 --state1 0.5,-0.3,2,0.1,4",
+    "metrics --state0 0,0,1,0,1 --state1 -1,0,1,0,1",  # a negative first value, two tokens
 )
 
 
@@ -109,7 +110,10 @@ def run(src: Path, line: str, out: Path) -> tuple[int, str, dict[str, bytes]]:
 
 def fingerprint() -> str:
     """numpy's version and the CPU features its ufunc loops dispatch on."""
-    from numpy._core._multiarray_umath import __cpu_features__
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ModuleNotFoundError:  # numpy 1.x, where numpy._core is still numpy.core
+        from numpy.core._multiarray_umath import __cpu_features__
     enabled = sorted(name for name, on in __cpu_features__.items() if on)
     return f"numpy {np.__version__}; " + " ".join(enabled)
 
