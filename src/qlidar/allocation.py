@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel, metrics
+from . import kernel
 from .channel import ChannelParams, _no_electronic_noise, effective_noise
-from .errors import InvalidParameterError, UndefinedThresholdError, real
+from .errors import InvalidParameterError, UndefinedThresholdError, ascending, real
 from .states import ProbeBudget, _occupation
 
 FD_STEP = 1e-6
@@ -50,23 +50,11 @@ def w2_score(probe: ProbeBudget, params: ChannelParams) -> metrics.MetricReport:
     is both the no-target hypothesis and the channel output at zero
     transmissivity; v_el is folded into both once ``effective_noise`` checks it.
     """
+    from . import metrics  # here, not at import: allocation's one use of the metrics API
+
     effective_noise(params)
     return metrics._report(*kernel.lidar_pair(probe.lam, probe.n_tot, params.eta_eff,
                                               params.n_th, params.v_el, probe.displacement_phase))
-
-
-def _ascending(values, name: str, check) -> np.ndarray:
-    """A grid as a float array, checked once: nonempty, ``check`` passes at
-    both extremes, so at every value (a NaN is both), and strictly ascending,
-    which the first-maximiser tie rule and :func:`transition_eta` rely on."""
-    grid = np.asarray(values, dtype=float)
-    if grid.size == 0:
-        raise InvalidParameterError(f"{name} grid must be nonempty")
-    for x in (grid.min(), grid.max()):
-        check(x)
-    if not np.all(np.diff(grid) > 0):
-        raise InvalidParameterError(f"{name} grid must be strictly ascending")
-    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +82,9 @@ def allocation_grid(
     elementwise, so every cell is bit-identical to the scalar :func:`w2_score`
     of its allocation.
     """
-    etas = _ascending(eta_grid, "eta",
-                      lambda eta: ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det))
-    lambdas = _ascending(lambda_grid, "lambda", lambda lam: ProbeBudget(n_tot, lam))
+    etas = ascending("eta", eta_grid,
+                     lambda eta: ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det))
+    lambdas = ascending("lambda", lambda_grid, lambda lam: ProbeBudget(n_tot, lam))
     scores = np.empty((etas.size, lambdas.size))
     for start in range(0, etas.size, _ROWS):
         rows = etas[start:start + _ROWS, None] * eta_det

@@ -7,8 +7,10 @@ Six subcommands: benchmark (metric sweep over transmissivity), heatmap
 threshold (quantum-advantage threshold evaluation).
 
 Each subcommand declares its function, parameters and their defaults
-once, in ``_SUBCOMMANDS``; its parser takes only those flags.  Every run
-resolves them as flags > config file > built-in defaults.  A subcommand
+once, in ``_SUBCOMMANDS``; its parser takes only those flags, and the
+driver it computes with is loaded only when it runs, so that start-up
+pays for no other subcommand's modules.  Every run resolves them as
+flags > config file > built-in defaults.  A subcommand
 computes and returns its tables, ``{csv file name: (header, columns)}``,
 and writes nothing; ``main`` then writes them as UTF-8 CSV files with LF
 line endings and 12 significant digits, and leaves a flat key = value
@@ -37,10 +39,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, allocation, fading, kernel, metrics
+from . import __version__, kernel
 from .channel import ChannelParams, effective_noise
-from .errors import InvalidParameterError, integer
-from .states import GaussianState, ProbeBudget
+from .errors import InvalidParameterError, ascending, integer
+from .states import FadingConfig, GaussianState, ProbeBudget
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -164,8 +166,8 @@ def _floats(text: str, name: str, fields: tuple[str, ...], optional: int = 0) ->
 def cmd_benchmark(p: dict, manifest: dict) -> dict:
     n_tot, n_th, lam, eta_det, v_el = p["n_tot"], p["n_th"], p["lam"], p["eta_det"], p["v_el"]
     manifest["eta_sweep"] = ":".join(map(_fmt, _ETA_SWEEP)) if p["eta"] is None else "single"
-    etas = allocation._ascending(
-        np.linspace(*_ETA_SWEEP) if p["eta"] is None else [p["eta"]], "eta",
+    etas = ascending(
+        "eta", np.linspace(*_ETA_SWEEP) if p["eta"] is None else [p["eta"]],
         lambda eta: effective_noise(ChannelParams(eta, n_th, eta_det, v_el)))
     ProbeBudget(n_tot, lam)
     scores = kernel.report(*kernel.lidar_pair(lam, n_tot, etas * eta_det, n_th, v_el))
@@ -178,6 +180,8 @@ def cmd_benchmark(p: dict, manifest: dict) -> dict:
 def _grid_maker(p: dict):
     """allocation_grid(n_tot, n_th) on the axes of ``grid_step`` at ``eta_det``;
     ``workers`` is checked as fading checks it, though a grid is always scored serially."""
+    from . import allocation
+
     eta_grid = allocation.default_eta_grid(p["grid_step"])
     lambda_grid = allocation.default_lambda_grid(p["grid_step"])
     integer("workers", p["workers"], 1)
@@ -188,12 +192,16 @@ def _grid_maker(p: dict):
 def _lambda_opt(grid: allocation.AllocationGrid) -> tuple:
     """The optimal-fraction table of ``grid``, and its empirical transition
     eta as the manifest records it."""
+    from . import allocation
+
     found = allocation.transition_eta(grid)
     table = (["eta", "lambda_opt"], [grid.eta_grid, grid.lambda_opt])
     return table, "none" if found is None else _fmt(found)
 
 
 def cmd_heatmap(p: dict, manifest: dict) -> dict:
+    from . import allocation
+
     n_tot, n_th = p["n_tot"], p["n_th"]
     grid = _grid_maker(p)(n_tot, n_th)
     # n_tot = 0 has no threshold: that error leaves the transition out of the manifest
@@ -222,9 +230,10 @@ def cmd_parametric(p: dict, manifest: dict) -> dict:
 
 
 def cmd_fading(p: dict, manifest: dict) -> dict:
-    config = fading.FadingConfig(alpha=p["alpha"], beta=p["beta"], n_realizations=p["realizations"],
-                                 seed=p["seed"], probe=ProbeBudget(p["n_tot"], p["lam"]),
-                                 n_th=p["n_th"])
+    from . import fading
+
+    config = FadingConfig(alpha=p["alpha"], beta=p["beta"], n_realizations=p["realizations"],
+                          seed=p["seed"], probe=ProbeBudget(p["n_tot"], p["lam"]), n_th=p["n_th"])
     ensemble = fading.run_ensemble(config, workers=p["workers"])
     manifest.update({k: _fmt(v) for k, v in dataclasses.asdict(ensemble.summary).items()})
     sel = fading.post_select(ensemble, metric="w2", quantile=0.9)
@@ -247,6 +256,8 @@ _BUDGET_FIELDS = ("n_tot", "lambda", "phase")
 
 
 def cmd_metrics(p: dict, manifest: dict) -> dict:
+    from . import allocation, metrics
+
     if (p["state0"] is None and p["state1"] is None) == (p["budget"] is None):
         raise InvalidParameterError("give either --state0/--state1 or --budget")
     if p["budget"] is None:
@@ -275,6 +286,8 @@ def cmd_metrics(p: dict, manifest: dict) -> dict:
 
 
 def cmd_threshold(p: dict, manifest: dict) -> dict:
+    from . import allocation
+
     n_tot, n_th = p["n_tot"], p["n_th"]
     # checked before any output; eta = 1 stands in where --eta is not read
     params = ChannelParams(eta=1.0 if p["eta"] is None else p["eta"], n_th=n_th,
@@ -316,7 +329,7 @@ _FLAGS = {
     "budget": ("--budget", str, "probe shorthand n_tot,lambda[,phase]; pairs with --eta/--n-th"),
 }
 
-_FADING = fading.FadingConfig()  # the fading subcommand reads its defaults here
+_FADING = FadingConfig()  # the fading subcommand reads its defaults here
 # subcommand -> (command, help, {key: default}); None means "not given"
 _SUBCOMMANDS = {
     "benchmark": (cmd_benchmark, "metric sweep over transmissivity", {

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the one check of each scalar input kind."""
+"""Exception types shared across the package, and the one check of each input kind:
+a real, an integer and a grid."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class InvalidParameterError(ValueError):
@@ -45,3 +48,18 @@ def integer(name: str, value, low: int, high: float = math.inf) -> int:
     if type(value) is bool or not (isinstance(value, numbers.Integral) and low <= value <= high):
         raise InvalidParameterError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
     return int(value)
+
+
+def ascending(name: str, values, check) -> np.ndarray:
+    """``values`` as a float grid, checked once: nonempty, ``check`` passes at both
+    extremes as Python floats, so at every value (a NaN is both), and strictly
+    ascending, which an allocation grid's first-maximiser tie rule and its
+    transition search rely on."""
+    grid = np.asarray(values, dtype=float)
+    if grid.size == 0:
+        raise InvalidParameterError(f"{name} grid must be nonempty")
+    for x in (grid.min(), grid.max()):
+        check(float(x))
+    if not np.all(np.diff(grid) > 0):
+        raise InvalidParameterError(f"{name} grid must be strictly ascending")
+    return grid

@@ -18,44 +18,16 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from . import kernel
 from .errors import InvalidParameterError, NumericalError, integer, real
-from .states import ProbeBudget, _occupation
+from .states import DEFAULT_SEED, FadingConfig
 
-DEFAULT_SEED = 20250614
-MIN_SHAPE = 1e-3  # redraws grow steeply below: 1e4 draws take 0.17 s, 8.4 s at 1e-4 (2 vCPUs)
-# a run of 1e7 peaked at 588 MB RSS (2 vCPUs, 20 s): about 54 B per realization over a
-# 39 MB base, for the samples and their sorted copies; the kernel's temporaries stay per block
-MAX_REALIZATIONS = 10_000_000
 _BLOCK = 16384  # realizations per kernel call, for every worker count
-
-
-@dataclass(frozen=True)
-class FadingConfig:
-    """Turbulence shape, realization count, seed and probe setup."""
-
-    alpha: float = 2.0
-    beta: float = 3.0
-    n_realizations: int = 10_000
-    seed: int = DEFAULT_SEED
-    probe: ProbeBudget = field(default_factory=lambda: ProbeBudget(10.0, 0.5))
-    n_th: float = 2.0
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "n_th"):
-            object.__setattr__(self, name, real(name, getattr(self, name)))
-        integer("n_realizations", self.n_realizations, 1, MAX_REALIZATIONS)
-        integer("seed", self.seed, 0)
-        for name in ("alpha", "beta"):
-            if (value := getattr(self, name)) < MIN_SHAPE:
-                raise InvalidParameterError(f"{name} must be >= {MIN_SHAPE:g}, got {value}")
-        _occupation("n_th", self.n_th)
-
 
 # numpy SeedSequence constants: hashmix multiplier chain A, generate_state chain B
 _MASK = 0xFFFFFFFF

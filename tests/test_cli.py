@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlidar import allocation, cli, fading, metrics
+from qlidar import allocation, cli, fading, metrics, states
 from qlidar.channel import ChannelParams, apply_loss
 from qlidar.states import ProbeBudget, probe_from_budget, thermal_state
 
@@ -757,7 +757,7 @@ class TestErrorHandling:
         ("heatmap", "--grid-step", "0.0004"),
         ("threshold", "--n-tot", "1e21"),
         ("metrics", "--state0", "0,0,1,0,1", "--state1", "0,0,1e200,0,1e200"),
-        ("fading", "--realizations", str(fading.MAX_REALIZATIONS + 1)),
+        ("fading", "--realizations", str(states.MAX_REALIZATIONS + 1)),
     ])
     def test_out_of_domain_value_is_parameter_error(self, argv, tmp_path):
         result = run_cli(*argv, "--out", str(tmp_path))
@@ -896,19 +896,44 @@ def test_readme_flag_table_matches_parser():
 
 def test_serial_run_imports_no_pool(tmp_path):
     # the pool module is imported only when fading's --workers > 1 starts a
-    # pool (a grid runs serially at any --workers), and the Fock oracle, whose
-    # cutoff error is the package's one NumericalError, never: no CLI run can
-    # end in a numerical error
+    # pool (a grid runs serially at any --workers), and the Fock oracle never;
+    # each subcommand loads only the drivers it computes with
     code = (
         "import sys, qlidar.cli; "
+        "drivers = {'qlidar.allocation', 'qlidar.fading', 'qlidar.metrics', 'qlidar.fock'}; "
+        "pool = {'concurrent.futures', 'multiprocessing'}; "
         "assert qlidar.cli.main(['benchmark', '--out', sys.argv[1]]) == 0; "
+        "print(sorted((drivers | pool) & set(sys.modules))); "
         "assert qlidar.cli.main(['heatmap', '--workers', '2', '--out', sys.argv[1]]) == 0; "
-        "print(sorted({'concurrent.futures', 'multiprocessing', 'qlidar.fock'} & set(sys.modules)))"
+        "assert qlidar.cli.main(['threshold', '--out', sys.argv[1]]) == 0; "
+        "print(sorted((drivers | pool) & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    after_benchmark, after_grids = [line for line in result.stdout.splitlines()
+                                    if line.startswith("[")]
+    assert after_benchmark == "[]"
+    assert after_grids == "['qlidar.allocation']"
+
+
+def test_package_names_resolve_on_first_use():
+    import qlidar
+
+    for name in qlidar.__all__:
+        obj = getattr(qlidar, name)
+        assert obj.__module__.startswith("qlidar.")
+        assert vars(sys.modules[obj.__module__])[name] is obj, name
+    namespace = {}
+    exec("from qlidar import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(qlidar.__all__)
+    assert set(qlidar.__all__) <= set(dir(qlidar))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qlidar.no_such_name
+    code = "import sys, qlidar; print(sorted(m for m in sys.modules if m.startswith('qlidar.')))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_imports_pull_in_no_scipy():

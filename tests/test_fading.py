@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qlidar import fading, metrics
+from qlidar import fading, metrics, states
 from qlidar.channel import ChannelParams, apply_loss
 from qlidar.errors import InvalidParameterError, NumericalError
 from qlidar.states import ProbeBudget, probe_from_budget, thermal_state
@@ -450,7 +450,7 @@ def test_config_validation():
         fading.FadingConfig(alpha=0.00099)
     with pytest.raises(InvalidParameterError, match="beta must be >= 0.001"):
         fading.FadingConfig(beta=1e-4)
-    assert fading.FadingConfig(alpha=1e-3, beta=1e-3).alpha == fading.MIN_SHAPE
+    assert fading.FadingConfig(alpha=1e-3, beta=1e-3).alpha == states.MIN_SHAPE
     with pytest.raises(InvalidParameterError):
         fading.FadingConfig(beta=-1.0)
     with pytest.raises(InvalidParameterError):

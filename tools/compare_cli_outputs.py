@@ -70,6 +70,7 @@ COMMANDS = (
     "threshold --n-tot 1 --n-th 2",
     "threshold --eta 0.5 --eta-det 0.8",
     "benchmark --eta 1.5",
+    "benchmark --eta nan",  # the error names the value as the command line gave it
     "metrics --state0 0,0,1,x,1 --state1 0,0,1,0,1",
     "metrics --state0 0,0,1,0 --state1 0,0,1,0,1",
     "metrics --budget 5,0.5,0,1",
