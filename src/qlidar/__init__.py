@@ -17,15 +17,15 @@ __version__ = "0.1.0"
 # public name -> the module that defines it
 _HOMES = (
     dict.fromkeys(("AllocationGrid", "GradientDiagnostics", "allocation_grid", "eta_critical",
-                   "eta_critical_effective", "gradient_diagnostics", "transition_eta",
-                   "w2_score"), "allocation")
+                   "eta_critical_effective", "gradient_diagnostics", "transition_eta"),
+                  "allocation")
     | dict.fromkeys(("ChannelParams", "apply_loss", "effective_noise"), "channel")
     | dict.fromkeys(("CutoffTooSmallError", "InvalidParameterError", "NumericalError",
                      "SingularityError", "UndefinedThresholdError"), "errors")
     | dict.fromkeys(("FadingEnsemble", "SelectionReport", "post_select", "run_ensemble",
                      "sample_eta"), "fading")
     | dict.fromkeys(("MetricReport", "bures_sq", "gaussian_fidelity", "metric_report",
-                     "s_overlap_minimum", "w2_sq", "xi_qbb", "xi_qcb"), "metrics")
+                     "s_overlap_minimum", "w2_score", "w2_sq", "xi_qbb", "xi_qcb"), "metrics")
     | dict.fromkeys(("FadingConfig", "GaussianState", "ProbeBudget", "probe_from_budget",
                      "thermal_state", "validate"), "states")
 )

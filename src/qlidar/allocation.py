@@ -43,20 +43,6 @@ def default_lambda_grid(step: float) -> np.ndarray:
     return _grid(0.95, step)  # the usual cap of allocation searches
 
 
-def w2_score(probe: ProbeBudget, params: ChannelParams) -> metrics.MetricReport:
-    """Full metric report for the probe budget through the channel.
-
-    Compares the channel output against the thermal background state, which
-    is both the no-target hypothesis and the channel output at zero
-    transmissivity; v_el is folded into both once ``effective_noise`` checks it.
-    """
-    from . import metrics  # here, not at import: allocation's one use of the metrics API
-
-    effective_noise(params)
-    return metrics._report(*kernel.lidar_pair(probe.lam, probe.n_tot, params.eta_eff,
-                                              params.n_th, params.v_el, probe.displacement_phase))
-
-
 @dataclass(frozen=True, eq=False)
 class AllocationGrid:
     """Score map over (eta, lambda) with the per-eta optimal fraction; compared by identity."""
@@ -79,8 +65,8 @@ def allocation_grid(
     The parameters are validated once; the preallocated score matrix is then
     filled ``_ROWS`` eta rows at a time, each block in one serial array call of
     the closed-form kernel, so no temporary grows with the grid.  Scoring is
-    elementwise, so every cell is bit-identical to the scalar :func:`w2_score`
-    of its allocation.
+    elementwise, so every cell is bit-identical to the scalar
+    :func:`qlidar.metrics.w2_score` of its allocation.
     """
     etas = ascending("eta", eta_grid,
                      lambda eta: ChannelParams(eta=eta, n_th=n_th, eta_det=eta_det))

@@ -256,7 +256,7 @@ _BUDGET_FIELDS = ("n_tot", "lambda", "phase")
 
 
 def cmd_metrics(p: dict, manifest: dict) -> dict:
-    from . import allocation, metrics
+    from . import metrics
 
     if (p["state0"] is None and p["state1"] is None) == (p["budget"] is None):
         raise InvalidParameterError("give either --state0/--state1 or --budget")
@@ -277,7 +277,7 @@ def cmd_metrics(p: dict, manifest: dict) -> dict:
     else:
         budget = ProbeBudget(*_floats(p["budget"], "budget", _BUDGET_FIELDS, optional=1))
         channel = {k: default if p[k] is None else p[k] for k, default in _BUDGET_CHANNEL.items()}
-        rep = allocation.w2_score(budget, ChannelParams(**channel))
+        rep = metrics.w2_score(budget, ChannelParams(**channel))
         manifest.update(channel, budget_n_tot=budget.n_tot, budget_lambda=budget.lam,
                         budget_phase=budget.displacement_phase)
 

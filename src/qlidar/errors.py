@@ -51,11 +51,13 @@ def integer(name: str, value, low: int, high: float = math.inf) -> int:
 
 
 def ascending(name: str, values, check) -> np.ndarray:
-    """``values`` as a float grid, checked once: nonempty, ``check`` passes at both
+    """``values`` as a float grid, checked once: 1-d and nonempty, ``check`` passes at both
     extremes as Python floats, so at every value (a NaN is both), and strictly
     ascending, which an allocation grid's first-maximiser tie rule and its
     transition search rely on."""
     grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1:
+        raise InvalidParameterError(f"{name} grid must be 1-d, got shape {grid.shape}")
     if grid.size == 0:
         raise InvalidParameterError(f"{name} grid must be nonempty")
     for x in (grid.min(), grid.max()):

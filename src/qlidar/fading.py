@@ -122,8 +122,7 @@ def _fast_eta(alpha: float, beta: float, keys: np.ndarray, wi, ki):
             log_u, log_v = np.log(u), np.log(v)
             # the log test only by a margin far above an ulp of log, which may differ from libm's
             margin = 1e-9 * (np.abs(log_u) + 0.5 * x * x + b * (np.abs(1.0 - v) + np.abs(log_v)))
-            ok &= ((u < 1.0 - 0.0331 * (x * x) * (x * x))
-                   | (log_u < 0.5 * x * x + b * (1.0 - v + log_v) - margin))
+            ok &= log_u < 0.5 * x * x + b * (1.0 - v + log_v) - margin
             gammas.append(b * v)
         eta = gammas[0] / (gammas[0] + gammas[1])
     return eta, ok & (eta > 0.0) & (eta < 1.0)
@@ -262,8 +261,12 @@ class FadingEnsemble:
     xi_qbb: np.ndarray
 
     def __post_init__(self):
-        for name in ("etas", "w2_sq", "xi_qbb"):
+        size = np.size(self.etas)
+        for name in ("etas", "w2_sq", "xi_qbb"):  # a NaN is allowed: _quantiles finds it last
             sample = np.array(getattr(self, name), dtype=float)
+            if sample.ndim != 1 or not 0 < sample.size == size:
+                raise InvalidParameterError("samples must be nonempty, 1-d and of one length; "
+                                            f"{name} has shape {sample.shape}")
             sample.flags.writeable = False
             object.__setattr__(self, name, sample)
 

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
+from .channel import ChannelParams, effective_noise
 from .errors import InvalidParameterError
 from .kernel import XI_SATURATION_CAP  # noqa: F401  (re-exported)
-from .states import GaussianState, validate
+from .states import GaussianState, ProbeBudget, validate
 
 
 def _checked(**states: GaussianState) -> list[tuple]:
@@ -108,6 +109,18 @@ def metric_report(state_h1: GaussianState, state_h0: GaussianState) -> MetricRep
     Sigma_H1 in closed form (:func:`qlidar.kernel.report`).
     """
     return _report(*_checked(state0=state_h0, state1=state_h1))
+
+
+def w2_score(probe: ProbeBudget, params: ChannelParams) -> MetricReport:
+    """Full metric report for the probe budget through the channel.
+
+    Compares the channel output against the thermal background state, which
+    is both the no-target hypothesis and the channel output at zero
+    transmissivity; v_el is folded into both once ``effective_noise`` checks it.
+    """
+    effective_noise(params)
+    return _report(*kernel.lidar_pair(probe.lam, probe.n_tot, params.eta_eff,
+                                      params.n_th, params.v_el, probe.displacement_phase))
 
 
 def _report(h0, h1) -> MetricReport:

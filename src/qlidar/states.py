@@ -29,7 +29,7 @@ from .errors import InvalidParameterError, integer, real
 
 DET_TOLERANCE = 1e-12
 N_TOT_MAX = 1e20  # largest n_tot of a ProbeBudget; its docstring gives the reason
-# Largest thermal occupation, the range on which every w2_score is checked finite.  It is
+# Largest thermal occupation, the range on which every metrics.w2_score is checked finite.  It is
 # not a numerical edge: the overlap scores, taken in the thermal exponent, stay finite up
 # to n_th of about 1e76; at 1e77 the Bures term's det sigma0 det sigma1 overflows first.
 N_TH_MAX = 1e8
@@ -129,7 +129,7 @@ class ProbeBudget:
     displacement in phase space (0 aligns it with the squeezed quadrature).
 
     ``n_tot`` is at most ``N_TOT_MAX``, where every score of
-    :func:`qlidar.allocation.w2_score` is checked finite for n_th up to 1e8 and the
+    :func:`qlidar.metrics.w2_score` is checked finite for n_th up to 1e8 and the
     overlap against 50 digits.  It is not a numerical edge: the scores stay finite
     up to n_tot of about 1e153; at 1e154 the homodyne SNR d.sigma^-1 d of an
     undamped probe (eta = 1) overflows first.

@@ -29,8 +29,8 @@ def test_criterion_01_energy_scaling_exactness():
     for n_tot in (5.0, 10.0, 17.3):
         worst = 0.0
         for eta in np.linspace(0.0, 1.0, 100):
-            rep = allocation.w2_score(ProbeBudget(n_tot, 0.0),
-                                      ChannelParams(eta=float(eta), n_th=0.0))
+            rep = metrics.w2_score(ProbeBudget(n_tot, 0.0),
+                                   ChannelParams(eta=float(eta), n_th=0.0))
             expected = 2.0 * float(eta) * n_tot
             worst = max(worst, abs(rep.w2_sq - expected) / max(1.0, expected))
         clauses.append((f"relative error {worst:.2e} at n_tot={n_tot}", worst <= 1e-12))
@@ -100,7 +100,7 @@ def test_criterion_05_benchmark_shape():
     n_tot, n_th, lam = 5.0, 2.0, 0.5
     etas = np.linspace(0.0, 1.0, 201)
     w2 = np.array([
-        allocation.w2_score(ProbeBudget(n_tot, lam), ChannelParams(eta=float(e), n_th=n_th)).w2_sq
+        metrics.w2_score(ProbeBudget(n_tot, lam), ChannelParams(eta=float(e), n_th=n_th)).w2_sq
         for e in etas
     ])
     monotone = bool(np.all(np.diff(w2) > 0))
@@ -112,7 +112,7 @@ def test_criterion_05_benchmark_shape():
 
     def at(eta):
         params = ChannelParams(eta=eta, n_th=n_th)
-        rep = allocation.w2_score(ProbeBudget(n_tot, lam), params)
+        rep = metrics.w2_score(ProbeBudget(n_tot, lam), params)
         return rep.w2_sq, rep.xi_qbb
 
     w01, x01 = at(0.1)

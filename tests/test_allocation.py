@@ -26,19 +26,19 @@ def straight_line_w2(lam, n_tot, eta, n_th):
 class TestW2Score:
     def test_pure_displacement_exact(self):
         for eta in np.linspace(0.0, 1.0, 11):
-            rep = allocation.w2_score(ProbeBudget(7.0, 0.0),
-                                      ChannelParams(eta=float(eta), n_th=0.0))
+            rep = metrics.w2_score(ProbeBudget(7.0, 0.0),
+                                   ChannelParams(eta=float(eta), n_th=0.0))
             assert abs(rep.w2_sq - 2.0 * eta * 7.0) <= 1e-12 * max(1.0, 2 * eta * 7)
             assert rep.bures_sq == 0.0
 
     def test_full_loss_is_zero(self):
         for lam in (0.0, 0.5, 0.95):
-            rep = allocation.w2_score(ProbeBudget(10.0, lam), ChannelParams(eta=0.0, n_th=0.7))
+            rep = metrics.w2_score(ProbeBudget(10.0, lam), ChannelParams(eta=0.0, n_th=0.7))
             assert rep.w2_sq < 1e-12
 
     def test_frozen_independent_path(self):
         # value recorded from the straight-line reimplementation above
-        rep = allocation.w2_score(ProbeBudget(10.0, 0.5), ChannelParams(eta=0.4, n_th=0.1))
+        rep = metrics.w2_score(ProbeBudget(10.0, 0.5), ChannelParams(eta=0.4, n_th=0.1))
         assert abs(rep.w2_sq - 8.004183647811217) < 1e-12
         assert abs(rep.w2_sq - straight_line_w2(0.5, 10.0, 0.4, 0.1)) < 1e-12
 
@@ -49,7 +49,7 @@ class TestW2Score:
             n_tot = float(rng.uniform(0.1, 20))
             eta = float(rng.uniform(0, 1))
             n_th = float(rng.uniform(0, 2))
-            rep = allocation.w2_score(ProbeBudget(n_tot, lam), ChannelParams(eta=eta, n_th=n_th))
+            rep = metrics.w2_score(ProbeBudget(n_tot, lam), ChannelParams(eta=eta, n_th=n_th))
             assert abs(rep.w2_sq - straight_line_w2(lam, n_tot, eta, n_th)) < 1e-10
 
     def test_finite_at_the_budget_bound(self):
@@ -58,8 +58,8 @@ class TestW2Score:
             for lam, eta, phase, n_th in itertools.product(
                     np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 6), (0.0, math.pi / 2),
                     (0.0, 2.0, 1e8)):
-                rep = allocation.w2_score(ProbeBudget(N_TOT_MAX, lam, phase),
-                                          ChannelParams(eta=eta, n_th=n_th))
+                rep = metrics.w2_score(ProbeBudget(N_TOT_MAX, lam, phase),
+                                       ChannelParams(eta=eta, n_th=n_th))
                 assert all(math.isfinite(v) for v in vars(rep).values())
 
     def test_folds_electronic_noise(self):
@@ -73,8 +73,8 @@ class TestW2Score:
                                    v_el=float(rng.uniform(0.01, 1)))
             folded = ChannelParams(eta=params.eta, n_th=effective_noise(params),
                                    eta_det=params.eta_det)
-            want = vars(allocation.w2_score(budget, folded))
-            for key, value in vars(allocation.w2_score(budget, params)).items():
+            want = vars(metrics.w2_score(budget, folded))
+            for key, value in vars(metrics.w2_score(budget, params)).items():
                 assert value == want[key], key
 
     def test_is_metric_report_of_its_pair_bit_for_bit(self):
@@ -91,13 +91,13 @@ class TestW2Score:
             h0, h1 = (GaussianState.from_moments(m) for m in kernel.lidar_pair(
                 budget.lam, budget.n_tot, params.eta_eff, params.n_th, params.v_el,
                 budget.displacement_phase))
-            got = dataclasses.astuple(allocation.w2_score(budget, params))
+            got = dataclasses.astuple(metrics.w2_score(budget, params))
             want = dataclasses.astuple(metrics.metric_report(h1, h0))
             assert np.array(got).tobytes() == np.array(want).tobytes(), (budget, params)
 
     def test_electronic_noise_at_unit_transmissivity_is_singular(self):
         with pytest.raises(SingularityError):
-            allocation.w2_score(ProbeBudget(10.0, 0.5), ChannelParams(eta=1.0, n_th=0.1, v_el=0.2))
+            metrics.w2_score(ProbeBudget(10.0, 0.5), ChannelParams(eta=1.0, n_th=0.1, v_el=0.2))
 
 
 def row_optimum(n_tot, params, lambda_grid):
@@ -161,7 +161,7 @@ class TestAllocationGrid:
             for i, eta in enumerate(etas):
                 params = ChannelParams(eta=float(eta), n_th=n_th, eta_det=eta_det)
                 for j, lam in enumerate(lams):
-                    score = allocation.w2_score(ProbeBudget(n_tot, lam), params).w2_sq
+                    score = metrics.w2_score(ProbeBudget(n_tot, lam), params).w2_sq
                     assert grid.scores[i, j] == score
 
     def test_row_blocks_leave_the_scores_unchanged(self, monkeypatch):
@@ -200,7 +200,7 @@ class TestAllocationGrid:
         # displacement component is exactly 2 eta (1 - lam) n_tot everywhere
         for eta in (0.1, 0.45, 0.9):
             for lam in (0.0, 0.3, 0.9):
-                rep = allocation.w2_score(ProbeBudget(12.0, lam), ChannelParams(eta=eta, n_th=0.8))
+                rep = metrics.w2_score(ProbeBudget(12.0, lam), ChannelParams(eta=eta, n_th=0.8))
                 expected = 2.0 * eta * (1.0 - lam) * 12.0
                 assert abs(rep.displacement_term - expected) < 1e-12 * max(1.0, expected)
 
@@ -264,6 +264,10 @@ LAMS = allocation.default_lambda_grid(0.25)
     lambda: allocation.default_lambda_grid(5e-324),
     lambda: allocation.eta_critical(1e21, 0.1),
     lambda: allocation.eta_critical(10.0, 1e9),
+    lambda: allocation.allocation_grid(5.0, 0.1, 0.3, np.array([0.0, 0.5])),
+    lambda: allocation.allocation_grid(10.0, 0.1, np.array([[0.1, 0.2], [0.3, 0.4]]), LAMS),
+    lambda: allocation.allocation_grid(10.0, 0.1, np.array([0.1, 0.9]), np.array([[0.0, 0.5]])),
+    lambda: allocation.allocation_grid(10.0, 0.1, np.array([0.1, 0.2]), np.array([[0.0, 0.5]])),
 ])
 def test_array_inputs_are_validated(call):
     # the grid drivers check their parameters once per call, not per cell

@@ -310,7 +310,7 @@ class TestBenchmark:
             rows = (out_dir / "benchmark.csv").read_text().splitlines()[1:]
             assert len(rows) == 200
             for eta, line in zip(np.linspace(0.001, 1.0, 200), rows):
-                rep = allocation.w2_score(ProbeBudget(n_tot, lam), ChannelParams(
+                rep = metrics.w2_score(ProbeBudget(n_tot, lam), ChannelParams(
                     eta=eta, n_th=n_th, eta_det=eta_det, v_el=v_el))
                 values = (eta, rep.w2_sq, rep.xi_qbb, rep.xi_qbb_proxy, rep.xi_qcb, rep.snr_sq_opt)
                 assert line == ",".join(format(float(v), ".12g") for v in values)
@@ -894,27 +894,32 @@ def test_readme_flag_table_matches_parser():
         assert set(re.findall(r"`(--[a-z0-9-]+)`", row)) == {cli._FLAGS[k][0] for k in defaults}
 
 
+def _loaded_after(out, *steps):
+    """The driver and pool modules loaded after each step, a list of CLI runs, of one
+    fresh interpreter."""
+    code = ["import sys, qlidar.cli",
+            "drivers = {'qlidar.allocation', 'qlidar.fading', 'qlidar.metrics', 'qlidar.fock'}",
+            "pool = {'concurrent.futures', 'multiprocessing'}"]
+    for step in steps:
+        code += [f"assert qlidar.cli.main({[*argv, '--out', str(out)]!r}) == 0" for argv in step]
+        code.append("print(sorted((drivers | pool) & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", "; ".join(code)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return [line for line in result.stdout.splitlines() if line.startswith("[")]
+
+
 def test_serial_run_imports_no_pool(tmp_path):
     # the pool module is imported only when fading's --workers > 1 starts a
     # pool (a grid runs serially at any --workers), and the Fock oracle never;
     # each subcommand loads only the drivers it computes with
-    code = (
-        "import sys, qlidar.cli; "
-        "drivers = {'qlidar.allocation', 'qlidar.fading', 'qlidar.metrics', 'qlidar.fock'}; "
-        "pool = {'concurrent.futures', 'multiprocessing'}; "
-        "assert qlidar.cli.main(['benchmark', '--out', sys.argv[1]]) == 0; "
-        "print(sorted((drivers | pool) & set(sys.modules))); "
-        "assert qlidar.cli.main(['heatmap', '--workers', '2', '--out', sys.argv[1]]) == 0; "
-        "assert qlidar.cli.main(['threshold', '--out', sys.argv[1]]) == 0; "
-        "print(sorted((drivers | pool) & set(sys.modules)))"
-    )
-    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    after_benchmark, after_grids = [line for line in result.stdout.splitlines()
-                                    if line.startswith("[")]
+    after_benchmark, after_grids = _loaded_after(
+        tmp_path, [["benchmark"]], [["heatmap", "--workers", "2"], ["threshold"]])
     assert after_benchmark == "[]"
     assert after_grids == "['qlidar.allocation']"
+    # a one-pair budget report is scored in metrics, with no grid module
+    budget = ["metrics", "--budget", "5,0.5", "--eta", "0.6", "--n-th", "1"]
+    assert _loaded_after(tmp_path, [budget]) == ["['qlidar.metrics']"]
 
 
 def test_package_names_resolve_on_first_use():

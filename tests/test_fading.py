@@ -332,6 +332,23 @@ class TestRunEnsemble:
                     for e in (ens, from_lists)]
         assert as_bytes[0] == as_bytes[1]
 
+    @pytest.mark.parametrize("samples, name", [
+        (([], [], []), "etas"),
+        (([0.2, 0.4], [1.0], [0.1, 0.3]), "w2_sq"),
+        (([0.2, 0.4], [1.0, 2.0], [0.1]), "xi_qbb"),
+        (([[0.2, 0.4]], [[1.0, 2.0]], [[0.1, 0.3]]), "etas"),
+        (([0.2, 0.4], [[1.0, 2.0]], [0.1, 0.3]), "w2_sq"),
+        ((0.2, 1.0, 0.1), "etas"),
+    ])
+    def test_rejects_samples_it_cannot_summarise(self, samples, name):
+        # summary, histograms and post_select need nonempty 1-d samples of one length
+        with pytest.raises(InvalidParameterError, match=f"{name} has shape"):
+            fading.FadingEnsemble(*samples)
+
+    def test_nan_values_are_kept(self):
+        ens = fading.FadingEnsemble([0.2, 0.4, 0.6], [1.0, math.nan, 2.0], [0.1, 0.2, 0.3])
+        assert math.isnan(ens.ordered["w2_sq"][-1])
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_values_derive_from_the_samples_alone(self, workers):
         ens = fading.run_ensemble(SMALL, workers=workers)
