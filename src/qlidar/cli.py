@@ -177,36 +177,29 @@ def cmd_benchmark(p: dict, manifest: dict) -> dict:
         [etas, *(scores[c] for c in columns)])}
 
 
-def _grid_maker(p: dict):
-    """allocation_grid(n_tot, n_th) on the axes of ``grid_step`` at ``eta_det``;
-    ``workers`` is checked as fading checks it, though a grid is always scored serially."""
+def _grid(p: dict, n_tot: float, n_th: float) -> tuple:
+    """allocation_grid(n_tot, n_th) on the axes of ``grid_step`` at ``eta_det``, its
+    optimal-fraction table, and its empirical transition eta as the manifest records
+    it; ``workers`` is checked as fading checks it, though a grid is always scored serially."""
     from . import allocation
 
     eta_grid = allocation.default_eta_grid(p["grid_step"])
     lambda_grid = allocation.default_lambda_grid(p["grid_step"])
     integer("workers", p["workers"], 1)
-    return functools.partial(allocation.allocation_grid, eta_grid=eta_grid,
-                             lambda_grid=lambda_grid, eta_det=p["eta_det"])
-
-
-def _lambda_opt(grid: allocation.AllocationGrid) -> tuple:
-    """The optimal-fraction table of ``grid``, and its empirical transition
-    eta as the manifest records it."""
-    from . import allocation
-
+    grid = allocation.allocation_grid(n_tot, n_th, eta_grid, lambda_grid, p["eta_det"])
     found = allocation.transition_eta(grid)
-    table = (["eta", "lambda_opt"], [grid.eta_grid, grid.lambda_opt])
-    return table, "none" if found is None else _fmt(found)
+    return (grid, (["eta", "lambda_opt"], [grid.eta_grid, grid.lambda_opt]),
+            "none" if found is None else _fmt(found))
 
 
 def cmd_heatmap(p: dict, manifest: dict) -> dict:
     from . import allocation
 
     n_tot, n_th = p["n_tot"], p["n_th"]
-    grid = _grid_maker(p)(n_tot, n_th)
+    grid, opt, transition = _grid(p, n_tot, n_th)
     # n_tot = 0 has no threshold: that error leaves the transition out of the manifest
     eta_c = allocation.eta_critical(n_tot, n_th)
-    opt, manifest["transition_eta_empirical"] = _lambda_opt(grid)
+    manifest["transition_eta_empirical"] = transition
     manifest["eta_critical_analytic"] = _fmt(eta_c)
     manifest["eta_critical_reachable"] = str(eta_c <= 1.0).lower()
     return {"heatmap_scores.csv": (["eta", "lambda", "w2_sq"],
@@ -220,12 +213,11 @@ def cmd_parametric(p: dict, manifest: dict) -> dict:
     scenarios = PARAMETRIC_SCENARIOS if p["n_tot"] is None else ((p["n_tot"], p["n_th"]),)
     manifest["scenarios"] = ";".join(f"{_fmt(n)}:{_fmt(t)}" for n, t in scenarios)
 
-    grid_of = _grid_maker(p)
     tables = {}
     for n, t in scenarios:
         name = f"ntot{_fmt(n)}_nth{_fmt(t)}"
-        tables[f"parametric_{name}.csv"], manifest[f"transition_eta_{name}"] = _lambda_opt(
-            grid_of(n, t))
+        # [1:] drops the score map, so only one is alive at a time
+        tables[f"parametric_{name}.csv"], manifest[f"transition_eta_{name}"] = _grid(p, n, t)[1:]
     return tables
 
 

@@ -373,13 +373,15 @@ def post_select(
     of the metric, as ``np.quantile`` gives it.  Reports the mean true
     transmissivity of the kept set and the selection efficiency.  With
     all-equal metric values the selection is flagged degenerate and the full
-    set is returned.
+    set is returned.  A metric that holds a NaN has no quantile and is rejected.
     """
     if (key := {"w2": "w2_sq", "qbb": "xi_qbb"}.get(metric)) is None:
         raise InvalidParameterError(f"unknown selection metric {metric!r}")
     if not 0.0 <= (quantile := real("quantile", quantile)) < 1.0:
         raise InvalidParameterError(f"quantile must be in [0, 1), got {quantile}")
     values, ordered = getattr(ensemble, key), ensemble.ordered[key]
+    if math.isnan(ordered[-1]):  # a NaN sorts last, so this one look finds any
+        raise InvalidParameterError(f"cannot select on {key}: it holds a NaN")
     degenerate = bool(ordered[-1] == ordered[0])
     threshold = float(ordered[0] if degenerate else _quantiles(ordered, quantile))
     mask = values >= threshold

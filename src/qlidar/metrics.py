@@ -34,7 +34,10 @@ def bures_sq(sigma0: np.ndarray, sigma1: np.ndarray) -> float:
     """
     components = []
     for name, sigma in (("sigma0", sigma0), ("sigma1", sigma1)):
-        s = GaussianState(np.zeros(2), sigma).moments[2:]
+        try:
+            s = GaussianState(np.zeros(2), sigma).moments[2:]
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"{name}: {exc}") from None
         if not (kernel.det(*s) > 0.0 and s[0] + s[2] > 0.0):
             raise InvalidParameterError(f"{name} must be positive definite")
         components.append(s)

@@ -176,6 +176,8 @@ class FadingConfig:
             if (value := getattr(self, name)) < MIN_SHAPE:
                 raise InvalidParameterError(f"{name} must be >= {MIN_SHAPE:g}, got {value}")
         _occupation("n_th", self.n_th)
+        if not isinstance(self.probe, ProbeBudget):
+            raise InvalidParameterError(f"probe must be a ProbeBudget, got {self.probe!r}")
 
 
 def thermal_state(n_th: float) -> GaussianState:

@@ -349,6 +349,12 @@ class TestRunEnsemble:
         ens = fading.FadingEnsemble([0.2, 0.4, 0.6], [1.0, math.nan, 2.0], [0.1, 0.2, 0.3])
         assert math.isnan(ens.ordered["w2_sq"][-1])
 
+    def test_post_select_rejects_a_metric_with_a_nan(self):
+        ens = fading.FadingEnsemble([0.1, 0.5, 0.3], [1.0, math.nan, 2.0], [0.5, 0.2, 0.1])
+        with pytest.raises(InvalidParameterError, match="w2_sq: it holds a NaN"):
+            fading.post_select(ens, "w2", 0.5)
+        assert fading.post_select(ens, "qbb", 0.5).n_selected == 2
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_values_derive_from_the_samples_alone(self, workers):
         ens = fading.run_ensemble(SMALL, workers=workers)
@@ -488,6 +494,9 @@ def test_config_validation():
         fading.FadingConfig(alpha="2")
     with pytest.raises(InvalidParameterError):
         fading.FadingConfig(n_realizations=True)
+    for probe in ((10.0, 0.5), None, "x"):
+        with pytest.raises(InvalidParameterError, match="probe must be a ProbeBudget"):
+            fading.FadingConfig(probe=probe)
     with pytest.raises(InvalidParameterError):
         fading.FadingConfig(beta=math.inf)
     with pytest.raises(InvalidParameterError):

@@ -66,12 +66,14 @@ class TestBures:
             assert abs(ab - _bures_sq_eig(a, b)) < 1e-10
 
     def test_rejects_non_spd(self):
-        for bad in (np.diag([1.0, -1.0]), np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(3),
-                    np.diag([math.inf, 1.0])):
-            with pytest.raises(InvalidParameterError):
-                metrics.bures_sq(bad, np.eye(2))
-            with pytest.raises(InvalidParameterError):
-                metrics.bures_sq(np.eye(2), bad)
+        # each error names the covariance it is about
+        for bad, reason in ((np.diag([1.0, -1.0]), " must be positive definite"),
+                            (np.array([[1.0, 0.5], [0.0, 1.0]]), ": sigma must be symmetric"),
+                            (np.eye(3), ": sigma must be 2x2"),
+                            (np.diag([math.inf, 1.0]), ": state moments must be finite")):
+            for name, args in (("sigma0", (bad, np.eye(2))), ("sigma1", (np.eye(2), bad))):
+                with pytest.raises(InvalidParameterError, match=f"^{name}{reason}"):
+                    metrics.bures_sq(*args)
 
 
 def test_scalar_api_names_the_unphysical_state():

@@ -85,6 +85,10 @@ COMMANDS = (
     "-4.813503497055847,2.8701387331574346",
     "metrics --state0 0,0,1.0000001,0,1 --state1 0.5,-0.3,2,0.1,4",
     "metrics --state0 0,0,1,0,1 --state1 -1,0,1,0,1",  # a negative first value, two tokens
+    # a grid's checks run in order: grid step, then workers, then the grid's own
+    "heatmap --n-tot 0",  # scored, then no threshold: the manifest has no transition
+    "parametric --workers 0",
+    "heatmap --workers 0 --grid-step 0",
 )
 
 
